@@ -29,7 +29,6 @@ from .representation import (
     apply_word,
     cmp_L,
     morphism_eq,
-    stabilization_bound,
     stabilizes_x_power,
 )
 from .xmonoid import XSeq, XWord, lex_cmp, p_eval, s_of, seq_compose, sf_eval, x_canonicalize
@@ -64,5 +63,3 @@ from .envelope import (
     seq_length,
     singleton,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]

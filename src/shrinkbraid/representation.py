@@ -15,8 +15,7 @@ Equality in R is defined as equality of the induced endomorphisms, which the
 representation theory guarantees is faithful.  Images of e_j for j above the
 largest letter index of a word follow the pure-shift tail
 e_j -> e_{j + xCount}, so sampling one point beyond that index decides
-equality; ``stabilization_bound`` keeps the deliberately loose documented
-bound and the internal scans use the tail fact.
+equality.
 """
 
 from __future__ import annotations
@@ -58,18 +57,10 @@ def _egen(n: int) -> FWord:
     return FWord((FLetter(n, 1),))
 
 
-def stabilization_bound(u: RWord, v: RWord) -> int:
-    """A bound past which both words act as pure shifts by their xCounts.
-
-    Deliberately loose; any value at or beyond the true stabilization point
-    is acceptable and the property suite checks exactly that.
-    """
-    return max(u.max_index(), v.max_index()) + len(u) + len(v) + 2
-
-
 def _tail_start(u: RWord, v: RWord) -> int:
-    # Exact version of the same fact: letters never touch e_j for j above
-    # every letter index, so one sample there exposes differing shifts.
+    # Both words act as pure shifts by their xCounts from here on: letters
+    # never touch e_j for j above every letter index, so one sample there
+    # exposes differing shifts.
     return max(u.max_index(), v.max_index()) + 1
 
 

@@ -17,19 +17,16 @@ syntactic here: two RWords may denote the same monoid element.  Semantic
 equality is decided by the faithful free-group representation
 (``representation.morphism_eq``); no confluent rewriting system is attempted.
 
-Inverse-letter variants of (3)/(4)/(5) are not among the defining relations;
-they are obtained by formal rearrangement and each is validated against the
-representation in the test suite before ``sx_decompose`` relies on it:
-
-    x_{i+1} s_i^-1 = s_i^-1 s_{i+1}^-1 x_i        (from (4))
-    x_i s_i^-1     = s_{i+1}^-1 s_i^-1 x_{i+1}    (from (3))
-    x_i s_j^-1     = s_{j+1}^-1 x_i   (j > i);  x_i s_k^-1 = s_k^-1 x_i  (k < i-1)
+``sx_decompose`` also reads the x_a s_b rows of (3)/(4)/(5) with s^-1 for s
+on both sides; these follow by multiplying with inverse letters ((3) gives
+the s^-1 form of (4) and vice versa) and are checked against the representation.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Literal, NamedTuple, Optional
+from functools import lru_cache
+from typing import Callable, Iterable, Literal, NamedTuple, Optional
 
 
 class Kind(Enum):
@@ -153,28 +150,65 @@ def free_cancel(w: RWord) -> RWord:
     return RWord(out)
 
 
-def _push_x_right(xi: int, s: Generator) -> list[Generator]:
-    """Rewrite the pair x_a . s as sigma letters followed by one x letter.
+Direction = Literal["L2R", "R2L"]
+_Side = tuple[tuple[Kind, str, int], ...]  # letters (kind, var, offset): kind_{var + offset}
+_When = Optional[Callable[[int, int], bool]]
 
-    Which rule fires is forced by (a, s.index, s.kind); the positive cases
-    are relations (3)/(4)/(5), the inverse cases their rearrangements.
+
+def _s(var: str, offset: int = 0) -> tuple[Kind, str, int]:
+    return (Kind.SIGMA, var, offset)
+
+def _x(var: str, offset: int = 0) -> tuple[Kind, str, int]:
+    return (Kind.X, var, offset)
+
+
+# Rows (rule, lhs, rhs, condition on i and j); relation (5) has one per case.
+_RELATIONS: tuple[tuple[int, _Side, _Side, _When], ...] = (
+    (1, (_s("i"), _x("i")), (_x("i"),), None),
+    (2, (_x("i", 1), _x("i")), (_x("i"), _x("i")), None),
+    (3, (_x("i", 1), _s("i")), (_s("i"), _s("i", 1), _x("i")), None),
+    (4, (_x("i"), _s("i")), (_s("i", 1), _s("i"), _x("i", 1)), None),
+    (5, (_x("i"), _x("j")), (_x("j", 1), _x("i")), lambda i, j: j > i),
+    (5, (_x("i"), _s("j")), (_s("j", 1), _x("i")), lambda i, j: j > i),
+    (5, (_x("i"), _s("j")), (_s("j"), _x("i")), lambda i, j: j < i - 1),
+    (6, (_s("i"), _s("i", 1), _s("i")), (_s("i", 1), _s("i"), _s("i", 1)), None),
+    (7, (_s("i"), _s("j")), (_s("j"), _s("i")), lambda i, j: j > i + 1),
+)
+
+
+def _rewrite(
+    letters: tuple[Generator, ...], pos: int, side: _Side, other: _Side, when: _When
+) -> Optional[tuple[Generator, ...]]:
+    """``other`` under the values of i and j that read ``side`` at ``pos``.
+
+    None when ``side`` does not occur there: a letter differs in kind, a
+    variable would take two values or one below 1, or ``when`` fails.
     """
-    a, b = xi, s.index
-    if s.kind is Kind.SIGMA:
-        if b == a - 1:
-            return [sigma(a - 1), sigma(a), x(a - 1)]
-        if b == a:
-            return [sigma(a + 1), sigma(a), x(a + 1)]
-        if b > a:
-            return [sigma(b + 1), x(a)]
-        return [sigma(b), x(a)]
-    if b == a - 1:
-        return [sigma_inv(a - 1), sigma_inv(a), x(a - 1)]
-    if b == a:
-        return [sigma_inv(a + 1), sigma_inv(a), x(a + 1)]
-    if b > a:
-        return [sigma_inv(b + 1), x(a)]
-    return [sigma_inv(b), x(a)]
+    if pos + len(side) > len(letters):
+        return None
+    bound: dict[str, int] = {}
+    for (kind, var, offset), g in zip(side, letters[pos:]):
+        value = g.index - offset
+        if g.kind is not kind or value < 1 or bound.setdefault(var, value) != value:
+            return None
+    if when is not None and not when(bound["i"], bound["j"]):
+        return None
+    return tuple(Generator(kind, bound[var] + offset) for kind, var, offset in other)
+
+
+@lru_cache(maxsize=4096)  # LD terms of depth <= 8 meet about 200 (x, sigma) pairs
+def _x_past_sigma(xg: Generator, s: Generator) -> tuple[Generator, ...]:
+    """Rewrite x_a s_b, with s_b of either sign, as sigma letters then one x letter.
+
+    Only the x_a s_b rows of (3), (4) and (5) can match the pair, and exactly
+    one does.  s_b^-1 is read as s_b and gives its sign to the sigma letters.
+    """
+    pair = (xg, Generator(Kind.SIGMA, s.index))
+    for _, lhs, rhs, when in _RELATIONS:
+        replacement = _rewrite(pair, 0, lhs, rhs, when)
+        if replacement is not None:
+            break
+    return tuple(g if g.kind is Kind.X else Generator(s.kind, g.index) for g in replacement)
 
 
 def sx_decompose(w: RWord) -> tuple[RWord, RWord]:
@@ -191,7 +225,7 @@ def sx_decompose(w: RWord) -> tuple[RWord, RWord]:
             and letters[i].kind is Kind.X
             and letters[i + 1].kind is not Kind.X
         ):
-            replacement = _push_x_right(letters[i].index, letters[i + 1])
+            replacement = _x_past_sigma(letters[i], letters[i + 1])
             letters[i : i + 2] = replacement
             i += len(replacement) - 1  # keep following the moved x letter
         else:
@@ -200,124 +234,6 @@ def sx_decompose(w: RWord) -> tuple[RWord, RWord]:
     while split < len(letters) and letters[split].kind is not Kind.X:
         split += 1
     return RWord(letters[:split]), RWord(letters[split:])
-
-
-Direction = Literal["L2R", "R2L"]
-
-# _match_rule inspects the word at a position and returns the consumed
-# length plus the replacement segment, or None when the side of the chosen
-# relation does not occur there.
-
-
-def _match_rule(
-    letters: tuple[Generator, ...], rule: int, pos: int, direction: Direction
-) -> Optional[tuple[int, list[Generator]]]:
-    def at(k: int) -> Optional[Generator]:
-        return letters[pos + k] if pos + k < len(letters) else None
-
-    g0, g1, g2 = at(0), at(1), at(2)
-    fwd = direction == "L2R"
-    if rule == 1:
-        if fwd:
-            if g0 and g1 and g0.kind is Kind.SIGMA and g1 == x(g0.index):
-                return 2, [g1]
-        else:
-            if g0 and g0.kind is Kind.X:
-                return 1, [sigma(g0.index), g0]
-        return None
-    if rule == 2:
-        if fwd:
-            if g0 and g1 and g0.kind is Kind.X and g0.index >= 2 and g1 == x(g0.index - 1):
-                return 2, [g1, g1]
-        else:
-            if g0 and g1 and g0.kind is Kind.X and g1 == g0:
-                return 2, [x(g0.index + 1), g0]
-        return None
-    if rule == 3:
-        if fwd:
-            if g0 and g1 and g0.kind is Kind.X and g0.index >= 2 and g1 == sigma(g0.index - 1):
-                i = g0.index - 1
-                return 2, [sigma(i), sigma(i + 1), x(i)]
-        else:
-            if (
-                g0 is not None and g1 is not None and g2 is not None
-                and g0.kind is Kind.SIGMA and g1 == sigma(g0.index + 1) and g2 == x(g0.index)
-            ):
-                i = g0.index
-                return 3, [x(i + 1), sigma(i)]
-        return None
-    if rule == 4:
-        if fwd:
-            if g0 and g1 and g0.kind is Kind.X and g1 == sigma(g0.index):
-                i = g0.index
-                return 2, [sigma(i + 1), sigma(i), x(i + 1)]
-        else:
-            if (
-                g0 is not None and g1 is not None and g2 is not None
-                and g0.kind is Kind.SIGMA and g0.index >= 2 and g1 == sigma(g0.index - 1)
-                and g2 == x(g0.index)
-            ):
-                i = g0.index - 1
-                return 3, [x(i), sigma(i)]
-        return None
-    if rule == 5:
-        if fwd:
-            if g0 and g1 and g0.kind is Kind.X:
-                i = g0.index
-                if g1.kind is Kind.X and g1.index > i:
-                    return 2, [x(g1.index + 1), g0]
-                if g1.kind is Kind.SIGMA and g1.index > i:
-                    return 2, [sigma(g1.index + 1), g0]
-                if g1.kind is Kind.SIGMA and g1.index < i - 1:
-                    return 2, [g1, g0]
-        else:
-            if g0 and g1:
-                if (
-                    g0.kind is Kind.X and g1.kind is Kind.X
-                    and g0.index >= g1.index + 2
-                ):
-                    return 2, [g1, x(g0.index - 1)]
-                if (
-                    g0.kind is Kind.SIGMA and g1.kind is Kind.X
-                    and g0.index >= g1.index + 2
-                ):
-                    return 2, [g1, sigma(g0.index - 1)]
-                if (
-                    g0.kind is Kind.SIGMA and g1.kind is Kind.X
-                    and g0.index < g1.index - 1
-                ):
-                    return 2, [g1, g0]
-        return None
-    if rule == 6:
-        if g0 is None or g1 is None or g2 is None:
-            return None
-        if fwd:
-            if (
-                g0.kind is Kind.SIGMA and g1 == sigma(g0.index + 1) and g2 == g0
-            ):
-                i = g0.index
-                return 3, [sigma(i + 1), sigma(i), sigma(i + 1)]
-        else:
-            if (
-                g0.kind is Kind.SIGMA and g0.index >= 2 and g1 == sigma(g0.index - 1)
-                and g2 == g0
-            ):
-                i = g0.index - 1
-                return 3, [sigma(i), sigma(i + 1), sigma(i)]
-        return None
-    if rule == 7:
-        if g0 is None or g1 is None:
-            return None
-        if g0.kind is not Kind.SIGMA or g1.kind is not Kind.SIGMA:
-            return None
-        if fwd:
-            if g1.index > g0.index + 1:
-                return 2, [g1, g0]
-        else:
-            if g0.index > g1.index + 1:
-                return 2, [g1, g0]
-        return None
-    raise ValueError(f"rule must be 1..7, got {rule}")
 
 
 def apply_relation(
@@ -330,11 +246,15 @@ def apply_relation(
     """
     if position < 0 or position > len(w.letters):
         raise IndexError(f"position {position} outside word of length {len(w)}")
-    matched = _match_rule(w.letters, rule, position, direction)
-    if matched is None:
-        return None
-    consumed, replacement = matched
-    return RWord(w.letters[:position] + tuple(replacement) + w.letters[position + consumed :])
+    rows = [row[1:] for row in _RELATIONS if row[0] == rule]
+    if not rows:
+        raise ValueError(f"rule must be 1..7, got {rule}")
+    for lhs, rhs, when in rows:
+        side, other = (lhs, rhs) if direction == "L2R" else (rhs, lhs)
+        replacement = _rewrite(w.letters, position, side, other, when)
+        if replacement is not None:
+            return RWord(w.letters[:position] + replacement + w.letters[position + len(side) :])
+    return None
 
 
 # --- word grammar ---------------------------------------------------------

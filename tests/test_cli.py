@@ -76,6 +76,13 @@ class TestLdLaver:
         code, _, err = capout("ld", "(j .")
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize("command, rest", [("ld", ()), ("laver", ("j",))])
+    def test_deep_term_is_domain_error(self, capout, command, rest):
+        deep = "(" * 2000 + "j" + " . j)" * 2000
+        code, out, err = capout(command, deep, *rest)
+        assert code == 2 and out == ""
+        assert err == "error: term nested too deeply\n"
+
 
 class TestColor:
     def test_crossing(self, capout):

@@ -12,11 +12,11 @@ from shrinkbraid import (
     parse_rword,
     sigma,
     sigma_inv,
-    stabilization_bound,
     stabilizes_x_power,
     x,
 )
 from shrinkbraid.freegroup import FLetter, FWord, parse_fword, reduce
+from shrinkbraid.representation import _tail_start
 
 from conftest import random_braid, random_rplus, random_sigma1_positive
 
@@ -134,17 +134,16 @@ class TestRelationSoundness:
 
 class TestStabilization:
     def test_formula_values(self):
-        assert stabilization_bound(RWord.identity(), RWord.identity()) == 2
-        assert stabilization_bound(parse_rword("x3"), parse_rword("x3")) == 7
+        assert _tail_start(RWord.identity(), RWord.identity()) == 1
+        assert _tail_start(parse_rword("x3"), parse_rword("x3")) == 4
 
     def test_bound_dominates_tail(self, rng):
-        # Any value at or past the true stabilization point is acceptable.
+        # From the tail start on, both words act as pure shifts.
         for _ in range(40):
             u, v = random_rplus(rng), random_rplus(rng)
-            bound = stabilization_bound(u, v)
+            start = _tail_start(u, v)
             for w in (u, v):
-                start = w.max_index() + len(w)
-                for j in range(max(start, 1), bound + 1):
+                for j in range(start, start + 4):
                     assert apply_word(w, egen(j)) == egen(j + w.x_count())
 
 
@@ -217,8 +216,8 @@ class TestPureShiftTail:
     def test_tail_images(self, rng):
         for _ in range(40):
             w = random_rplus(rng)
-            bound = stabilization_bound(w, w)
-            for j in range(w.max_index() + max(len(w), 1), bound + 1):
+            start = _tail_start(w, w)
+            for j in range(start, start + 4):
                 assert apply_word(w, egen(j)) == egen(j + w.x_count())
 
 
@@ -248,6 +247,6 @@ class TestStabilizesXPower:
             g = random_braid(rng, max_len=5, max_index=4)
             fixes = all(
                 apply_word(g, egen(j)) == egen(j)
-                for j in range(m, stabilization_bound(g, g) + 1)
+                for j in range(m, _tail_start(g, g) + 1)
             )
             assert stabilizes_x_power(g, m) == fixes

@@ -98,6 +98,9 @@ class TestSxDecompose:
             ("x2 s1", "s1 s2", "x1"),
             ("x1 s2", "s3", "x1"),
             ("x2 s1^-1", "s1^-1 s2^-1", "x1"),
+            ("x1 s1^-1", "s2^-1 s1^-1", "x2"),
+            ("x1 s3^-1", "s4^-1", "x1"),
+            ("x4 s1^-1", "s1^-1", "x4"),
             ("", "", ""),
             ("s1 s2", "s1 s2", ""),
             ("x1 x2", "", "x1 x2"),
@@ -167,6 +170,15 @@ RELATION_CASES = [
     (5, "x4 s1", "s1 x4"),
     (6, "s1 s2 s1", "s2 s1 s2"),
     (7, "s1 s3", "s3 s1"),
+    (1, "s4 x4", "x4"),
+    (2, "x5 x4", "x4 x4"),
+    (3, "x5 s4", "s4 s5 x4"),
+    (4, "x3 s3", "s4 s3 x4"),
+    (5, "x2 x5", "x6 x2"),
+    (5, "x2 s3", "s4 x2"),
+    (5, "x5 s3", "s3 x5"),
+    (6, "s3 s4 s3", "s4 s3 s4"),
+    (7, "s2 s5", "s5 s2"),
 ]
 
 
@@ -179,6 +191,9 @@ class TestApplyRelation:
     def test_no_match_returns_none(self):
         assert apply_relation(w("s1 s2"), 1, 0, "L2R") is None
         assert apply_relation(w("s1 s2"), 7, 0, "L2R") is None
+        # i would be 0 here
+        assert apply_relation(w("x1 s1"), 3, 0, "L2R") is None
+        assert apply_relation(w("s1 s1 x1"), 4, 0, "R2L") is None
 
     def test_interior_position(self):
         assert apply_relation(w("s3 s1 x1 s3"), 1, 1, "L2R") == w("s3 x1 s3")
