@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success, 1 on parse/usage errors, 2 on domain errors
 (x letter where a braid is required, invalid strand index, non-LD table,
-sigma position out of range, term nested too deeply).  Output is
-deterministic, LF-terminated UTF-8.
+sigma position out of range, term nested too deeply, realized term word
+over its letter budget).  Output is deterministic, LF-terminated UTF-8.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Sequence
 from .coloring import InvalidStrandIndexError, RankMismatchError, color
 from .envelope import IndexOutOfRangeError, NotLeftDistributiveError, load_table
 from .freegroup import Cmp, parse_fword
-from .ldops import eval_term, laver_cmp, parse_term
+from .ldops import RealizationBudgetError, eval_term, laver_cmp, parse_term
 from .representation import apply_word, cmp_L, morphism_eq
 from .words import RWordParseError, XLetterPresentError, parse_rword, sx_decompose
 from .xmonoid import XWord, s_of, x_canonicalize
@@ -135,6 +135,7 @@ def run(argv: Sequence[str]) -> int:
         InvalidStrandIndexError,
         RankMismatchError,
         IndexOutOfRangeError,
+        RealizationBudgetError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

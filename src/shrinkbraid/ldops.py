@@ -150,12 +150,28 @@ def circ(s: LDTerm, t: LDTerm) -> LDTerm:
     return LDTerm("circ", s, t)
 
 
+# A left-nested dot term of depth d realizes 2^d - 1 letters, so the budget
+# stops depth 17; every depth-8 term stays far below it.
+MAX_REALIZED_LETTERS = 1 << 16
+
+
+class RealizationBudgetError(ValueError):
+    """A term's realized word grew past ``MAX_REALIZED_LETTERS``."""
+
+
 def eval_term_b(t: LDTerm) -> BElement:
+    """Evaluate a term; every subterm's realized word is held to the budget."""
     if t.op is None:
         return BElement(RWord.identity(), 1)
     lhs = eval_term_b(t.left)
     rhs = eval_term_b(t.right)
-    return b_dot(lhs, rhs) if t.op == "dot" else b_circ(lhs, rhs)
+    out = b_dot(lhs, rhs) if t.op == "dot" else b_circ(lhs, rhs)
+    letters = len(out.braid) + out.n - 1
+    if letters > MAX_REALIZED_LETTERS:
+        raise RealizationBudgetError(
+            f"realized word of {letters} letters exceeds the budget of {MAX_REALIZED_LETTERS}"
+        )
+    return out
 
 
 def eval_term(t: LDTerm) -> RWord:

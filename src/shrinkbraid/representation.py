@@ -15,13 +15,42 @@ Equality in R is defined as equality of the induced endomorphisms, which the
 representation theory guarantees is faithful.  Images of e_j for j above the
 largest letter index of a word follow the pure-shift tail
 e_j -> e_{j + xCount}, so sampling one point beyond that index decides
-equality.
+equality.  ``_images_eq`` and ``_images_cmp`` run that scan; they are the
+oracle, and they decide every query on a word with an x letter.
+
+Braid words take a fast path.  Free-group images grow exponentially with word
+length, but the bit length of a braid's Dynnikov coordinates grows linearly,
+and they are a faithful integer action of B_oo whose signs decide the
+Dehornoy order (Dehornoy, "Efficient solutions to the braid isotopy problem",
+Discrete Appl. Math. 156 (2008), section 3; Dehornoy, Dynnikov, Rolfsen and
+Wiest, *Ordering Braids*, AMS 2008, ch. XII).  The coordinates are a sparse
+dict from pair index k to a pair (x_k, y_k); a missing key is the pair (0, 1).
+Starting from the empty dict, the letters act rightmost first, as in
+``apply_word``.  With a+ = max(a, 0) and a- = min(a, 0), the letter s_i
+updates pairs i and i + 1:
+
+    s_i:    z = x_i - y_i- - x_{i+1} + y_{i+1}+
+            x_i'     = x_i + y_i+ + (y_{i+1}+ - z)+
+            y_i'     = y_{i+1} - z+
+            x_{i+1}' = x_{i+1} + y_{i+1}- + (y_i- + z)-
+            y_{i+1}' = y_i + z+
+    s_i^-1: z = x_i + y_i- - x_{i+1} - y_{i+1}+
+            x_i'     = x_i - y_i+ - (y_{i+1}+ + z)+
+            y_i'     = y_{i+1} + z-
+            x_{i+1}' = x_{i+1} - y_{i+1}- - (y_i- - z)-
+            y_{i+1}' = y_i - z-
+
+Two braid words are equal iff their coordinates agree once (0, 1) pairs are
+dropped.  For the order, take the coordinates of u^-1 v and the smallest k
+with x_k != 0: u < v if x_k > 0, u > v if x_k < 0, and u = v if there is no
+such k.  The dict stays sparse, so ``s100000000`` costs two entries, not a
+list as long as its index.
 """
 
 from __future__ import annotations
 
 from .freegroup import Cmp, FLetter, FWord, curve_cmp, reduce
-from .words import Generator, Kind, RWord, XLetterPresentError, x
+from .words import Generator, Kind, RWord, XLetterPresentError, braid_inverse, x
 
 
 def apply_gen(g: Generator, w: FWord) -> FWord:
@@ -64,20 +93,89 @@ def _tail_start(u: RWord, v: RWord) -> int:
     return max(u.max_index(), v.max_index()) + 1
 
 
+_TRIVIAL = (0, 1)
+
+
+def _dynnikov(
+    w: RWord, start: dict[int, tuple[int, int]] | None = None
+) -> dict[int, tuple[int, int]]:
+    """Sparse Dynnikov coordinates of a braid word, (0, 1) pairs dropped.
+
+    The word acts on ``start`` (default: all pairs (0, 1)), which is not
+    modified.
+    """
+    coords = dict(start or ())
+    get = coords.get
+    for kind, i in reversed(w.letters):
+        a, b = get(i, _TRIVIAL)
+        c, d = get(i + 1, _TRIVIAL)
+        b_pos = b if b > 0 else 0
+        b_neg = b - b_pos
+        d_pos = d if d > 0 else 0
+        d_neg = d - d_pos
+        if kind is Kind.SIGMA:
+            z = a - b_neg - c + d_pos
+            z_pos = z if z > 0 else 0
+            t = d_pos - z
+            coords[i] = (a + b_pos + (t if t > 0 else 0), d - z_pos)
+            t = b_neg + z
+            coords[i + 1] = (c + d_neg + (t if t < 0 else 0), b + z_pos)
+        else:
+            z = a + b_neg - c - d_pos
+            z_neg = z if z < 0 else 0
+            t = d_pos + z
+            coords[i] = (a - b_pos - (t if t > 0 else 0), d + z_neg)
+            t = b_neg - z
+            coords[i + 1] = (c - d_neg - (t if t < 0 else 0), b - z_neg)
+    return {k: pair for k, pair in coords.items() if pair != _TRIVIAL}
+
+
 def morphism_eq(u: RWord, v: RWord) -> bool:
-    """Semantic equality in R via the faithful representation."""
+    """Semantic equality in R via the faithful representation.
+
+    Two braid words are compared by their Dynnikov coordinates (see the
+    module docstring); any other pair by ``_images_eq``.
+    """
+    if u.is_braid() and v.is_braid():
+        return _dynnikov(u) == _dynnikov(v)
+    return _images_eq(u, v)
+
+
+def cmp_L(u: RWord, v: RWord) -> Cmp:
+    """The left-invariant linear order on R.
+
+    Restricted to braid words this is the Dehornoy order: sigma_1-positive
+    words sort above the identity.  Two braid words are compared by the
+    first nonzero x_k of the Dynnikov coordinates of u^-1 v, which is
+    positive exactly when u < v (see the module docstring); any other pair
+    by ``_images_cmp``.
+    """
+    if u.is_braid() and v.is_braid():
+        coords = _dynnikov(braid_inverse(u) * v)
+        for k in sorted(coords):
+            first = coords[k][0]
+            if first:
+                return Cmp.LESS if first > 0 else Cmp.GREATER
+        return Cmp.EQUAL
+    return _images_cmp(u, v)
+
+
+def _images_eq(u: RWord, v: RWord) -> bool:
+    """Equality by images, the oracle for ``morphism_eq``.
+
+    Compares the images of e_1, e_2, ... up to one past every letter index.
+    """
     for n in range(1, _tail_start(u, v) + 1):
         if apply_word(u, _egen(n)) != apply_word(v, _egen(n)):
             return False
     return True
 
 
-def cmp_L(u: RWord, v: RWord) -> Cmp:
-    """The left-invariant linear order on R.
+def _images_cmp(u: RWord, v: RWord) -> Cmp:
+    """The order by images, the oracle for ``cmp_L``.
 
     Scans n = 1, 2, ... and compares the images of e_n in the curve order at
-    the first n where they differ.  Restricted to braid words this is the
-    Dehornoy order: sigma_1-positive words sort above the identity.
+    the first n where they differ.
     """
     for n in range(1, _tail_start(u, v) + 1):
         iu = apply_word(u, _egen(n))

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from shrinkbraid.cli import run
+from shrinkbraid import representation
+from shrinkbraid.cli import _CMP_TEXT, run
+from shrinkbraid.ldops import LEAF, eval_term, parse_term
 
 
 @pytest.fixture
@@ -25,6 +32,44 @@ class TestEq:
     def test_pants_relation(self, capout):
         code, out, _ = capout("eq", "s1 x1", "x1")
         assert code == 0 and out == "true\n"
+
+
+def left_nested(depth: int) -> str:
+    return "(" * depth + "j" + " . j)" * depth
+
+
+@pytest.fixture
+def no_oracle(monkeypatch):
+    """Fail any call of the free-group oracle: braids take the fast path."""
+    def fail(*args):
+        raise AssertionError("free-group oracle called on braid words")
+
+    monkeypatch.setattr(representation, "_images_eq", fail)
+    monkeypatch.setattr(representation, "_images_cmp", fail)
+
+
+class TestBraidFastPath:
+    def test_eq_at_large_index(self, capout, no_oracle):
+        code, out, _ = capout("eq", "s100000", "s100000")
+        assert code == 0 and out == "true\n"
+
+    def test_cmp_at_large_index(self, capout, no_oracle):
+        code, out, _ = capout("cmp", "s100000", "s100000 s100000")
+        assert code == 0 and out == "LT\n"
+
+    def test_cmp_at_huge_index_stays_sparse(self, capout, no_oracle):
+        code, out, _ = capout("cmp", "s100000000", "s1")
+        assert code == 0 and out == "LT\n"
+
+    def test_laver_depth_eight(self, capout, no_oracle):
+        code, out, _ = capout("laver", left_nested(8), "j")
+        assert code == 0 and out == "GT\n"
+
+    def test_laver_depth_six_matches_oracle(self, capout):
+        code, out, _ = capout("laver", left_nested(6), "j")
+        realized = eval_term(parse_term(left_nested(6)))
+        expected = representation._images_cmp(realized, eval_term(LEAF))
+        assert code == 0 and out == _CMP_TEXT[expected] + "\n"
 
 
 class TestCmp:
@@ -82,6 +127,11 @@ class TestLdLaver:
         code, out, err = capout(command, deep, *rest)
         assert code == 2 and out == ""
         assert err == "error: term nested too deeply\n"
+
+    def test_realization_budget_is_domain_error(self, capout):
+        code, out, err = capout("ld", left_nested(300))
+        assert code == 2 and out == ""
+        assert err.startswith("error: realized word of ") and err.count("\n") == 1
 
 
 class TestColor:
@@ -159,3 +209,14 @@ class TestDeterminism:
     def test_round_trip_printing(self, capout):
         code, out, _ = capout("sx", "s1   x2")
         assert code == 0 and out == "s1 | x2\n"
+
+
+def test_python_m_runs_from_checkout():
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-m", "shrinkbraid", "cmp", "", "s1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0 and done.stdout == "LT\n" and done.stderr == ""

@@ -1,5 +1,6 @@
 import pytest
 
+from shrinkbraid import ldops
 from shrinkbraid import (
     BElement,
     Cmp,
@@ -24,7 +25,7 @@ from shrinkbraid import (
     sigma,
     x,
 )
-from shrinkbraid.ldops import LDTerm, TermParseError, sigma_on_braids
+from shrinkbraid.ldops import LDTerm, RealizationBudgetError, TermParseError, sigma_on_braids
 
 from conftest import random_braid
 
@@ -158,6 +159,28 @@ class TestEvalTerm:
             rhs = eval_term_b(circ(a, b))
             assert morphism_eq(lhs.realize(), rhs.realize())
             assert lhs.n == rhs.n
+
+
+class TestRealizationBudget:
+    @staticmethod
+    def left_nested(depth: int) -> LDTerm:
+        t = LEAF
+        for _ in range(depth):
+            t = dot(t, LEAF)
+        return t
+
+    def test_budget_bounds_every_subterm(self, monkeypatch):
+        # A left-nested dot term of depth d realizes 2^d - 1 letters.
+        monkeypatch.setattr(ldops, "MAX_REALIZED_LETTERS", 63)
+        assert len(eval_term(self.left_nested(6))) == 63
+        with pytest.raises(RealizationBudgetError):
+            eval_term(self.left_nested(7))
+        with pytest.raises(RealizationBudgetError):
+            eval_term(circ(self.left_nested(6), self.left_nested(6)))
+
+    def test_budget_is_a_value_error(self):
+        assert issubclass(RealizationBudgetError, ValueError)
+        assert ldops.MAX_REALIZED_LETTERS == 1 << 16
 
 
 class TestAlgebraicLaws:

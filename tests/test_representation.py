@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from hypothesis import given, strategies as st
 
 from shrinkbraid import (
     Cmp,
@@ -16,7 +19,7 @@ from shrinkbraid import (
     x,
 )
 from shrinkbraid.freegroup import FLetter, FWord, parse_fword, reduce
-from shrinkbraid.representation import _tail_start
+from shrinkbraid.representation import _dynnikov, _images_cmp, _images_eq, _tail_start
 
 from conftest import random_braid, random_rplus, random_sigma1_positive
 
@@ -250,3 +253,117 @@ class TestStabilizesXPower:
                 for j in range(m, _tail_start(g, g) + 1)
             )
             assert stabilizes_x_power(g, m) == fixes
+
+
+# --- the Dynnikov fast path against the free-group oracle ------------------
+
+MAX_STRAND_INDEX = 6
+
+
+def _signed(i: int, positive: bool):
+    return sigma(i) if positive else sigma_inv(i)
+
+
+letters = st.builds(_signed, st.integers(1, MAX_STRAND_INDEX), st.booleans())
+braids = st.lists(letters, max_size=12).map(RWord)
+
+
+def _equal_rewrite(w: RWord, rnd: random.Random) -> RWord:
+    """A word equal to w: relations (6)/(7) and inserted cancelling pairs."""
+    out = list(w.letters)
+    for _ in range(rnd.randint(1, 6)):
+        p = rnd.randrange(len(out) + 1)
+        move = rnd.randrange(3)
+        if move == 0:
+            i, positive = rnd.randint(1, MAX_STRAND_INDEX), rnd.random() < 0.5
+            out[p:p] = [_signed(i, positive), _signed(i, not positive)]
+        elif move == 1 and p + 1 < len(out):
+            a, b = out[p], out[p + 1]
+            if abs(a.index - b.index) >= 2:
+                out[p:p + 2] = [b, a]
+        elif move == 2 and p + 2 < len(out):
+            a, b, c = out[p:p + 3]
+            if a == c and a.kind is b.kind and abs(a.index - b.index) == 1:
+                out[p:p + 3] = [b, a, b]
+    return RWord(out)
+
+
+@st.composite
+def sigma_k_positive(draw):
+    """A braid with s_k, no s_k^-1 and no letter of index below k."""
+    k = draw(st.integers(1, MAX_STRAND_INDEX - 1))
+    rest = draw(st.lists(
+        st.builds(_signed, st.integers(k + 1, MAX_STRAND_INDEX), st.booleans()), max_size=5))
+    positions = draw(st.lists(st.integers(0, len(rest)), min_size=1, max_size=2))
+    out = list(rest)
+    for p in positions:
+        out.insert(p, sigma(k))
+    return RWord(out)
+
+
+def assert_matches_oracle(u: RWord, v: RWord) -> None:
+    assert cmp_L(u, v) is _images_cmp(u, v)
+    assert morphism_eq(u, v) == _images_eq(u, v)
+
+
+class TestDynnikovAgainstOracle:
+    @given(braids, braids)
+    def test_random_pairs(self, u, v):
+        assert_matches_oracle(u, v)
+
+    @given(braids, st.randoms(use_true_random=False))
+    def test_equal_pairs(self, u, rnd):
+        v = _equal_rewrite(u, rnd)
+        assert morphism_eq(u, v)
+        assert_matches_oracle(u, v)
+
+    @given(braids, sigma_k_positive())
+    def test_positive_extension(self, u, q):
+        assert cmp_L(u, u * q) is Cmp.LESS
+        assert_matches_oracle(u, u * q)
+
+    @pytest.mark.parametrize("u, v", [
+        ("s1 s2 s1", "s2 s1 s2"),
+        ("s2^-1 s3^-1 s2^-1", "s3^-1 s2^-1 s3^-1"),
+        ("s1 s4", "s4 s1"),
+        ("s1 s1 s2 s2 s1^-1 s1^-1 s2^-1 s2^-1", ""),
+        ("", "s1"),
+        ("s2", "s1"),
+        ("s1^-1", "s2 s2 s2"),
+    ])
+    def test_fixed_cases(self, u, v):
+        assert_matches_oracle(parse_rword(u), parse_rword(v))
+
+    def test_fixed_answers(self):
+        assert morphism_eq(parse_rword("s1 s2 s1"), parse_rword("s2 s1 s2"))
+        assert morphism_eq(parse_rword("s1 s4"), parse_rword("s4 s1"))
+        commutator = parse_rword("s1 s1 s2 s2 s1^-1 s1^-1 s2^-1 s2^-1")
+        assert not morphism_eq(commutator, RWord.identity())
+        assert cmp_L(RWord.identity(), parse_rword("s1")) is Cmp.LESS
+
+    def test_trivial_pairs_are_dropped(self):
+        assert _dynnikov(parse_rword("s3 s3^-1 s7^-1 s7")) == {}
+        assert _dynnikov(parse_rword("s100000000")).keys() == {100000000, 100000001}
+
+
+class TestDynnikovUpdate:
+    """The coordinate update is an action of the braid group on all of Z^2n."""
+
+    @staticmethod
+    def random_vector(rng):
+        return {k: (rng.randint(-9, 9), rng.randint(-9, 9)) for k in range(1, 8)}
+
+    @pytest.mark.parametrize("lhs, rhs", [
+        ("s1 s2 s1", "s2 s1 s2"),
+        ("s3 s4 s3", "s4 s3 s4"),
+        ("s1^-1 s2^-1 s1^-1", "s2^-1 s1^-1 s2^-1"),
+        ("s1 s3", "s3 s1"),
+        ("s2 s5^-1", "s5^-1 s2"),
+        ("s2 s2^-1", ""),
+        ("s4^-1 s4", ""),
+    ])
+    def test_relations_on_random_vectors(self, rng, lhs, rhs):
+        u, v = parse_rword(lhs), parse_rword(rhs)
+        for _ in range(300):
+            start = self.random_vector(rng)
+            assert _dynnikov(u, start) == _dynnikov(v, start)
