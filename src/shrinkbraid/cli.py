@@ -3,7 +3,8 @@
 Exit codes: 0 on success, 1 on parse/usage errors, 2 on domain errors
 (x letter where a braid is required, invalid strand index, non-LD table,
 sigma position out of range, term nested too deeply, realized term word
-over its letter budget).  Output is deterministic, LF-terminated UTF-8.
+over its letter budget, envelope orbit search over its state budget).
+Output is deterministic, LF-terminated UTF-8.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from typing import Sequence
 
 from .coloring import InvalidStrandIndexError, RankMismatchError, color
-from .envelope import IndexOutOfRangeError, NotLeftDistributiveError, load_table
+from .envelope import IndexOutOfRangeError, NotLeftDistributiveError, OrbitBudgetError, load_table
 from .freegroup import Cmp, parse_fword
 from .ldops import RealizationBudgetError, eval_term, laver_cmp, parse_term
 from .representation import apply_word, cmp_L, morphism_eq
@@ -136,6 +137,7 @@ def run(argv: Sequence[str]) -> int:
         RankMismatchError,
         IndexOutOfRangeError,
         RealizationBudgetError,
+        OrbitBudgetError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,8 +13,24 @@ taken modulo the positive-braid action
     sigma_i (a_1, ..., a_n) = (a_1, ..., a_i . a_{i+1}, a_i, ..., a_n).
 
 Two sequences are equal in the envelope iff some positive braids take them
-to a common sequence; for a finite table the reachable sets are finite, so
-``orbit_eq`` is exact whenever the search budget covers them.
+to a common sequence.  ``orbit_eq`` decides this in two stages:
+
+- Invariants.  Length is preserved by every sigma_i, and so is the left
+  translation c -> a_1.(a_2.( ... (a_n.c))): left distributivity gives
+  (a_i.a_{i+1}).(a_i.c) = a_i.(a_{i+1}.c).  (This is also why ``env_dot``
+  is well defined on orbits.)  Sequences whose lengths or translation maps
+  differ are answered No without any search.
+- Search.  Otherwise both orbits grow breadth first, one layer at a time,
+  always on the side with the smaller frontier, and the search answers Yes
+  at the first state the two sides share.  No needs both orbits closed.
+
+The invariants do not separate every pair (on a cyclic table a constant
+sequence is fixed by every sigma_i and shares its translation map with
+other sequences), so a search may have to close a whole orbit, which has
+up to about n^(L-1) states for L entries from n.  Once the two searches
+hold more than ``MAX_ORBIT_STATES`` states together, ``orbit_eq`` raises
+``OrbitBudgetError``.  With a finite ``depth`` it answers Unknown when a
+search reached that many layers before the sides met or both orbits closed.
 """
 
 from __future__ import annotations
@@ -24,6 +40,10 @@ from pathlib import Path
 from typing import Sequence, Union
 
 EnvElement = tuple[int, ...]
+
+# States ``orbit_eq`` may hold in its two searches together.  The largest
+# orbit in the benchmark's envelope workload has about 23k states.
+MAX_ORBIT_STATES = 1 << 18
 
 
 class OrbitResult(Enum):
@@ -48,6 +68,10 @@ class NotLeftDistributiveError(ValueError):
 
 class IndexOutOfRangeError(IndexError):
     """A sigma action addressed a position outside the sequence."""
+
+
+class OrbitBudgetError(ValueError):
+    """``orbit_eq`` held more than ``MAX_ORBIT_STATES`` states undecided."""
 
 
 class LDTable:
@@ -100,13 +124,7 @@ class LDTable:
         """Left-nested products of u applied to each entry of v."""
         self._check_seq(u)
         self._check_seq(v)
-
-        def nested(c: int) -> int:
-            for a in reversed(u):
-                c = self.dot(a, c)
-            return c
-
-        return tuple(nested(b) for b in v)
+        return tuple(self._translate(u, b) for b in v)
 
     def env_circ(self, u: EnvElement, v: EnvElement) -> EnvElement:
         self._check_seq(u)
@@ -135,26 +153,71 @@ class LDTable:
     def orbit_eq(
         self, u: EnvElement, v: EnvElement, depth: Union[int, None] = None
     ) -> OrbitResult:
-        """Exact orbit equality when the budget covers the reachable sets.
+        """Whether u and v have a common image under positive braids.
 
-        ``depth`` caps the number of breadth-first layers explored from each
-        side; None explores until closure (always finite here).
+        No when the lengths or the left-translation maps differ; otherwise
+        a breadth-first search from both sides, which answers Yes at the
+        first shared state and No once both orbits are closed.  ``depth``
+        caps the layers searched from each side; None searches until closure.
+        Unknown occurs only under a finite ``depth``: the maps agree, and a
+        side reached ``depth`` layers before the sides met or both closed.
+        Raises ``OrbitBudgetError`` once the two sides hold more than
+        ``MAX_ORBIT_STATES`` states.
         """
         self._check_seq(u)
         self._check_seq(v)
+        if depth is not None and depth < 0:
+            raise ValueError("depth must be >= 0")
         if len(u) != len(v):
             return OrbitResult.NO
         if u == v:
             return OrbitResult.YES
-        left, left_complete = self.orbit(u, depth)
-        if v in left:
-            return OrbitResult.YES
-        right, right_complete = self.orbit(v, depth)
-        if left & right:
-            return OrbitResult.YES
-        if left_complete and right_complete:
+        if self._translation(u) != self._translation(v):
             return OrbitResult.NO
-        return OrbitResult.UNKNOWN
+        rows = self.table
+        positions = range(len(u) - 1)
+        seen = ({u}, {v})
+        frontiers = [[u], [v]]
+        layers = [0, 0]
+        while True:
+            # A side with an empty frontier has closed its orbit.
+            open_sides = [k for k in (0, 1) if frontiers[k]]
+            if not open_sides:
+                return OrbitResult.NO
+            growing = [k for k in open_sides if depth is None or layers[k] < depth]
+            if not growing:
+                return OrbitResult.UNKNOWN
+            k = min(growing, key=lambda side: len(frontiers[side]))
+            mine, other = seen[k], seen[1 - k]
+            room = MAX_ORBIT_STATES - len(other)
+            new = []
+            for seq in frontiers[k]:
+                for i in positions:
+                    a = seq[i]
+                    image = seq[:i] + (rows[a - 1][seq[i + 1] - 1], a) + seq[i + 2 :]
+                    if image in mine:
+                        continue
+                    if image in other:
+                        return OrbitResult.YES
+                    mine.add(image)
+                    new.append(image)
+                    if len(mine) > room:
+                        raise OrbitBudgetError(
+                            f"orbit search passed {MAX_ORBIT_STATES} states"
+                        )
+            frontiers[k] = new
+            layers[k] += 1
+
+    def _translate(self, s: EnvElement, c: int) -> int:
+        """a_1.(a_2.( ... (a_n.c))) for s = (a_1, ..., a_n)."""
+        rows = self.table
+        for a in reversed(s):
+            c = rows[a - 1][c - 1]
+        return c
+
+    def _translation(self, s: EnvElement) -> tuple[int, ...]:
+        """The left-translation map of s, an orbit invariant, as a tuple."""
+        return tuple(self._translate(s, c) for c in self.elements())
 
     def _check_seq(self, s: EnvElement) -> None:
         if not s:

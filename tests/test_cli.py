@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from shrinkbraid import representation
+from shrinkbraid import envelope, representation
 from shrinkbraid.cli import _CMP_TEXT, run
 from shrinkbraid.ldops import LEAF, eval_term, parse_term
 
@@ -170,6 +170,33 @@ class TestEnv:
     def test_eq_no(self, capout, table_file):
         code, out, _ = capout("env", table_file, "1", "1,1", "--op", "eq")
         assert code == 0 and out == "No\n"
+
+    def test_eq_separated_by_invariant(self, capout, tmp_path):
+        # Over C7 the orbit of a 12-entry sequence has about 7^11 states; the
+        # translation maps differ, so no search runs.
+        path = tmp_path / "cyc7.txt"
+        rows = [" ".join(str((2 * b - a) % 7 + 1) for b in range(7)) for a in range(7)]
+        path.write_text("7\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        code, out, _ = capout(
+            "env", str(path), "1,2,3,4,5,6,7,1,2,3,4,5", "1,2,3,4,5,6,7,1,2,3,4,6",
+            "--op", "eq",
+        )
+        assert code == 0 and out == "No\n"
+
+    def test_eq_state_budget_is_domain_error(self, capout, table_file, monkeypatch):
+        # 1,1,1,1,1,1 is fixed by every sigma_i and shares its translation
+        # map with 2,2,2,2,3,3, whose orbit has 240 states.
+        args = ("env", table_file, "1,1,1,1,1,1", "2,2,2,2,3,3", "--op", "eq")
+        assert capout(*args)[:2] == (0, "No\n")
+        monkeypatch.setattr(envelope, "MAX_ORBIT_STATES", 100)
+        code, out, err = capout(*args)
+        assert code == 2 and out == ""
+        assert err.startswith("error: orbit search passed 100 states")
+
+    def test_negative_depth_is_usage_error(self, capout, table_file):
+        code, out, err = capout("env", table_file, "1,2", "1,2", "--op", "eq", "--depth", "-1")
+        assert code == 1 and out == ""
+        assert err == "error: depth must be >= 0\n"
 
     def test_non_ld_table_is_domain_error(self, capout, tmp_path):
         path = tmp_path / "bad.txt"

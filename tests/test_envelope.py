@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from shrinkbraid import envelope
 from shrinkbraid.envelope import (
     IndexOutOfRangeError,
     LDTable,
     NotLeftDistributiveError,
+    OrbitBudgetError,
     OrbitResult,
     cyclic_table,
     one_element_table,
@@ -132,6 +135,41 @@ class TestOrbitEquality:
         # Distinct singletons are never orbit equivalent (no sigma applies).
         assert t.orbit_eq((1,), (2,)) is OrbitResult.NO
 
+    def test_invariant_separates_at_zero_depth(self):
+        t = cyclic_table(3)
+        u, v = (1, 2), (1, 3)
+        assert t._translation(u) != t._translation(v)
+        assert t.orbit_eq(u, v, depth=0) is OrbitResult.NO
+
+    def test_negative_depth_rejected(self):
+        t = cyclic_table(3)
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            t.orbit_eq((1, 2), (1, 2), depth=-1)
+
+    def test_yes_stops_at_first_shared_state(self, monkeypatch):
+        # The orbit of a 12-entry sequence over C7 has about 7^11 states;
+        # sigma_1 of u lies one layer away.
+        monkeypatch.setattr(envelope, "MAX_ORBIT_STATES", 100)
+        t = cyclic_table(7)
+        u = (2, 5, 7, 7, 7, 1, 3, 1, 4, 7, 4, 4)
+        assert t.orbit_eq(u, t.sigma_action(1, u)) is OrbitResult.YES
+
+    @pytest.mark.parametrize("n, u, v, states", [
+        # A constant sequence over a cyclic table is fixed by every sigma_i,
+        # so only the closed orbit of v, 240 states, certifies No.
+        (3, (1,) * 6, (2, 2, 2, 2, 3, 3), 1 + 240),
+        # Orbits of 16 and 182 states: the budget counts both sides together.
+        (6, (6, 3, 6, 3, 6), (4, 4, 2, 5, 3), 16 + 182),
+    ])
+    def test_state_budget(self, monkeypatch, n, u, v, states):
+        t = cyclic_table(n)
+        assert t._translation(u) == t._translation(v)
+        monkeypatch.setattr(envelope, "MAX_ORBIT_STATES", states)
+        assert t.orbit_eq(u, v) is OrbitResult.NO
+        monkeypatch.setattr(envelope, "MAX_ORBIT_STATES", states - 1)
+        with pytest.raises(OrbitBudgetError):
+            t.orbit_eq(u, v)
+
     def test_unknown_on_tiny_budget(self):
         t = cyclic_table(5)
         u = (1, 2, 3, 4)
@@ -169,6 +207,72 @@ class TestOrbitEquality:
             i = rng.randint(1, len(u) - 1)
             v = table.sigma_action(i, u)
             assert table.orbit_eq(table.env_dot(u, w), table.env_dot(v, w)) is OrbitResult.YES
+
+
+def laver_table(k: int) -> LDTable:
+    """A_k on 1..2^k: p.1 = p + 1, 2^k a left identity, p.(q+1) = (p.q).(p+1)."""
+    size = 2 ** k
+    rows = [[0] * size for _ in range(size)]
+    rows[size - 1] = list(range(1, size + 1))
+    for p in range(size - 1, 0, -1):
+        rows[p - 1][0] = p + 1
+        for q in range(1, size):
+            rows[p - 1][q] = rows[rows[p - 1][q - 1] - 1][p]
+    return LDTable(rows)
+
+
+ORACLE_TABLES = {
+    "C3": cyclic_table(3),
+    "C4": cyclic_table(4),
+    "C5": cyclic_table(5),
+    "A2": laver_table(2),
+    "A3": laver_table(3),
+    "rack2": LDTable([[2, 1], [2, 1]]),  # a.b swaps b: every row the same
+}
+
+
+def oracle_orbit_eq(table, u, v, depth):
+    """The exhaustive answer: both depth-capped orbits, then their overlap."""
+    left, left_complete = table.orbit(u, depth)
+    right, right_complete = table.orbit(v, depth)
+    if left & right:
+        return OrbitResult.YES
+    if left_complete and right_complete:
+        return OrbitResult.NO
+    return OrbitResult.UNKNOWN
+
+
+@st.composite
+def orbit_queries(draw):
+    table = ORACLE_TABLES[draw(st.sampled_from(sorted(ORACLE_TABLES)))]
+    length = draw(st.integers(1, 6))
+    entries = st.lists(st.integers(1, table.size), min_size=length, max_size=length)
+    u = tuple(draw(entries))
+    if draw(st.booleans()):
+        v = tuple(draw(entries))
+    else:  # a sigma walk from u, so that Yes pairs are common
+        v = u
+        if length > 1:
+            for i in draw(st.lists(st.integers(1, length - 1), max_size=8)):
+                v = table.sigma_action(i, v)
+    if draw(st.booleans()):
+        u, v = v, u
+    depth = draw(st.sampled_from([None, 0, 1, 2, 3]))
+    return table, u, v, depth
+
+
+class TestOrbitEqAgainstOracle:
+    @settings(max_examples=300)
+    @given(orbit_queries())
+    def test_matches_exhaustive_orbits(self, query):
+        table, u, v, depth = query
+        expected = oracle_orbit_eq(table, u, v, depth)
+        answer = table.orbit_eq(u, v, depth)
+        if answer is not expected:
+            # The one allowed difference: the invariant certifies No where
+            # the capped orbits could not.
+            assert (expected, answer) == (OrbitResult.UNKNOWN, OrbitResult.NO)
+            assert table._translation(u) != table._translation(v)
 
 
 class TestTableFormat:
