@@ -3,7 +3,8 @@
 Exit codes: 0 on success, 1 on parse/usage errors, 2 on domain errors
 (x letter where a braid is required, invalid strand index, non-LD table,
 sigma position out of range, term nested too deeply, realized term word
-over its letter budget, envelope orbit search over its state budget).
+over its letter budget, coloring over its strand budget, envelope orbit
+search over its state budget).
 Output is deterministic, LF-terminated UTF-8.
 """
 
@@ -13,7 +14,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from .coloring import InvalidStrandIndexError, RankMismatchError, color
+from .coloring import InvalidStrandIndexError, RankMismatchError, StrandBudgetError, color
 from .envelope import IndexOutOfRangeError, NotLeftDistributiveError, OrbitBudgetError, load_table
 from .freegroup import Cmp, parse_fword
 from .ldops import RealizationBudgetError, eval_term, laver_cmp, parse_term
@@ -137,6 +138,7 @@ def run(argv: Sequence[str]) -> int:
         RankMismatchError,
         IndexOutOfRangeError,
         RealizationBudgetError,
+        StrandBudgetError,
         OrbitBudgetError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,6 +29,15 @@ class RankMismatchError(ValueError):
     """Composition of colored morphisms with incompatible ranks."""
 
 
+# Colors and output grow with the strand count whatever the word: 65,536
+# strands color and print in about 0.5 s, 3,000,000 would take about 20 s.
+MAX_STRANDS = 1 << 16
+
+
+class StrandBudgetError(ValueError):
+    """A coloring asked for more than ``MAX_STRANDS`` top strands."""
+
+
 @dataclass(frozen=True)
 class ColoredMorphism:
     """Images of the source generators as words over the target generators."""
@@ -63,6 +72,8 @@ def color(w: RWord, n_top: int) -> ColoredMorphism:
     """Color a multi-braid word starting from n_top strands."""
     if n_top < 1:
         raise ValueError("need at least one strand")
+    if n_top > MAX_STRANDS:
+        raise StrandBudgetError(f"{n_top} strands exceed the budget of {MAX_STRANDS}")
     colors = [FWord.generator(k) for k in range(1, n_top + 1)]
     for g in w.letters:
         i = g.index

@@ -14,8 +14,14 @@ extended operations on those elements are
     (a x_1^{n-1}) . c = a sh^n(c) s_n ... s_1 sh(a^-1)
     (a x_1^{n-1}) o c = a sh^n(c) x_1^n
 
-Equality and order of terms always go through the faithful representation
-(``morphism_eq`` / ``cmp_L``); no term normalization is attempted.  Note the
+and both stay in the family: with c = c' x_1^{m-1},
+
+    (a x_1^{n-1}) . (c' x_1^{m-1}) = a sh^n(c') W sh^m(a^-1) x_1^{m-1},
+    W = (s_n s_{n+1} ... s_{n+m-1}) ... (s_1 s_2 ... s_m),
+
+so ``b_dot`` builds its braid part directly, free-cancelled, and no term
+is ever rewritten.  Equality and order of terms go through the faithful
+representation (``morphism_eq`` / ``cmp_L``).  Note the
 induced order sorts a . b above a but a o b BELOW a: the dot direction is
 forced by Dehornoy positivity of s_1 and the circle direction is its
 unavoidable complement (see the freegroup module's orientation note).
@@ -28,17 +34,7 @@ from typing import Sequence, Union
 
 from .freegroup import Cmp
 from .representation import cmp_L
-from .words import (
-    RWord,
-    XLetterPresentError,
-    braid_inverse,
-    free_cancel,
-    shift,
-    sigma,
-    sx_decompose,
-    x,
-)
-from .xmonoid import XWord, x_canonicalize
+from .words import RWord, XLetterPresentError, braid_inverse, free_cancel, shift, sigma, x
 
 
 def _require_braid(w: RWord, what: str) -> None:
@@ -81,24 +77,18 @@ class BElement:
 
 
 def b_dot(a: BElement, c: BElement) -> BElement:
-    """(a x_1^{n-1}) . c = a sh^n(c) s_n ... s_1 sh(a^-1), renormalized.
+    """(a x_1^{n-1}) . (c x_1^{m-1}) = a sh^n(c) W sh^m(a^-1) x_1^{m-1}.
 
-    The x letters contributed by c are pushed back to the tail with
-    ``sx_decompose``; for circle compositions of braids the tail always
-    canonicalizes to a power of x_1, which is asserted.
+    Here W = prod_{k=n..1} s_k s_{k+1} ... s_{k+m-1}.  It comes from the
+    displayed a sh^n(c x_1^{m-1}) s_n ... s_1 sh(a^-1): relations (3) and
+    (5) give x_{k+1}^{m-1} s_k = s_k s_{k+1} ... s_{k+m-1} x_k^{m-1}, which
+    carries the x letters of sh^n(x_1^{m-1}) past s_n, ..., s_1 one factor
+    at a time, and x_1^{m-1} sh(a^-1) = sh^m(a^-1) x_1^{m-1} by (5).
     """
-    n = a.n
-    word = (
-        a.braid
-        * shift(c.realize(), n)
-        * RWord(sigma(i) for i in range(n, 0, -1))
-        * shift(braid_inverse(a.braid), 1)
-    )
-    braid_part, x_part = sx_decompose(word)
-    canon = x_canonicalize(XWord.from_rword(x_part))
-    if any(i != 1 for i in canon.indices):
-        raise AssertionError(f"dot result left the braid-power family: {canon}")
-    return BElement(free_cancel(braid_part), len(canon) + 1)
+    n, m = a.n, c.n
+    w = RWord(sigma(i) for k in range(n, 0, -1) for i in range(k, k + m))
+    word = a.braid * shift(c.braid, n) * w * shift(braid_inverse(a.braid), m)
+    return BElement(free_cancel(word), m)
 
 
 def b_circ(a: BElement, c: BElement) -> BElement:

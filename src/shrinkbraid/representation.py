@@ -16,7 +16,8 @@ representation theory guarantees is faithful.  Images of e_j for j above the
 largest letter index of a word follow the pure-shift tail
 e_j -> e_{j + xCount}, so sampling one point beyond that index decides
 equality.  ``_images_eq`` and ``_images_cmp`` run that scan; they are the
-oracle, and they decide every query on a word with an x letter.
+oracle, and they decide every order query on a word with an x letter and
+every equality query outside the two fast paths below.
 
 Braid words take a fast path.  Free-group images grow exponentially with word
 length, but the bit length of a braid's Dynnikov coordinates grows linearly,
@@ -45,12 +46,20 @@ dropped.  For the order, take the coordinates of u^-1 v and the smallest k
 with x_k != 0: u < v if x_k > 0, u > v if x_k < 0, and u = v if there is no
 such k.  The dict stays sparse, so ``s100000000`` costs two entries, not a
 list as long as its index.
+
+Words b x_1^k (braid letters, then a run of x_1; every realized LD term has
+this form) take the same coordinates.  Their tails are pure shifts by k, so
+b x_1^k = b' x_1^k' needs k = k'; for k = k' >= 1 it holds exactly when
+b^-1 b' x_1^k = x_1^k, which ``stabilizes_x_power`` decides from the keys of
+the coordinates of b^-1 b'.
 """
 
 from __future__ import annotations
 
 from .freegroup import Cmp, FLetter, FWord, curve_cmp, reduce
 from .words import Generator, Kind, RWord, XLetterPresentError, braid_inverse, x
+
+_X1 = x(1)
 
 
 def apply_gen(g: Generator, w: FWord) -> FWord:
@@ -130,15 +139,31 @@ def _dynnikov(
     return {k: pair for k, pair in coords.items() if pair != _TRIVIAL}
 
 
+def _split_x1_tail(w: RWord) -> tuple[RWord, int] | None:
+    """(b, k) with w = b x_1^k and b a braid word, or None for any other shape."""
+    letters = w.letters
+    end = len(letters)
+    while end and letters[end - 1] == _X1:
+        end -= 1
+    head = RWord(letters[:end])
+    return (head, len(letters) - end) if head.is_braid() else None
+
+
 def morphism_eq(u: RWord, v: RWord) -> bool:
     """Semantic equality in R via the faithful representation.
 
-    Two braid words are compared by their Dynnikov coordinates (see the
-    module docstring); any other pair by ``_images_eq``.
+    Two braid words are equal iff their Dynnikov coordinates agree.  Any
+    other two words b x_1^k and b' x_1^k' (braid letters, then a run of
+    x_1) are equal iff k = k' and ``stabilizes_x_power(b^-1 b', k + 1)``;
+    see the module docstring.  Every other pair goes to ``_images_eq``.
     """
     if u.is_braid() and v.is_braid():
         return _dynnikov(u) == _dynnikov(v)
-    return _images_eq(u, v)
+    split_u, split_v = _split_x1_tail(u), _split_x1_tail(v)
+    if split_u is None or split_v is None:
+        return _images_eq(u, v)
+    (b, k), (b2, k2) = split_u, split_v
+    return k == k2 and stabilizes_x_power(braid_inverse(b) * b2, k + 1)
 
 
 def cmp_L(u: RWord, v: RWord) -> Cmp:
@@ -189,11 +214,55 @@ def stabilizes_x_power(g: RWord, m: int) -> bool:
     """Whether g x_1^{m-1} = x_1^{m-1} in R, i.e. g fixes e_j for all j >= m.
 
     Precondition: g is a braid word.  This is the membership criterion for
-    B_m used to separate equal circle-compositions of braids.
+    B_m used to separate equal circle-compositions of braids.  It holds
+    exactly when every key of the Dynnikov coordinates of g is at most m
+    ("keys <= m"), so no free-group image is computed.
+
+    Proof.  The model (*Ordering Braids*, ch. XII): a disk D with punctures
+    P_0, ..., P_N on a line, N >= max(m, largest index of g) + 2, and s_i
+    exchanging P_i and P_{i+1}.  Then g is supported in a disk U round
+    P_1 ... P_{N-1} that misses P_0, P_N and the vertical arcs l_0 and
+    l_{N-1}, where l_k crosses D between P_k and P_{k+1}.  The all-(0, 1)
+    start is the lamination E of the round curves C_1, ..., C_{N-1}, C_k
+    round P_0 ... P_k; with curves round the right-hand punctures instead,
+    a twist round P_1 ... P_N would fix them and the action would not be
+    faithful.  The pair (x_k, y_k) of a lamination L reads its minimal
+    crossing numbers with l_{k-1}, l_k and the vertical arcs at P_k; in
+    particular y_k = (i(L, l_{k-1}) - i(L, l_k)) / 2.  The coordinates of
+    g are those of g(E).  With the base point on the left edge of U, e_j
+    is the loop round P_1 ... P_j, and the arc in which C_j crosses U is
+    that loop pushed off the base point.
+
+    - If g fixes every e_j, j >= m, then keys <= m; so a No is sound.  g
+      fixes the arc of C_j in U rel its ends, hence the curve C_j, j >= m,
+      and maps C_1, ..., C_{m-1} inside C_m, left of l_m.  Pair k > m
+      reads only crossings that those curves miss, and the other curves
+      are those of E, so it stays (0, 1).
+    - If keys <= m, then g fixes every e_j, j >= m; so a Yes is sound.
+      i(g(E), l_{N-1}) = i(E, l_{N-1}) = 0 since U misses l_{N-1}, and
+      y_k = 1 for m < k < N gives i(g(E), l_k) = 2(N - 1 - k) for
+      m <= k < N.  Fix such a k.  Each g(C_j) bounds a disk holding P_0
+      and j more punctures, and only P_0 ... P_k lie left of l_k, so for
+      j > k it crosses l_k at least twice.  Those N - 1 - k curves use up
+      every crossing, so g(C_k) misses l_k: it lies left of l_k, round all
+      of P_0 ... P_k, which makes it C_k.  With C_m, ..., C_{N-1} fixed
+      and the pieces between them annuli with one puncture, g = h T: h is
+      supported inside C_m, and T is a product of powers of Dehn twists
+      along C_m, ..., C_{N-1} and the boundary of D.  Let f_j be the loop
+      round P_0 ... P_j (f_N runs along the boundary) and t_0 the loop
+      round P_0, both based on the boundary; g fixes t_0 because U misses
+      P_0.  T conjugates the loops inside C_m, H = <t_0, ..., t_m>, by
+      W = f_N^{a_N} ... f_m^{a_m}, and h(t_0) = u t_0 u^-1 with u in H.
+      So W u commutes with t_0, W lies in H, and killing t_0 ... t_m sends
+      f_N^{a_N} ... f_{m+1}^{a_{m+1}} to 1.  The images of f_{m+1}, ...,
+      f_N form a free basis, so those a_j are 0: g is supported inside
+      C_m and its collar, it fixes f_j for j >= m, and filling P_0 turns
+      f_j into e_j.
+    - B_m lies on both sides, as it must: s_1 ... s_{m-1} touch only
+      pairs 1..m and change only e_1, ..., e_{m-1}.
     """
     if not g.is_braid():
         raise XLetterPresentError("stabilizes_x_power needs a braid word")
     if m < 1:
         raise ValueError("m must be >= 1")
-    power = RWord((x(1),) * (m - 1))
-    return morphism_eq(g * power, power)
+    return all(k <= m for k in _dynnikov(g))

@@ -196,7 +196,7 @@ def _rewrite(
     return tuple(Generator(kind, bound[var] + offset) for kind, var, offset in other)
 
 
-@lru_cache(maxsize=4096)  # LD terms of depth <= 8 meet about 200 (x, sigma) pairs
+@lru_cache(maxsize=4096)  # one entry per (x, sigma) pair met; the bound caps its memory
 def _x_past_sigma(xg: Generator, s: Generator) -> tuple[Generator, ...]:
     """Rewrite x_a s_b, with s_b of either sign, as sigma letters then one x letter.
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from shrinkbraid import envelope, representation
+from shrinkbraid import coloring, envelope, representation
 from shrinkbraid.cli import _CMP_TEXT, run
 from shrinkbraid.ldops import LEAF, eval_term, parse_term
 
@@ -70,6 +70,33 @@ class TestBraidFastPath:
         realized = eval_term(parse_term(left_nested(6)))
         expected = representation._images_cmp(realized, eval_term(LEAF))
         assert code == 0 and out == _CMP_TEXT[expected] + "\n"
+
+
+class TestXPowerFastPath:
+    """Realized terms are braids times a power of x_1: no image scan either."""
+
+    a = f"({left_nested(5)} o j)"
+    b = f"(j o {left_nested(5)})"
+    c = "(j o j)"
+
+    @staticmethod
+    def realized(term: str) -> str:
+        return str(eval_term(parse_term(term)))
+
+    def test_ld_law_at_depth_eight(self, capout, no_oracle):
+        a, b, c = self.a, self.b, self.c
+        lhs = self.realized(f"({a} . ({b} . {c}))")
+        rhs = self.realized(f"(({a} . {b}) . ({a} . {c}))")
+        assert "x1" in lhs and "x1" in rhs
+        code, out, _ = capout("eq", lhs, rhs)
+        assert code == 0 and out == "true\n"
+
+    def test_unequal_at_depth_eight(self, capout, no_oracle):
+        a, b, c = self.a, self.b, self.c
+        lhs = self.realized(f"({a} . ({b} . {c}))")
+        rhs = self.realized(f"({b} . ({a} . {c}))")
+        code, out, _ = capout("eq", lhs, rhs)
+        assert code == 0 and out == "false\n"
 
 
 class TestCmp:
@@ -146,6 +173,11 @@ class TestColor:
     def test_strand_error_is_domain(self, capout):
         code, _, err = capout("color", "2", "s3")
         assert code == 2 and "error" in err
+
+    def test_strand_budget_is_domain_error(self, capout):
+        code, out, err = capout("color", "3000000", "s1")
+        assert code == 2 and out == ""
+        assert err == f"error: 3000000 strands exceed the budget of {coloring.MAX_STRANDS}\n"
 
 
 class TestEnv:

@@ -1,5 +1,6 @@
 import pytest
 
+from shrinkbraid import coloring
 from shrinkbraid import (
     ColoredMorphism,
     InvalidStrandIndexError,
@@ -44,6 +45,13 @@ class TestColorBasics:
             color(parse_rword("s3"), 2)
         with pytest.raises(InvalidStrandIndexError):
             color(parse_rword("x1 s2"), 3)  # only 2 strands left after the merge
+
+    def test_strand_budget(self, monkeypatch):
+        monkeypatch.setattr(coloring, "MAX_STRANDS", 4)
+        assert color(parse_rword("s3"), 4).source_rank == 4
+        with pytest.raises(coloring.StrandBudgetError):
+            color(RWord.identity(), 5)
+        assert issubclass(coloring.StrandBudgetError, ValueError)
 
 
 class TestRecoloringRules:

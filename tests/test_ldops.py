@@ -26,6 +26,8 @@ from shrinkbraid import (
     x,
 )
 from shrinkbraid.ldops import LDTerm, RealizationBudgetError, TermParseError, sigma_on_braids
+from shrinkbraid.words import braid_inverse, free_cancel, sx_decompose
+from shrinkbraid.xmonoid import XWord, x_canonicalize
 
 from conftest import random_braid
 
@@ -38,6 +40,61 @@ def random_term(rng, depth: int) -> LDTerm:
         return LEAF
     op = dot if rng.random() < 0.5 else circ
     return op(random_term(rng, depth - 1), random_term(rng, depth - 1))
+
+
+def rewriting_b_dot(a: BElement, c: BElement) -> BElement:
+    """The oracle for ``b_dot``: build the displayed word, then rewrite.
+
+    a sh^n(c x_1^{m-1}) s_n ... s_1 sh(a^-1) has its x letters pushed to the
+    tail by ``sx_decompose``; the tail must canonicalize to a power of x_1.
+    """
+    n = a.n
+    word = (
+        a.braid
+        * shift(c.realize(), n)
+        * RWord(sigma(i) for i in range(n, 0, -1))
+        * shift(braid_inverse(a.braid), 1)
+    )
+    braid_part, x_part = sx_decompose(word)
+    canon = x_canonicalize(XWord.from_rword(x_part))
+    assert all(i == 1 for i in canon.indices), f"dot left the braid-power family: {canon}"
+    return BElement(free_cancel(braid_part), len(canon) + 1)
+
+
+def rewriting_eval(t: LDTerm) -> BElement:
+    if t.op is None:
+        return BElement(E, 1)
+    lhs, rhs = rewriting_eval(t.left), rewriting_eval(t.right)
+    return rewriting_b_dot(lhs, rhs) if t.op == "dot" else b_circ(lhs, rhs)
+
+
+def exact_depth_term(rng, depth: int) -> LDTerm:
+    """A term of exactly this depth: one child one level down, the other lower."""
+    if depth == 0:
+        return LEAF
+    deep = exact_depth_term(rng, depth - 1)
+    other = exact_depth_term(rng, rng.randint(0, depth - 1))
+    op = dot if rng.random() < 0.5 else circ
+    return op(deep, other) if rng.random() < 0.5 else op(other, deep)
+
+
+class TestClosedFormDot:
+    """``b_dot`` gives the very word the rewriting oracle gives."""
+
+    def test_every_term_of_depth_three(self):
+        for t in enumerate_terms(3):
+            assert eval_term_b(t) == rewriting_eval(t), str(t)
+
+    def test_random_terms_of_depth_four_to_eight(self, rng):
+        for _ in range(200):
+            t = exact_depth_term(rng, rng.randint(4, 8))
+            assert eval_term_b(t) == rewriting_eval(t), str(t)
+
+    def test_random_elements(self, rng):
+        for _ in range(100):
+            a = BElement(random_braid(rng, max_len=4), rng.randint(1, 4))
+            c = BElement(random_braid(rng, max_len=4), rng.randint(1, 4))
+            assert b_dot(a, c) == rewriting_b_dot(a, c)
 
 
 class TestWordFormulas:

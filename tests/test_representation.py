@@ -367,3 +367,58 @@ class TestDynnikovUpdate:
         for _ in range(300):
             start = self.random_vector(rng)
             assert _dynnikov(u, start) == _dynnikov(v, start)
+
+
+# --- the x_1-power rule against the free-group oracle -----------------------
+
+MAX_POWER = 3
+short_braids = st.lists(letters, max_size=8).map(RWord)
+powers = st.integers(0, MAX_POWER)
+
+
+def with_power(b: RWord, k: int) -> RWord:
+    return b * RWord((x(1),) * k)
+
+
+@st.composite
+def inside_b_k_plus_1(draw, k: int) -> RWord:
+    """A word in the letters s_i and s_i^-1 with i <= k, so it fixes x_1^k."""
+    if k == 0:
+        return RWord.identity()
+    return RWord(draw(st.lists(
+        st.builds(_signed, st.integers(1, k), st.booleans()), max_size=6)))
+
+
+def assert_eq_matches_oracle(u: RWord, v: RWord) -> bool:
+    answer = morphism_eq(u, v)
+    assert answer == _images_eq(u, v)
+    return answer
+
+
+class TestXPowerRuleAgainstOracle:
+    """``powers`` includes 0, so every test also covers plain braid pairs."""
+
+    @given(short_braids, short_braids, powers)
+    def test_random_pairs(self, b, b2, k):
+        assert_eq_matches_oracle(with_power(b, k), with_power(b2, k))
+
+    @given(short_braids, powers, st.data(), st.randoms(use_true_random=False))
+    def test_pairs_equal_by_b_k_plus_1(self, b, k, data, rnd):
+        w = data.draw(inside_b_k_plus_1(k))
+        b2 = _equal_rewrite(b * w, rnd)
+        assert assert_eq_matches_oracle(with_power(b, k), with_power(b2, k))
+
+    @given(short_braids, short_braids, powers, st.integers(1, MAX_POWER))
+    def test_different_powers(self, b, b2, k, offset):
+        k2 = (k + offset) % (MAX_POWER + 1)
+        assert not assert_eq_matches_oracle(with_power(b, k), with_power(b2, k2))
+
+    @pytest.mark.parametrize("u, v, equal", [
+        ("s1 x1", "x1", True),
+        ("s2 x1", "x1", False),
+        ("s1 s2 x1 x1", "s2^-1 s1 x1 x1", True),
+        ("s3 x1 x1", "x1 x1", False),
+        ("x1", "x1 x1", False),
+    ])
+    def test_fixed_cases(self, u, v, equal):
+        assert assert_eq_matches_oracle(parse_rword(u), parse_rword(v)) is equal
