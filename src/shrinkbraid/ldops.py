@@ -20,7 +20,17 @@ and both stay in the family: with c = c' x_1^{m-1},
     W = (s_n s_{n+1} ... s_{n+m-1}) ... (s_1 s_2 ... s_m),
 
 so ``b_dot`` builds its braid part directly, free-cancelled, and no term
-is ever rewritten.  Equality and order of terms go through the faithful
+is ever rewritten.
+
+Inside this module a braid word is a tuple of nonzero ints: s_i is i and
+s_i^-1 is -i.  ``eval_term_b`` evaluates a whole term in that encoding,
+walking the tree with an explicit stack, and builds ``Generator`` letters
+once, for the root's ``BElement``; ``b_dot`` and ``b_circ`` encode their
+arguments and decode their result around the same kernel.  The dot pushes
+every letter of a, sh^n(c'), W and sh^m(a^-1) through one free-cancellation
+stack, so a need not be cancelled itself (circle products are not).
+
+Equality and order of terms go through the faithful
 representation (``morphism_eq`` / ``cmp_L``).  Note the
 induced order sorts a . b above a but a o b BELOW a: the dot direction is
 forced by Dehornoy positivity of s_1 and the circle direction is its
@@ -29,12 +39,14 @@ unavoidable complement (see the freegroup module's orientation note).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Sequence, Union
+from itertools import chain
+from typing import Iterable, Iterator, Sequence, Union
 
 from .freegroup import Cmp
 from .representation import cmp_L
-from .words import RWord, XLetterPresentError, braid_inverse, free_cancel, shift, sigma, x
+from .words import Generator, Kind, RWord, XLetterPresentError, braid_inverse, shift, sigma, x
 
 
 def _require_braid(w: RWord, what: str) -> None:
@@ -85,15 +97,62 @@ def b_dot(a: BElement, c: BElement) -> BElement:
     carries the x letters of sh^n(x_1^{m-1}) past s_n, ..., s_1 one factor
     at a time, and x_1^{m-1} sh(a^-1) = sh^m(a^-1) x_1^{m-1} by (5).
     """
-    n, m = a.n, c.n
-    w = RWord(sigma(i) for k in range(n, 0, -1) for i in range(k, k + m))
-    word = a.braid * shift(c.braid, n) * w * shift(braid_inverse(a.braid), m)
-    return BElement(free_cancel(word), m)
+    return _element(*_dot(_encode(a.braid), a.n, _encode(c.braid), c.n))
 
 
 def b_circ(a: BElement, c: BElement) -> BElement:
     """(a x_1^{n-1}) o c = a sh^n(c) x_1^n; powers add."""
-    return BElement(a.braid * shift(c.braid, a.n), a.n + c.n)
+    return _element(*_circ(_encode(a.braid), a.n, _encode(c.braid), c.n))
+
+
+# --- the kernel: braid words as tuples of signed ints (s_i = i, s_i^-1 = -i)
+
+_Letters = tuple[int, ...]
+
+
+def _encode(w: RWord) -> _Letters:
+    return tuple(g.index if g.kind is Kind.SIGMA else -g.index for g in w.letters)
+
+
+def _element(word: _Letters, n: int) -> BElement:
+    s, s_inv = Kind.SIGMA, Kind.SIGMA_INV
+    letters = [Generator(s, g) if g > 0 else Generator(s_inv, -g) for g in word]
+    return BElement(RWord(letters), n)
+
+
+def _shifted(word: _Letters, k: int) -> Iterator[int]:
+    """sh^k: every index raised by k, signs kept."""
+    return (g + k if g > 0 else g - k for g in word)
+
+
+def _inverse_shifted(word: _Letters, k: int) -> Iterator[int]:
+    """sh^k of the inverse: letters reversed, signs flipped, indices raised by k."""
+    return (-g - k if g > 0 else k - g for g in reversed(word))
+
+
+def _cancelled(letters: Iterable[int]) -> _Letters:
+    """The letters with every adjacent i, -i pair removed, in one stack pass."""
+    out: list[int] = []
+    for g in letters:
+        if out and out[-1] == -g:
+            out.pop()
+        else:
+            out.append(g)
+    return tuple(out)
+
+
+def _dot(a: _Letters, n: int, c: _Letters, m: int) -> tuple[_Letters, int]:
+    """``b_dot`` on encoded words; a need not be free-cancelled."""
+    w = (i for k in range(n, 0, -1) for i in range(k, k + m))
+    return _cancelled(chain(a, _shifted(c, n), w, _inverse_shifted(a, m))), m
+
+
+def _circ(a: _Letters, n: int, c: _Letters, m: int) -> tuple[_Letters, int]:
+    """``b_circ`` on encoded words."""
+    return (*a, *_shifted(c, n)), n + m
+
+
+_KERNELS = {"dot": _dot, "circ": _circ}
 
 
 # --- terms over the single generator --------------------------------------
@@ -150,18 +209,31 @@ class RealizationBudgetError(ValueError):
 
 
 def eval_term_b(t: LDTerm) -> BElement:
-    """Evaluate a term; every subterm's realized word is held to the budget."""
-    if t.op is None:
-        return BElement(RWord.identity(), 1)
-    lhs = eval_term_b(t.left)
-    rhs = eval_term_b(t.right)
-    out = b_dot(lhs, rhs) if t.op == "dot" else b_circ(lhs, rhs)
-    letters = len(out.braid) + out.n - 1
-    if letters > MAX_REALIZED_LETTERS:
-        raise RealizationBudgetError(
-            f"realized word of {letters} letters exceeds the budget of {MAX_REALIZED_LETTERS}"
-        )
-    return out
+    """Evaluate a term; every subterm's realized word is held to the budget.
+
+    The tree is walked with an explicit stack, so depth is not bounded by
+    Python's recursion limit.
+    """
+    budget = MAX_REALIZED_LETTERS
+    todo: list[Union[LDTerm, str]] = [t]
+    values: list[tuple[_Letters, int]] = []
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):  # both operands of this op are evaluated
+            c, m = values.pop()
+            a, n = values.pop()
+            word, power = _KERNELS[item](a, n, c, m)
+            letters = len(word) + power - 1
+            if letters > budget:
+                raise RealizationBudgetError(
+                    f"realized word of {letters} letters exceeds the budget of {budget}"
+                )
+            values.append((word, power))
+        elif item.op is None:
+            values.append(((), 1))
+        else:
+            todo += (item.op, item.right, item.left)
+    return _element(*values[0])
 
 
 def eval_term(t: LDTerm) -> RWord:
@@ -204,23 +276,11 @@ class TermParseError(ValueError):
         self.token = token
 
 
+_TOKEN = re.compile(r"[()]|[^\s()]+")
+
+
 def _tokenize_term(text: str) -> list[tuple[str, int]]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            tokens.append((ch, i))
-            i += 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            tokens.append((text[i:j], i))
-            i = j
-    return tokens
+    return [(m.group(), m.start()) for m in _TOKEN.finditer(text)]
 
 
 def parse_term(text: str) -> LDTerm:

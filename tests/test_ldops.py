@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from shrinkbraid import ldops
 from shrinkbraid import (
@@ -23,6 +24,7 @@ from shrinkbraid import (
     shift,
     shift_vector,
     sigma,
+    sigma_inv,
     x,
 )
 from shrinkbraid.ldops import LDTerm, RealizationBudgetError, TermParseError, sigma_on_braids
@@ -95,6 +97,21 @@ class TestClosedFormDot:
             a = BElement(random_braid(rng, max_len=4), rng.randint(1, 4))
             c = BElement(random_braid(rng, max_len=4), rng.randint(1, 4))
             assert b_dot(a, c) == rewriting_b_dot(a, c)
+
+    def test_uncancelled_elements(self, rng):
+        # Circle products are not free-cancelled, so the dot must also
+        # cancel inside its left factor.
+        s2_s1_inv = b_circ(BElement(parse_rword("s2"), 1), BElement(parse_rword("s1^-1"), 1))
+        assert s2_s1_inv.braid == parse_rword("s2 s2^-1")
+        assert b_dot(s2_s1_inv, BElement(E, 1)) == rewriting_b_dot(s2_s1_inv, BElement(E, 1))
+        for _ in range(100):
+            letters = list(random_braid(rng, max_len=4).letters)
+            i = rng.randint(1, 5)
+            letters[rng.randint(0, len(letters)):0] = [sigma(i), sigma_inv(i)]
+            a = BElement(RWord(letters), rng.randint(1, 4))
+            c = BElement(random_braid(rng, max_len=4), rng.randint(1, 4))
+            assert b_dot(a, c) == rewriting_b_dot(a, c)
+            assert b_dot(c, a) == rewriting_b_dot(c, a)
 
 
 class TestWordFormulas:
@@ -217,6 +234,49 @@ class TestEvalTerm:
             assert morphism_eq(lhs.realize(), rhs.realize())
             assert lhs.n == rhs.n
 
+    def test_deep_term_needs_no_recursion(self):
+        t = LEAF
+        for _ in range(5000):
+            t = circ(LEAF, t)
+        assert eval_term_b(t) == BElement(E, 5001)
+
+
+def _letter(g: int):
+    return sigma(g) if g > 0 else sigma_inv(-g)
+
+
+# Signed braid words in the kernel's encoding, built from single letters and
+# adjacent cancelling pairs g, -g so that cancellation has work to do.
+signed_letters = st.integers(1, 6).flatmap(lambda i: st.sampled_from((i, -i)))
+chunks = st.one_of(signed_letters.map(lambda g: (g,)), signed_letters.map(lambda g: (g, -g)))
+encoded_words = st.lists(chunks, max_size=8).map(lambda cs: tuple(g for c in cs for g in c))
+
+
+class TestIntKernel:
+    """The signed-int kernel against the Generator code in ``words``."""
+
+    @given(encoded_words)
+    def test_round_trip(self, word):
+        braid = RWord(map(_letter, word))
+        assert ldops._element(word, 1).braid == braid
+        assert ldops._encode(braid) == word
+
+    @given(encoded_words, st.integers(0, 4))
+    def test_shift(self, word, k):
+        braid = RWord(map(_letter, word))
+        assert tuple(ldops._shifted(word, k)) == ldops._encode(shift(braid, k))
+
+    @given(encoded_words, st.integers(0, 4))
+    def test_inverse(self, word, k):
+        braid = RWord(map(_letter, word))
+        expected = ldops._encode(shift(braid_inverse(braid), k))
+        assert tuple(ldops._inverse_shifted(word, k)) == expected
+
+    @given(encoded_words)
+    def test_cancellation(self, word):
+        braid = RWord(map(_letter, word))
+        assert ldops._cancelled(word) == ldops._encode(free_cancel(braid))
+
 
 class TestRealizationBudget:
     @staticmethod
@@ -338,6 +398,11 @@ class TestTermGrammar:
     def test_rejects(self, bad):
         with pytest.raises(TermParseError):
             parse_term(bad)
+
+    def test_error_offset_counts_tabs_and_newlines(self):
+        with pytest.raises(TermParseError) as info:
+            parse_term("(j\t.\n\t(j o\r\n k))")
+        assert info.value.offset == 13 and info.value.token == "k"
 
     def test_enumerate_counts(self):
         assert len(enumerate_terms(0)) == 1
