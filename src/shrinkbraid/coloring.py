@@ -11,13 +11,18 @@ recolors the current strand configuration:
 A word ending with m strands induces the morphism F_m -> F_n sending the
 k-th generator to the k-th final color; stacking words composes morphisms by
 substitution, contravariantly.
+
+``color`` keeps each color as a reduced tuple of signed ints (e_k is k,
+e_k^-1 is -k), multiplied and inverted by the signed-int kernel of
+``freegroup``, and decodes the colors into ``FWord`` images once, at the end,
+through a table of the 2 n_top letters e_k^{+-1}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .freegroup import FWord, finv, fmul
+from .freegroup import FLetter, FWord, _int_inv, _int_mul, finv, fmul
 from .words import Kind, RWord
 
 
@@ -74,21 +79,28 @@ def color(w: RWord, n_top: int) -> ColoredMorphism:
         raise ValueError("need at least one strand")
     if n_top > MAX_STRANDS:
         raise StrandBudgetError(f"{n_top} strands exceed the budget of {MAX_STRANDS}")
-    colors = [FWord.generator(k) for k in range(1, n_top + 1)]
+    colors = [(k,) for k in range(1, n_top + 1)]
+    sigma, sigma_inv = Kind.SIGMA, Kind.SIGMA_INV
     for g in w.letters:
-        i = g.index
-        if i + 1 > len(colors):
+        kind, i = g
+        if i >= len(colors):
             raise InvalidStrandIndexError(
                 f"letter {g} needs strands {i},{i + 1} but only {len(colors)} remain"
             )
         left, right = colors[i - 1], colors[i]
-        if g.kind is Kind.SIGMA:
-            colors[i - 1 : i + 1] = [fmul(fmul(left, right), finv(left)), left]
-        elif g.kind is Kind.SIGMA_INV:
-            colors[i - 1 : i + 1] = [right, fmul(fmul(finv(right), left), right)]
+        if kind is sigma:
+            colors[i - 1] = _int_mul(_int_mul(left, right), _int_inv(left))
+            colors[i] = left
+        elif kind is sigma_inv:
+            colors[i - 1] = right
+            colors[i] = _int_mul(_int_mul(_int_inv(right), left), right)
         else:
-            colors[i - 1 : i + 1] = [fmul(left, right)]
-    return ColoredMorphism(len(colors), n_top, tuple(colors))
+            colors[i - 1 : i + 1] = [_int_mul(left, right)]
+    # decode[k] is e_k and decode[-k] is e_k^-1, for 1 <= k <= n_top.
+    decode = [FLetter(k, 1) for k in range(n_top + 1)]
+    decode += [FLetter(k, -1) for k in range(n_top, 0, -1)]
+    images = [FWord(tuple([decode[g] for g in c])) for c in colors]
+    return ColoredMorphism(len(colors), n_top, tuple(images))
 
 
 def compose_colored(f: ColoredMorphism, g: ColoredMorphism) -> ColoredMorphism:

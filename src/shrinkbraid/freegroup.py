@@ -134,6 +134,29 @@ def finv(u: FWord) -> FWord:
     return FWord(tuple(let.inverse() for let in reversed(u.letters)))
 
 
+# --- the signed-int kernel -------------------------------------------------
+#
+# A reduced word as a tuple of nonzero ints: e_k is k and e_k^-1 is -k.  The
+# hot loops of ``coloring.color`` work in this form and build FLetter objects
+# once, for the result.
+
+_Ints = tuple[int, ...]
+
+
+def _int_mul(u: _Ints, v: _Ints) -> _Ints:
+    """``fmul`` on signed-int words: cancellation only at the seam."""
+    i = 0
+    n = min(len(u), len(v))
+    while i < n and u[-1 - i] == -v[i]:
+        i += 1
+    return u[: len(u) - i] + v[i:] if i else u + v
+
+
+def _int_inv(u: _Ints) -> _Ints:
+    """``finv`` on signed-int words."""
+    return tuple([-g for g in reversed(u)])
+
+
 def psi(u: FWord) -> FWord:
     """The automorphism e_i -> e_i^-1; preserves reducedness."""
     return FWord(tuple(let.inverse() for let in u.letters))
@@ -211,7 +234,10 @@ class FWordParseError(ValueError):
 
 
 def parse_fword(text: str) -> FWord:
-    """Parse the grammar: token := "e" digits ["^-1"]; empty = identity."""
+    """Parse the grammar: token := "e" digits ["^-1"]; empty = identity.
+
+    Digits are ASCII 0-9 only.
+    """
     letters = []
     pos = 0
     for token in text.split():
@@ -222,9 +248,13 @@ def parse_fword(text: str) -> FWord:
         if body.endswith("^-1"):
             sign = -1
             body = body[:-3]
-        if not body.startswith("e") or not body[1:].isdigit():
+        digits = body[1:]
+        if not body.startswith("e") or not (digits.isascii() and digits.isdigit()):
             raise FWordParseError("expected e<digits>[^-1]", offset, token)
-        index = int(body[1:])
+        try:
+            index = int(digits)
+        except ValueError:  # more digits than int() converts from text
+            raise FWordParseError("generator index has too many digits", offset, token)
         if index < 1:
             raise FWordParseError("generator index must be >= 1", offset, token)
         letters.append(FLetter(index, sign))

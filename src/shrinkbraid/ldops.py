@@ -177,15 +177,31 @@ class LDTerm:
             raise ValueError("inner terms need op in {dot, circ} and two children")
 
     def depth(self) -> int:
-        if self.op is None:
-            return 0
-        return 1 + max(self.left.depth(), self.right.depth())
+        """Height of the tree, walked with an explicit stack as in ``eval_term_b``."""
+        deepest = 0
+        todo = [(self, 0)]
+        while todo:
+            t, d = todo.pop()
+            if t.op is None:
+                deepest = max(deepest, d)
+            else:
+                todo += ((t.left, d + 1), (t.right, d + 1))
+        return deepest
 
     def __str__(self) -> str:
-        if self.op is None:
-            return "j"
-        symbol = "." if self.op == "dot" else "o"
-        return f"({self.left} {symbol} {self.right})"
+        """The term in the grammar of ``parse_term``, built without recursion."""
+        parts: list[str] = []
+        todo: list[Union[LDTerm, str]] = [self]
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                parts.append(item)
+            elif item.op is None:
+                parts.append("j")
+            else:
+                symbol = " . " if item.op == "dot" else " o "
+                todo += (")", item.right, symbol, item.left, "(")
+        return "".join(parts)
 
 
 LEAF = LDTerm()

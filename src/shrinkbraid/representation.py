@@ -56,6 +56,8 @@ the coordinates of b^-1 b'.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .freegroup import Cmp, FLetter, FWord, curve_cmp, reduce
 from .words import Generator, Kind, RWord, XLetterPresentError, braid_inverse, x
 
@@ -114,15 +116,42 @@ def _dynnikov(
     modified.
     """
     coords = dict(start or ())
+    _act(coords, reversed(w.letters), Kind.SIGMA)
+    return _trimmed(coords)
+
+
+def _quotient_coords(u: RWord, v: RWord) -> dict[int, tuple[int, int]]:
+    """``_dynnikov`` of u^-1 v, fed letter by letter without building u^-1.
+
+    u^-1 v acts with v's letters rightmost first, then u's letters left to
+    right with s_i and s_i^-1 swapped.
+    """
+    coords: dict[int, tuple[int, int]] = {}
+    _act(coords, reversed(v.letters), Kind.SIGMA)
+    _act(coords, u.letters, Kind.SIGMA_INV)
+    return _trimmed(coords)
+
+
+def _trimmed(coords: dict[int, tuple[int, int]]) -> dict[int, tuple[int, int]]:
+    return {k: pair for k, pair in coords.items() if pair != _TRIVIAL}
+
+
+def _act(
+    coords: dict[int, tuple[int, int]], letters: Iterable[Generator], positive: Kind
+) -> None:
+    """Act on ``coords`` in place by braid letters, in the order given.
+
+    A letter of kind ``positive`` acts as s_i, any other as s_i^-1.
+    """
     get = coords.get
-    for kind, i in reversed(w.letters):
+    for kind, i in letters:
         a, b = get(i, _TRIVIAL)
         c, d = get(i + 1, _TRIVIAL)
         b_pos = b if b > 0 else 0
         b_neg = b - b_pos
         d_pos = d if d > 0 else 0
         d_neg = d - d_pos
-        if kind is Kind.SIGMA:
+        if kind is positive:
             z = a - b_neg - c + d_pos
             z_pos = z if z > 0 else 0
             t = d_pos - z
@@ -136,7 +165,6 @@ def _dynnikov(
             coords[i] = (a - b_pos - (t if t > 0 else 0), d + z_neg)
             t = b_neg - z
             coords[i + 1] = (c - d_neg - (t if t < 0 else 0), b - z_neg)
-    return {k: pair for k, pair in coords.items() if pair != _TRIVIAL}
 
 
 def _split_x1_tail(w: RWord) -> tuple[RWord, int] | None:
@@ -176,7 +204,7 @@ def cmp_L(u: RWord, v: RWord) -> Cmp:
     by ``_images_cmp``.
     """
     if u.is_braid() and v.is_braid():
-        coords = _dynnikov(braid_inverse(u) * v)
+        coords = _quotient_coords(u, v)
         for k in sorted(coords):
             first = coords[k][0]
             if first:

@@ -269,27 +269,46 @@ class RWordParseError(ValueError):
         self.token = token
 
 
+@lru_cache(maxsize=4096)  # one entry per distinct token met; the bound caps its memory
+def _letter(token: str) -> Generator | str:
+    """The letter a token spells, or the message of the error it raises.
+
+    The letter is built once per token and shared by every word that reads
+    that token.
+    """
+    body = token
+    inverse = body.endswith("^-1")
+    if inverse:
+        body = body[:-3]
+    digits = body[1:]
+    if len(body) < 2 or body[0] not in "sx" or not (digits.isascii() and digits.isdigit()):
+        return "expected s<digits>[^-1] or x<digits>"
+    try:
+        index = int(digits)
+    except ValueError:  # more digits than int() converts from text
+        return "generator index has too many digits"
+    if index < 1:
+        return "generator index must be >= 1"
+    if body[0] == "x":
+        return "x letters are not invertible" if inverse else x(index)
+    return sigma_inv(index) if inverse else sigma(index)
+
+
 def parse_rword(text: str) -> RWord:
-    """Parse: token := ("s" | "x") digits ["^-1"]; "^-1" is illegal after x."""
-    letters = []
-    pos = 0
-    for token in text.split():
-        offset = text.index(token, pos)
-        pos = offset + len(token)
-        body = token
-        inverse = False
-        if body.endswith("^-1"):
-            inverse = True
-            body = body[:-3]
-        if len(body) < 2 or body[0] not in "sx" or not body[1:].isdigit():
-            raise RWordParseError("expected s<digits>[^-1] or x<digits>", offset, token)
-        index = int(body[1:])
-        if index < 1:
-            raise RWordParseError("generator index must be >= 1", offset, token)
-        if body[0] == "x":
-            if inverse:
-                raise RWordParseError("x letters are not invertible", offset, token)
-            letters.append(x(index))
-        else:
-            letters.append(sigma_inv(index) if inverse else sigma(index))
+    """Parse: token := ("s" | "x") digits ["^-1"]; "^-1" is illegal after x.
+
+    Digits are ASCII 0-9 only.  Tokens are split on any whitespace, and
+    each maps through the cached ``_letter``, so every occurrence of a token
+    gives the same interned ``Generator``.  Offsets are found only when a
+    token fails.
+    """
+    tokens = text.split()
+    letters = tuple([_letter(token) for token in tokens])
+    if str in map(type, letters):
+        pos = 0
+        for token, letter in zip(tokens, letters):
+            offset = text.index(token, pos)
+            pos = offset + len(token)
+            if type(letter) is str:
+                raise RWordParseError(letter, offset, token)
     return RWord(letters)

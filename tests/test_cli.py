@@ -1,9 +1,12 @@
+import io
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shrinkbraid import coloring, envelope, representation
 from shrinkbraid.cli import _CMP_TEXT, run
@@ -249,6 +252,16 @@ class TestErrors:
         assert code == 1
         assert "offset 3" in err and "x2^-1" in err
 
+    @pytest.mark.parametrize("command", ["eq", "cmp"])
+    def test_non_ascii_digit_is_parse_error(self, capout, command):
+        code, out, err = capout(command, "s\u00b2", "s1")
+        assert code == 1 and out == ""
+        assert err.startswith("error: expected s<digits>") and "offset 0" in err
+
+    def test_non_ascii_digit_in_free_word_is_parse_error(self, capout):
+        code, _, err = capout("act", "s1", "e1 e\u0663")
+        assert code == 1 and "offset 3" in err
+
     def test_x_where_braid_required_not_applicable_to_cmp(self, capout):
         # cmp accepts arbitrary R words including x letters
         code, out, _ = capout("cmp", "x1", "x1")
@@ -279,3 +292,101 @@ def test_python_m_runs_from_checkout():
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert done.returncode == 0 and done.stdout == "LT\n" and done.stderr == ""
+
+
+# --- fuzzing the front end -------------------------------------------------
+# Tiny inputs only (words of at most 4 letters, terms of depth at most 3, at
+# most 8 strands), so that no exponential path is reached.
+
+SPACES = st.sampled_from([" ", "\t", "\n", "\u3000", "\xa0"])
+ODD_DIGITS = ["\u00b2", "\u0663", "\uff11"]
+GARBAGE = ["s", "x1^-1", "s0", "e1", "^-1", "j", "(", ")", ".", "o", "*", ",", "-"]
+WORD_TOKENS = st.one_of(
+    st.builds(str.format, st.sampled_from(["s{}", "s{}^-1", "x{}"]), st.integers(1, 9)),
+    st.sampled_from(GARBAGE + [f"s{d}" for d in ODD_DIGITS] + [f"x1{d}" for d in ODD_DIGITS]),
+)
+FWORD_TOKENS = st.one_of(
+    st.builds(str.format, st.sampled_from(["e{}", "e{}^-1"]), st.integers(0, 9)),
+    st.sampled_from(GARBAGE + [f"e{d}" for d in ODD_DIGITS]),
+)
+
+
+def texts(tokens):
+    return st.lists(st.tuples(SPACES, tokens), max_size=4).map(
+        lambda parts: "".join(space + token for space, token in parts)
+    )
+
+
+def terms(depth):
+    if depth == 0:
+        return st.just("j")
+    sub = terms(depth - 1)
+    inner = st.builds("({} {} {})".format, sub, st.sampled_from([".", "o", "*"]), sub)
+    return st.one_of(st.just("j"), inner)
+
+
+TERMS = st.one_of(
+    terms(3),
+    terms(3).flatmap(lambda t: st.integers(0, len(t)).map(lambda k: t[:k] + t[k + 1 :])),
+    texts(WORD_TOKENS),
+)
+SEQUENCES = st.one_of(
+    st.lists(st.integers(0, 4), max_size=4).map(lambda seq: ",".join(map(str, seq))),
+    st.sampled_from(["1,,2", "a", " ", "\u0663", "1.5"]),
+)
+STRANDS = st.one_of(st.integers(-1, 8).map(str), st.sampled_from(["\u0663", "x", ""]))
+WORDS, FWORDS = texts(WORD_TOKENS), texts(FWORD_TOKENS)
+# Commands whose every argument is a word or a term: exit 1 means a parse error.
+PARSE_ONLY = {"eq", "cmp", "sx", "canon", "act", "ld", "laver"}
+
+
+@pytest.fixture(scope="module")
+def fuzz_table(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "cyc3.txt"
+    path.write_text("3\n1 3 2\n3 2 1\n2 1 3\n", encoding="utf-8")
+    return str(path)
+
+
+def argvs(table):
+    env = st.builds(
+        lambda path, u, v, op, depth: ["env", path, u, v, "--op", op, *depth],
+        st.sampled_from([table, table + ".missing"]),
+        SEQUENCES,
+        SEQUENCES,
+        st.sampled_from(["dot", "circ", "eq", "pow"]),
+        st.one_of(st.just([]), st.integers(-1, 3).map(lambda d: ["--depth", str(d)])),
+    )
+    commands = st.one_of(
+        st.tuples(st.sampled_from(["eq", "cmp"]), WORDS, WORDS),
+        st.tuples(st.sampled_from(["sx", "canon"]), WORDS),
+        st.tuples(st.just("act"), WORDS, FWORDS),
+        st.tuples(st.just("ld"), TERMS),
+        st.tuples(st.just("laver"), TERMS, TERMS),
+        st.tuples(st.just("color"), STRANDS, WORDS),
+        env,
+        st.lists(st.one_of(WORDS, st.sampled_from(["eq", "--op", "-x"])), max_size=3),
+    )
+    extra = st.one_of(st.just([]), st.just([]), st.just([]), WORDS.map(lambda w: [w]))
+    return st.builds(lambda argv, more: [*argv, *more], commands, extra)
+
+
+def run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestFuzz:
+    def test_any_argv_ends_in_an_exit_code(self, fuzz_table):
+        @settings(max_examples=300, deadline=5000)
+        @given(argvs(fuzz_table))
+        def check(argv):
+            code, _, err = run_quietly(argv)
+            assert code in (0, 1, 2)
+            if code and not err.startswith("usage:"):  # argparse prints its usage block
+                assert err.startswith("error: ") and err.count("\n") == 1
+                if code == 1 and argv[0] in PARSE_ONLY:
+                    assert "offset" in err
+
+        check()

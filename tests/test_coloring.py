@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from shrinkbraid import coloring
 from shrinkbraid import (
@@ -11,15 +12,72 @@ from shrinkbraid import (
     compose_colored,
     parse_rword,
     sigma,
+    sigma_inv,
     x,
 )
-from shrinkbraid.freegroup import FWord, parse_fword
+from shrinkbraid.freegroup import FWord, finv, fmul, parse_fword
+from shrinkbraid.words import Kind
 
 from conftest import random_braid
 
 
 def fw(text: str) -> FWord:
     return parse_fword(text)
+
+
+def reference_color(w: RWord, n_top: int) -> ColoredMorphism:
+    """``color`` computed on ``FWord`` colors with ``fmul`` and ``finv``."""
+    colors = [FWord.generator(k) for k in range(1, n_top + 1)]
+    for g in w.letters:
+        i = g.index
+        if i + 1 > len(colors):
+            raise InvalidStrandIndexError(f"letter {g} needs strands {i},{i + 1}")
+        left, right = colors[i - 1], colors[i]
+        if g.kind is Kind.SIGMA:
+            colors[i - 1 : i + 1] = [fmul(fmul(left, right), finv(left)), left]
+        elif g.kind is Kind.SIGMA_INV:
+            colors[i - 1 : i + 1] = [right, fmul(fmul(finv(right), left), right)]
+        else:
+            colors[i - 1 : i + 1] = [fmul(left, right)]
+    return ColoredMorphism(len(colors), n_top, tuple(colors))
+
+
+@st.composite
+def multi_braids(draw) -> tuple[RWord, int]:
+    """A word valid on n_top strands, 1 <= n_top <= 8, of s, s^-1 and x letters.
+
+    A drawn pair flag follows a crossing with its inverse, so adjacent
+    cancelling pairs occur.
+    """
+    n_top = draw(st.integers(1, 8))
+    strands = n_top
+    letters = []
+    spec = st.tuples(st.sampled_from("sSx"), st.integers(0, 7), st.booleans())
+    for kind, raw, pair in draw(st.lists(spec, max_size=16)):
+        if strands < 2:
+            break
+        i = 1 + raw % (strands - 1)
+        if kind == "x":
+            letters.append(x(i))
+            strands -= 1
+            continue
+        first, second = (sigma, sigma_inv) if kind == "s" else (sigma_inv, sigma)
+        letters.append(first(i))
+        if pair:
+            letters.append(second(i))
+    return RWord(letters), n_top
+
+
+class TestAgainstReference:
+    @given(multi_braids())
+    def test_matches_free_group_coloring(self, case):
+        w, n_top = case
+        assert color(w, n_top) == reference_color(w, n_top)
+
+    def test_long_braid_matches(self, rng):
+        for _ in range(20):
+            b = random_braid(rng, max_len=24, max_index=4)
+            assert color(b, 5) == reference_color(b, 5)
 
 
 class TestColorBasics:

@@ -1,10 +1,19 @@
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
 from shrinkbraid import Cmp, apply_word, cmp_L, curve_cmp, finv, fmul, parse_rword, psi
-from shrinkbraid.freegroup import FLetter, FWord, FWordParseError, parse_fword, reduce
+from shrinkbraid.freegroup import (
+    FLetter,
+    FWord,
+    FWordParseError,
+    _int_inv,
+    _int_mul,
+    parse_fword,
+    reduce,
+)
 
 from conftest import random_braid, random_fword
 
@@ -71,6 +80,23 @@ class TestGroupOps:
     def test_psi_homomorphism(self, a, b):
         u, v = reduce(a), reduce(b)
         assert psi(fmul(u, v)) == fmul(psi(u), psi(v))
+
+
+def ints(u: FWord) -> tuple[int, ...]:
+    return tuple(let.index * let.sign for let in u.letters)
+
+
+class TestIntKernel:
+    @given(letters, letters)
+    def test_mul_matches_fmul(self, a, b):
+        u, v = reduce(a), reduce(b)
+        assert _int_mul(ints(u), ints(v)) == ints(fmul(u, v))
+
+    @given(letters)
+    def test_inv_matches_finv(self, lets):
+        u = reduce(lets)
+        assert _int_inv(ints(u)) == ints(finv(u))
+        assert _int_mul(ints(u), _int_inv(ints(u))) == ()
 
 
 class TestCurveOrderCalibration:
@@ -176,3 +202,18 @@ class TestFWordGrammar:
             parse_fword("e1 f2")
         assert info.value.offset == 3
         assert info.value.token == "f2"
+
+    def test_index_too_long_for_int_is_parse_error(self):
+        token = "e" + "1" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(FWordParseError) as info:
+            parse_fword(f"e1 {token}")
+        assert info.value.offset == 3 and info.value.token == token
+
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "\uff11"])
+    def test_non_ascii_digits_rejected(self, digit):
+        # 'e\u00b2' made int() raise a bare ValueError; 'e\u0663' read as e3.
+        for token in (f"e{digit}", f"e1{digit}^-1"):
+            with pytest.raises(FWordParseError) as info:
+                parse_fword(f"e1 {token}")
+            assert info.value.offset == 3
+            assert info.value.token == token

@@ -240,6 +240,13 @@ class TestEvalTerm:
             t = circ(LEAF, t)
         assert eval_term_b(t) == BElement(E, 5001)
 
+    def test_deep_term_depth_and_text_need_no_recursion(self):
+        t = LEAF
+        for _ in range(5000):
+            t = circ(LEAF, t)
+        assert t.depth() == 5000
+        assert str(t) == "(j o " * 5000 + "j" + ")" * 5000
+
 
 def _letter(g: int):
     return sigma(g) if g > 0 else sigma_inv(-g)
@@ -403,6 +410,20 @@ class TestTermGrammar:
         with pytest.raises(TermParseError) as info:
             parse_term("(j\t.\n\t(j o\r\n k))")
         assert info.value.offset == 13 and info.value.token == "k"
+
+    def test_depth_and_text_match_recursive_definitions(self):
+        def depth(t):
+            return 0 if t.op is None else 1 + max(depth(t.left), depth(t.right))
+
+        def text(t):
+            if t.op is None:
+                return "j"
+            return f"({text(t.left)} {'.' if t.op == 'dot' else 'o'} {text(t.right)})"
+
+        for t in enumerate_terms(3):
+            assert t.depth() == depth(t)
+            assert str(t) == text(t)
+            assert parse_term(str(t)) == t
 
     def test_enumerate_counts(self):
         assert len(enumerate_terms(0)) == 1

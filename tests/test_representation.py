@@ -19,7 +19,13 @@ from shrinkbraid import (
     x,
 )
 from shrinkbraid.freegroup import FLetter, FWord, parse_fword, reduce
-from shrinkbraid.representation import _dynnikov, _images_cmp, _images_eq, _tail_start
+from shrinkbraid.representation import (
+    _dynnikov,
+    _images_cmp,
+    _images_eq,
+    _quotient_coords,
+    _tail_start,
+)
 
 from conftest import random_braid, random_rplus, random_sigma1_positive
 
@@ -340,6 +346,10 @@ class TestDynnikovAgainstOracle:
         commutator = parse_rword("s1 s1 s2 s2 s1^-1 s1^-1 s2^-1 s2^-1")
         assert not morphism_eq(commutator, RWord.identity())
         assert cmp_L(RWord.identity(), parse_rword("s1")) is Cmp.LESS
+
+    @given(braids, braids)
+    def test_quotient_feed_matches_built_inverse(self, u, v):
+        assert _quotient_coords(u, v) == _dynnikov(braid_inverse(u) * v)
 
     def test_trivial_pairs_are_dropped(self):
         assert _dynnikov(parse_rword("s3 s3^-1 s7^-1 s7")) == {}

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,6 +24,50 @@ from conftest import random_braid, random_rplus
 
 def w(text: str) -> RWord:
     return parse_rword(text)
+
+
+def reference_parse_rword(text: str) -> RWord:
+    """The per-token parser ``parse_rword`` replaced, digits held to ASCII."""
+    letters = []
+    pos = 0
+    for token in text.split():
+        offset = text.index(token, pos)
+        pos = offset + len(token)
+        body = token
+        inverse = False
+        if body.endswith("^-1"):
+            inverse = True
+            body = body[:-3]
+        digits = body[1:]
+        if len(body) < 2 or body[0] not in "sx" or not (digits.isascii() and digits.isdigit()):
+            raise RWordParseError("expected s<digits>[^-1] or x<digits>", offset, token)
+        index = int(digits)
+        if index < 1:
+            raise RWordParseError("generator index must be >= 1", offset, token)
+        if body[0] == "x":
+            if inverse:
+                raise RWordParseError("x letters are not invertible", offset, token)
+            letters.append(x(index))
+        else:
+            letters.append(sigma_inv(index) if inverse else sigma(index))
+    return RWord(letters)
+
+
+# Word text: tokens, well formed or built from grammar pieces, ASCII and other
+# digits and garbage, with runs of ten whitespace code points between them.
+WHITESPACE = [" ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u3000"]
+PIECES = ["s", "x", "0", "1", "9", "10", "^-1", "^", "-1", "e", "(", "\u00b2", "\u0663"]
+WELL_FORMED = st.builds(str.format, st.sampled_from(["s{}", "s{}^-1", "x{}"]), st.integers(1, 120))
+TOKENS = st.one_of(  # three draws in four well formed
+    WELL_FORMED, WELL_FORMED, WELL_FORMED,
+    st.lists(st.sampled_from(PIECES), min_size=1, max_size=4).map("".join),
+)
+GAPS = st.lists(st.sampled_from(WHITESPACE), max_size=3).map("".join)
+WORD_TEXTS = st.builds(
+    lambda parts, end: "".join(gap + token for gap, token in parts) + end,
+    st.lists(st.tuples(GAPS, TOKENS), max_size=8),
+    GAPS,
+)
 
 
 class TestShift:
@@ -242,6 +288,44 @@ class TestGrammar:
             parse_rword("s1 x2^-1")
         assert info.value.offset == 3
         assert info.value.token == "x2^-1"
+
+    def test_offset_of_a_token_repeated_inside_an_earlier_one(self):
+        with pytest.raises(RWordParseError) as info:
+            parse_rword("s10\u3000s1 0")
+        assert info.value.offset == 7 and info.value.token == "0"
+
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "\uff11", "\u2460"])
+    def test_non_ascii_digits_rejected(self, digit):
+        # str.isdigit accepts each of these; int() rejects some and reads others.
+        for token in (f"s{digit}", f"x{digit}", f"s1{digit}^-1"):
+            with pytest.raises(RWordParseError) as info:
+                parse_rword(f"s1\t{token}")
+            assert info.value.offset == 3
+            assert info.value.token == token
+
+    def test_index_too_long_for_int_is_parse_error(self):
+        token = "s" + "1" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(RWordParseError) as info:
+            parse_rword(f"s1 {token}")
+        assert info.value.offset == 3 and info.value.token == token
+
+    @given(st.lists(st.tuples(st.sampled_from("sSx"), st.integers(1, 120)), max_size=12))
+    def test_printed_word_parses_back(self, spec):
+        word = RWord([{"s": sigma, "S": sigma_inv, "x": x}[kind](i) for kind, i in spec])
+        assert parse_rword(str(word)) == word
+
+    @given(WORD_TEXTS)
+    def test_matches_token_loop(self, text):
+        try:
+            expected = reference_parse_rword(text)
+        except RWordParseError as exc:
+            with pytest.raises(RWordParseError) as info:
+                parse_rword(text)
+            assert (str(info.value), info.value.offset, info.value.token) == (
+                str(exc), exc.offset, exc.token
+            )
+        else:
+            assert parse_rword(text).letters == expected.letters
 
 
 class TestDerivedQuantities:
