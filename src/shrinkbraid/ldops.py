@@ -158,11 +158,13 @@ _KERNELS = {"dot": _dot, "circ": _circ}
 # --- terms over the single generator --------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LDTerm:
     """Binary dot/circle tree over the generator (the identity braid).
 
-    ``op`` is None for the leaf, "dot" or "circ" for inner nodes.
+    ``op`` is None for the leaf, "dot" or "circ" for inner nodes.  Equality
+    and hashing go through ``str``, which is fully parenthesized, so they
+    are structural and need no recursion.
     """
 
     op: Union[str, None] = None
@@ -202,6 +204,14 @@ class LDTerm:
                 symbol = " . " if item.op == "dot" else " o "
                 todo += (")", item.right, symbol, item.left, "(")
         return "".join(parts)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LDTerm):
+            return NotImplemented
+        return self is other or str(self) == str(other)
+
+    def __hash__(self) -> int:
+        return hash(str(self))
 
 
 LEAF = LDTerm()

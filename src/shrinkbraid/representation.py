@@ -15,9 +15,9 @@ Equality in R is defined as equality of the induced endomorphisms, which the
 representation theory guarantees is faithful.  Images of e_j for j above the
 largest letter index of a word follow the pure-shift tail
 e_j -> e_{j + xCount}, so sampling one point beyond that index decides
-equality.  ``_images_eq`` and ``_images_cmp`` run that scan; they are the
-oracle, and they decide every order query on a word with an x letter and
-every equality query outside the two fast paths below.
+equality.  ``_images_cmp`` runs that scan, the only one here: it is the
+oracle, and it decides every order query on a word with an x letter and every
+equality query on a word outside the shape b x_1^k below.
 
 Braid words take a fast path.  Free-group images grow exponentially with word
 length, but the bit length of a braid's Dynnikov coordinates grows linearly,
@@ -26,9 +26,10 @@ Dehornoy order (Dehornoy, "Efficient solutions to the braid isotopy problem",
 Discrete Appl. Math. 156 (2008), section 3; Dehornoy, Dynnikov, Rolfsen and
 Wiest, *Ordering Braids*, AMS 2008, ch. XII).  The coordinates are a sparse
 dict from pair index k to a pair (x_k, y_k); a missing key is the pair (0, 1).
-Starting from the empty dict, the letters act rightmost first, as in
-``apply_word``.  With a+ = max(a, 0) and a- = min(a, 0), the letter s_i
-updates pairs i and i + 1:
+``_quotient_coords(u, v)``, the only function that computes them, starts from
+the empty dict and feeds it the letters of u^-1 v, rightmost first as in
+``apply_word``, straight from u and v.  With a+ = max(a, 0) and
+a- = min(a, 0), the letter s_i updates pairs i and i + 1:
 
     s_i:    z = x_i - y_i- - x_{i+1} + y_{i+1}+
             x_i'     = x_i + y_i+ + (y_{i+1}+ - z)+
@@ -41,17 +42,18 @@ updates pairs i and i + 1:
             x_{i+1}' = x_{i+1} - y_{i+1}- - (y_i- - z)-
             y_{i+1}' = y_i - z-
 
-Two braid words are equal iff their coordinates agree once (0, 1) pairs are
-dropped.  For the order, take the coordinates of u^-1 v and the smallest k
-with x_k != 0: u < v if x_k > 0, u > v if x_k < 0, and u = v if there is no
+Two braid words u and v are equal iff the coordinates of u^-1 v are all
+(0, 1), that is, the dropped dict is empty.  For the order, take the smallest
+k with x_k != 0: u < v if x_k > 0, u > v if x_k < 0, and u = v if there is no
 such k.  The dict stays sparse, so ``s100000000`` costs two entries, not a
 list as long as its index.
 
-Words b x_1^k (braid letters, then a run of x_1; every realized LD term has
-this form) take the same coordinates.  Their tails are pure shifts by k, so
-b x_1^k = b' x_1^k' needs k = k'; for k = k' >= 1 it holds exactly when
-b^-1 b' x_1^k = x_1^k, which ``stabilizes_x_power`` decides from the keys of
-the coordinates of b^-1 b'.
+Words b x_1^k (braid letters, then a run of x_1; every braid is the case
+k = 0, and every realized LD term has this form) take the same coordinates.
+Their tails are pure shifts by k, so b x_1^k = b' x_1^k' needs k = k'; for
+k = k' >= 1 it holds exactly when b^-1 b' x_1^k = x_1^k, which holds exactly
+when every key of the coordinates of b^-1 b' is at most k + 1
+(``stabilizes_x_power``, with its proof).
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .freegroup import Cmp, FLetter, FWord, curve_cmp, reduce
-from .words import Generator, Kind, RWord, XLetterPresentError, braid_inverse, x
+from .words import Generator, Kind, RWord, XLetterPresentError, x
 
 _X1 = x(1)
 
@@ -93,10 +95,6 @@ def apply_word(w: RWord, u: FWord) -> FWord:
     return u
 
 
-def _egen(n: int) -> FWord:
-    return FWord((FLetter(n, 1),))
-
-
 def _tail_start(u: RWord, v: RWord) -> int:
     # Both words act as pure shifts by their xCounts from here on: letters
     # never touch e_j for j above every letter index, so one sample there
@@ -107,32 +105,15 @@ def _tail_start(u: RWord, v: RWord) -> int:
 _TRIVIAL = (0, 1)
 
 
-def _dynnikov(
-    w: RWord, start: dict[int, tuple[int, int]] | None = None
-) -> dict[int, tuple[int, int]]:
-    """Sparse Dynnikov coordinates of a braid word, (0, 1) pairs dropped.
-
-    The word acts on ``start`` (default: all pairs (0, 1)), which is not
-    modified.
-    """
-    coords = dict(start or ())
-    _act(coords, reversed(w.letters), Kind.SIGMA)
-    return _trimmed(coords)
-
-
 def _quotient_coords(u: RWord, v: RWord) -> dict[int, tuple[int, int]]:
-    """``_dynnikov`` of u^-1 v, fed letter by letter without building u^-1.
+    """Sparse Dynnikov coordinates of the braid u^-1 v, (0, 1) pairs dropped.
 
     u^-1 v acts with v's letters rightmost first, then u's letters left to
-    right with s_i and s_i^-1 swapped.
+    right with s_i and s_i^-1 swapped, so u^-1 is never built.
     """
     coords: dict[int, tuple[int, int]] = {}
     _act(coords, reversed(v.letters), Kind.SIGMA)
     _act(coords, u.letters, Kind.SIGMA_INV)
-    return _trimmed(coords)
-
-
-def _trimmed(coords: dict[int, tuple[int, int]]) -> dict[int, tuple[int, int]]:
     return {k: pair for k, pair in coords.items() if pair != _TRIVIAL}
 
 
@@ -180,18 +161,22 @@ def _split_x1_tail(w: RWord) -> tuple[RWord, int] | None:
 def morphism_eq(u: RWord, v: RWord) -> bool:
     """Semantic equality in R via the faithful representation.
 
-    Two braid words are equal iff their Dynnikov coordinates agree.  Any
-    other two words b x_1^k and b' x_1^k' (braid letters, then a run of
-    x_1) are equal iff k = k' and ``stabilizes_x_power(b^-1 b', k + 1)``;
-    see the module docstring.  Every other pair goes to ``_images_eq``.
+    Two words b x_1^k and b' x_1^k' (braid letters, then a run of x_1; a
+    braid is the case k = 0) are equal iff k = k' and the coordinates of
+    b^-1 b' are empty for k = 0, or have every key at most k + 1 for k >= 1
+    (the ``stabilizes_x_power`` test); see the module docstring.  Every
+    other pair goes to the image scan ``_images_cmp``.
     """
-    if u.is_braid() and v.is_braid():
-        return _dynnikov(u) == _dynnikov(v)
     split_u, split_v = _split_x1_tail(u), _split_x1_tail(v)
     if split_u is None or split_v is None:
-        return _images_eq(u, v)
+        return _images_cmp(u, v) is Cmp.EQUAL
     (b, k), (b2, k2) = split_u, split_v
-    return k == k2 and stabilizes_x_power(braid_inverse(b) * b2, k + 1)
+    if k != k2:
+        return False
+    coords = _quotient_coords(b, b2)
+    if k == 0:
+        return not coords
+    return all(j <= k + 1 for j in coords)
 
 
 def cmp_L(u: RWord, v: RWord) -> Cmp:
@@ -213,26 +198,16 @@ def cmp_L(u: RWord, v: RWord) -> Cmp:
     return _images_cmp(u, v)
 
 
-def _images_eq(u: RWord, v: RWord) -> bool:
-    """Equality by images, the oracle for ``morphism_eq``.
-
-    Compares the images of e_1, e_2, ... up to one past every letter index.
-    """
-    for n in range(1, _tail_start(u, v) + 1):
-        if apply_word(u, _egen(n)) != apply_word(v, _egen(n)):
-            return False
-    return True
-
-
 def _images_cmp(u: RWord, v: RWord) -> Cmp:
-    """The order by images, the oracle for ``cmp_L``.
+    """The order by images, the oracle for ``cmp_L`` and ``morphism_eq``.
 
     Scans n = 1, 2, ... and compares the images of e_n in the curve order at
     the first n where they differ.
     """
     for n in range(1, _tail_start(u, v) + 1):
-        iu = apply_word(u, _egen(n))
-        iv = apply_word(v, _egen(n))
+        e_n = FWord.generator(n)
+        iu = apply_word(u, e_n)
+        iv = apply_word(v, e_n)
         if iu != iv:
             return curve_cmp(iu, iv)
     return Cmp.EQUAL
@@ -293,4 +268,4 @@ def stabilizes_x_power(g: RWord, m: int) -> bool:
         raise XLetterPresentError("stabilizes_x_power needs a braid word")
     if m < 1:
         raise ValueError("m must be >= 1")
-    return all(k <= m for k in _dynnikov(g))
+    return all(k <= m for k in _quotient_coords(RWord(), g))

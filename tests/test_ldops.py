@@ -247,6 +247,14 @@ class TestEvalTerm:
         assert t.depth() == 5000
         assert str(t) == "(j o " * 5000 + "j" + ")" * 5000
 
+    def test_deep_terms_hash_and_compare_without_recursion(self):
+        t, u = LEAF, LEAF
+        for _ in range(5000):
+            t, u = circ(LEAF, t), circ(LEAF, u)
+        assert t is not u
+        assert t == u and hash(t) == hash(u)
+        assert t != circ(LEAF, u)
+
 
 def _letter(g: int):
     return sigma(g) if g > 0 else sigma_inv(-g)
@@ -424,6 +432,19 @@ class TestTermGrammar:
             assert t.depth() == depth(t)
             assert str(t) == text(t)
             assert parse_term(str(t)) == t
+
+    def test_equality_is_structural(self):
+        def same(s, t):
+            if s.op is None or t.op is None:
+                return s.op is t.op
+            return s.op == t.op and same(s.left, t.left) and same(s.right, t.right)
+
+        terms = enumerate_terms(2)
+        for s in terms:
+            for t in terms:
+                assert (s == t) == same(s, t)
+                if s == t:
+                    assert hash(s) == hash(t)
 
     def test_enumerate_counts(self):
         assert len(enumerate_terms(0)) == 1
