@@ -3,8 +3,8 @@
 Exit codes: 0 on success, 1 on parse/usage errors, 2 on domain errors
 (x letter where a braid is required, invalid strand index, non-LD table,
 sigma position out of range, term nested too deeply, realized term word
-over its letter budget, coloring over its strand budget, envelope orbit
-search over its state budget).
+over its letter budget, free-group image over its letter budget, coloring
+over its strand budget, envelope orbit search over its state budget).
 Output is deterministic, LF-terminated UTF-8.
 """
 
@@ -18,7 +18,7 @@ from .coloring import InvalidStrandIndexError, RankMismatchError, StrandBudgetEr
 from .envelope import IndexOutOfRangeError, NotLeftDistributiveError, OrbitBudgetError, load_table
 from .freegroup import Cmp, parse_fword
 from .ldops import RealizationBudgetError, eval_term, laver_cmp, parse_term
-from .representation import apply_word, cmp_L, morphism_eq
+from .representation import ImageBudgetError, apply_word, cmp_L, morphism_eq
 from .words import RWordParseError, XLetterPresentError, parse_rword, sx_decompose
 from .xmonoid import XWord, s_of, x_canonicalize
 
@@ -138,6 +138,7 @@ def run(argv: Sequence[str]) -> int:
         RankMismatchError,
         IndexOutOfRangeError,
         RealizationBudgetError,
+        ImageBudgetError,
         StrandBudgetError,
         OrbitBudgetError,
     ) as exc:

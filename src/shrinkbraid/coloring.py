@@ -12,17 +12,16 @@ A word ending with m strands induces the morphism F_m -> F_n sending the
 k-th generator to the k-th final color; stacking words composes morphisms by
 substitution, contravariantly.
 
-``color`` keeps each color as a reduced tuple of signed ints (e_k is k,
-e_k^-1 is -k), multiplied and inverted by the signed-int kernel of
-``freegroup``, and decodes the colors into ``FWord`` images once, at the end,
-through a table of the 2 n_top letters e_k^{+-1}.
+``color`` keeps each color as an ``FWord``, multiplied and inverted by
+``fmul`` and ``finv`` on its signed-int storage, so the final colors are the
+images as they stand: there is no decode step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .freegroup import FLetter, FWord, _int_inv, _int_mul, finv, fmul
+from .freegroup import FWord, finv, fmul
 from .words import Kind, RWord
 
 
@@ -61,11 +60,12 @@ class ColoredMorphism:
     def apply(self, w: FWord) -> FWord:
         """Substitute source generators by their images."""
         out = FWord.identity()
-        for let in w.letters:
-            if let.index > self.source_rank:
-                raise ValueError(f"letter index {let.index} beyond source rank")
-            image = self.images[let.index - 1]
-            out = fmul(out, image if let.sign > 0 else finv(image))
+        for g in w.ints:
+            index = abs(g)
+            if index > self.source_rank:
+                raise ValueError(f"letter index {index} beyond source rank")
+            image = self.images[index - 1]
+            out = fmul(out, image if g > 0 else finv(image))
         return out
 
     @staticmethod
@@ -79,7 +79,7 @@ def color(w: RWord, n_top: int) -> ColoredMorphism:
         raise ValueError("need at least one strand")
     if n_top > MAX_STRANDS:
         raise StrandBudgetError(f"{n_top} strands exceed the budget of {MAX_STRANDS}")
-    colors = [(k,) for k in range(1, n_top + 1)]
+    colors = [FWord.generator(k) for k in range(1, n_top + 1)]
     sigma, sigma_inv = Kind.SIGMA, Kind.SIGMA_INV
     for g in w.letters:
         kind, i = g
@@ -89,18 +89,14 @@ def color(w: RWord, n_top: int) -> ColoredMorphism:
             )
         left, right = colors[i - 1], colors[i]
         if kind is sigma:
-            colors[i - 1] = _int_mul(_int_mul(left, right), _int_inv(left))
+            colors[i - 1] = fmul(fmul(left, right), finv(left))
             colors[i] = left
         elif kind is sigma_inv:
             colors[i - 1] = right
-            colors[i] = _int_mul(_int_mul(_int_inv(right), left), right)
+            colors[i] = fmul(fmul(finv(right), left), right)
         else:
-            colors[i - 1 : i + 1] = [_int_mul(left, right)]
-    # decode[k] is e_k and decode[-k] is e_k^-1, for 1 <= k <= n_top.
-    decode = [FLetter(k, 1) for k in range(n_top + 1)]
-    decode += [FLetter(k, -1) for k in range(n_top, 0, -1)]
-    images = [FWord(tuple([decode[g] for g in c])) for c in colors]
-    return ColoredMorphism(len(colors), n_top, tuple(images))
+            colors[i - 1 : i + 1] = [fmul(left, right)]
+    return ColoredMorphism(len(colors), n_top, tuple(colors))
 
 
 def compose_colored(f: ColoredMorphism, g: ColoredMorphism) -> ColoredMorphism:

@@ -5,6 +5,12 @@ Conventions:
 - A letter is a pair (index, sign) with index >= 1 and sign +1/-1; e_0 is the
   identity and is dropped at construction time.
 - Words are always kept freely reduced; the empty word is the identity.
+- An ``FWord`` stores one tuple of nonzero ints, ``ints``: e_k is k and
+  e_k^-1 is -k.  Every operation here reads and writes that tuple; the
+  ``letters`` property decodes it to ``FLetter`` pairs for callers that want
+  them, and ``FWord(letters)``, ``reduce`` and ``parse_fword`` encode them.
+  ``_reduced`` is the one free-cancellation stack for signed-int words; the
+  braid-word kernel of ``ldops`` (s_i is i, s_i^-1 is -i) shares it.
 - ``curve_cmp`` is the linear order obtained by encoding elements of F_n as
   homotopy classes of arcs across a slit disk and ordering their lifted
   endpoints along the boundary of the universal cover.  Combinatorially it is
@@ -43,65 +49,85 @@ class FLetter(NamedTuple):
     index: int
     sign: int
 
-    def inverse(self) -> "FLetter":
-        return FLetter(self.index, -self.sign)
-
     def __str__(self) -> str:
         return f"e{self.index}" + ("^-1" if self.sign < 0 else "")
 
 
-def reduce(letters: Iterable[FLetter]) -> "FWord":
-    """Freely reduce a letter sequence; index-0 letters are dropped first."""
-    out: list[FLetter] = []
-    for let in letters:
-        if let.index == 0:
-            continue
-        if let.index < 0:
-            raise ValueError(f"letter index must be >= 0, got {let.index}")
-        if let.sign not in (1, -1):
-            raise ValueError(f"letter sign must be +1 or -1, got {let.sign}")
-        if out and out[-1].index == let.index and out[-1].sign == -let.sign:
+def _reduced(ints: Iterable[int]) -> tuple[int, ...]:
+    """The signed ints with every adjacent k, -k pair removed, in one stack pass."""
+    out: list[int] = []
+    for g in ints:
+        if out and out[-1] == -g:
             out.pop()
         else:
-            out.append(let)
-    return FWord(tuple(out))
+            out.append(g)
+    return tuple(out)
+
+
+def _word(ints: tuple[int, ...]) -> "FWord":
+    """The FWord stored as ``ints``, which must already be reduced."""
+    word = object.__new__(FWord)
+    word.ints = ints
+    return word
+
+
+def reduce(letters: Iterable[FLetter]) -> "FWord":
+    """Freely reduce a letter sequence; index-0 letters are dropped first."""
+    ints = []
+    for index, sign in letters:
+        if index == 0:
+            continue
+        if index < 0:
+            raise ValueError(f"letter index must be >= 0, got {index}")
+        if sign not in (1, -1):
+            raise ValueError(f"letter sign must be +1 or -1, got {sign}")
+        ints.append(index * sign)
+    return _word(_reduced(ints))
 
 
 class FWord:
-    """A freely reduced word over e_1, e_2, ...; immutable and hashable."""
+    """A freely reduced word over e_1, e_2, ...; immutable and hashable.
 
-    __slots__ = ("letters",)
+    ``FWord(letters)`` trusts its letters to be reduced; ``reduce`` does not.
+    """
 
-    def __init__(self, letters: tuple[FLetter, ...] = ()):
-        self.letters = letters
+    __slots__ = ("ints",)
+
+    def __init__(self, letters: Iterable[FLetter] = ()):
+        self.ints = tuple([index * sign for index, sign in letters])
+
+    @property
+    def letters(self) -> tuple[FLetter, ...]:
+        """The word as (index, sign) letters, decoded from ``ints``."""
+        return tuple([FLetter(g, 1) if g > 0 else FLetter(-g, -1) for g in self.ints])
 
     @staticmethod
     def generator(index: int, sign: int = 1) -> "FWord":
         if index < 1:
             raise ValueError("generator index must be >= 1")
-        return FWord((FLetter(index, sign),))
+        return _word((index * sign,))
 
     @staticmethod
     def identity() -> "FWord":
-        return FWord(())
+        return _word(())
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self.ints)
 
     def __bool__(self) -> bool:
-        return bool(self.letters)
+        return bool(self.ints)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, FWord) and self.letters == other.letters
+        return isinstance(other, FWord) and self.ints == other.ints
 
     def __hash__(self) -> int:
-        return hash(self.letters)
+        return hash(self.ints)
 
     def __repr__(self) -> str:
         return f"FWord({str(self)!r})"
 
     def __str__(self) -> str:
-        return " ".join(str(let) for let in self.letters)
+        return " ".join([f"e{g}" if g > 0 else f"e{-g}^-1" for g in self.ints])
 
     def __mul__(self, other: "FWord") -> "FWord":
         return fmul(self, other)
@@ -110,56 +136,32 @@ class FWord:
         return finv(self)
 
     def max_index(self) -> int:
-        return max((let.index for let in self.letters), default=0)
+        return max(map(abs, self.ints), default=0)
 
     def shift(self, k: int = 1) -> "FWord":
         """Raise every letter index by k (k >= 0); preserves reducedness."""
         if k < 0:
             raise ValueError("shift amount must be nonnegative")
-        return FWord(tuple(FLetter(let.index + k, let.sign) for let in self.letters))
+        return _word(tuple([g + k if g > 0 else g - k for g in self.ints]))
 
 
 def fmul(u: FWord, v: FWord) -> FWord:
     """Reduced concatenation: cancellation can only happen at the seam."""
-    a = list(u.letters)
-    b = v.letters
+    a, b = u.ints, v.ints
     i = 0
-    while a and i < len(b) and a[-1].index == b[i].index and a[-1].sign == -b[i].sign:
-        a.pop()
+    n = min(len(a), len(b))
+    while i < n and a[-1 - i] == -b[i]:
         i += 1
-    return FWord(tuple(a) + b[i:])
+    return _word(a[: len(a) - i] + b[i:] if i else a + b)
 
 
 def finv(u: FWord) -> FWord:
-    return FWord(tuple(let.inverse() for let in reversed(u.letters)))
-
-
-# --- the signed-int kernel -------------------------------------------------
-#
-# A reduced word as a tuple of nonzero ints: e_k is k and e_k^-1 is -k.  The
-# hot loops of ``coloring.color`` work in this form and build FLetter objects
-# once, for the result.
-
-_Ints = tuple[int, ...]
-
-
-def _int_mul(u: _Ints, v: _Ints) -> _Ints:
-    """``fmul`` on signed-int words: cancellation only at the seam."""
-    i = 0
-    n = min(len(u), len(v))
-    while i < n and u[-1 - i] == -v[i]:
-        i += 1
-    return u[: len(u) - i] + v[i:] if i else u + v
-
-
-def _int_inv(u: _Ints) -> _Ints:
-    """``finv`` on signed-int words."""
-    return tuple([-g for g in reversed(u)])
+    return _word(tuple([-g for g in reversed(u.ints)]))
 
 
 def psi(u: FWord) -> FWord:
     """The automorphism e_i -> e_i^-1; preserves reducedness."""
-    return FWord(tuple(let.inverse() for let in u.letters))
+    return _word(tuple([-g for g in u.ints]))
 
 
 # --- the curve order ------------------------------------------------------
@@ -167,37 +169,28 @@ def psi(u: FWord) -> FWord:
 # The comparison walks the common prefix of the two words; the first place
 # they differ is compared by the boundary-walk position of the corresponding
 # continuation.  Continuations are ranked by a sort key: larger key = visited
-# later along the walk = greater word.  The key tables below enumerate, for
+# later along the walk = greater word.  The key ranks below enumerate, for
 # each entry context (no previous letter / positive previous letter e_c /
 # negative previous letter e_c^-1), the cyclic visit order of the possible
-# next items.  "None" stands for the word ending (the endpoint marker of the
-# shorter word).
+# next items; within a rank, the second component -g orders positives by
+# descending and inverses by ascending index.  0 stands for "no letter": no
+# previous letter, or the word ending (the endpoint marker of the shorter
+# word).
 
 
-def _slot_key(entry: FLetter | None, item: FLetter | None) -> tuple[int, int]:
-    if entry is None:
+def _slot_key(entry: int, item: int) -> tuple[int, int]:
+    if entry == 0:
         # Start of both words: marker, then e_j descending, then e_j^-1 ascending.
-        if item is None:
-            return (0, 0)
-        if item.sign > 0:
-            return (1, -item.index)
-        return (2, item.index)
-    c = entry.index
-    if entry.sign > 0:
+        rank = 0 if item == 0 else 1 if item > 0 else 2
+    elif entry > 0:
         # After e_c: inverses with index > c, marker, positives descending,
         # inverses with index < c ascending.
-        if item is None:
-            return (1, 0)
-        if item.sign > 0:
-            return (2, -item.index)
-        return (0, item.index) if item.index > c else (3, item.index)
-    # After e_c^-1: positives with index < c descending, all inverses
-    # ascending, marker, positives with index > c descending.
-    if item is None:
-        return (2, 0)
-    if item.sign < 0:
-        return (1, item.index)
-    return (0, -item.index) if item.index < c else (3, -item.index)
+        rank = 1 if item == 0 else 2 if item > 0 else 0 if item < -entry else 3
+    else:
+        # After e_c^-1: positives with index < c descending, all inverses
+        # ascending, marker, positives with index > c descending.
+        rank = 2 if item == 0 else 1 if item < 0 else 0 if item < -entry else 3
+    return (rank, -item)
 
 
 def curve_cmp(w: FWord, u: FWord) -> Cmp:
@@ -208,16 +201,16 @@ def curve_cmp(w: FWord, u: FWord) -> Cmp:
     under the index-raising x-action; see that module for the induced order
     on the shrinking-braid monoid.
     """
-    a, b = w.letters, u.letters
+    a, b = w.ints, u.ints
     m = 0
     n = min(len(a), len(b))
     while m < n and a[m] == b[m]:
         m += 1
     if m == len(a) and m == len(b):
         return Cmp.EQUAL
-    entry = a[m - 1] if m > 0 else None
-    ka = _slot_key(entry, a[m] if m < len(a) else None)
-    kb = _slot_key(entry, b[m] if m < len(b) else None)
+    entry = a[m - 1] if m > 0 else 0
+    ka = _slot_key(entry, a[m] if m < len(a) else 0)
+    kb = _slot_key(entry, b[m] if m < len(b) else 0)
     return Cmp.GREATER if ka > kb else Cmp.LESS
 
 

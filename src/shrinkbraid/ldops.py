@@ -28,7 +28,9 @@ walking the tree with an explicit stack, and builds ``Generator`` letters
 once, for the root's ``BElement``; ``b_dot`` and ``b_circ`` encode their
 arguments and decode their result around the same kernel.  The dot pushes
 every letter of a, sh^n(c'), W and sh^m(a^-1) through one free-cancellation
-stack, so a need not be cancelled itself (circle products are not).
+stack, so a need not be cancelled itself (circle products are not).  That
+stack is ``freegroup._reduced``: a signed-int braid word cancels exactly as
+a signed-int free-group word does.
 
 Equality and order of terms go through the faithful
 representation (``morphism_eq`` / ``cmp_L``).  Note the
@@ -42,9 +44,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
-from .freegroup import Cmp
+from .freegroup import Cmp, _reduced
 from .representation import cmp_L
 from .words import Generator, Kind, RWord, XLetterPresentError, braid_inverse, shift, sigma, x
 
@@ -130,21 +132,10 @@ def _inverse_shifted(word: _Letters, k: int) -> Iterator[int]:
     return (-g - k if g > 0 else k - g for g in reversed(word))
 
 
-def _cancelled(letters: Iterable[int]) -> _Letters:
-    """The letters with every adjacent i, -i pair removed, in one stack pass."""
-    out: list[int] = []
-    for g in letters:
-        if out and out[-1] == -g:
-            out.pop()
-        else:
-            out.append(g)
-    return tuple(out)
-
-
 def _dot(a: _Letters, n: int, c: _Letters, m: int) -> tuple[_Letters, int]:
     """``b_dot`` on encoded words; a need not be free-cancelled."""
     w = (i for k in range(n, 0, -1) for i in range(k, k + m))
-    return _cancelled(chain(a, _shifted(c, n), w, _inverse_shifted(a, m))), m
+    return _reduced(chain(a, _shifted(c, n), w, _inverse_shifted(a, m))), m
 
 
 def _circ(a: _Letters, n: int, c: _Letters, m: int) -> tuple[_Letters, int]:
@@ -158,13 +149,13 @@ _KERNELS = {"dot": _dot, "circ": _circ}
 # --- terms over the single generator --------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class LDTerm:
     """Binary dot/circle tree over the generator (the identity braid).
 
-    ``op`` is None for the leaf, "dot" or "circ" for inner nodes.  Equality
-    and hashing go through ``str``, which is fully parenthesized, so they
-    are structural and need no recursion.
+    ``op`` is None for the leaf, "dot" or "circ" for inner nodes.  Equality,
+    hashing and ``repr`` go through ``str``, which is fully parenthesized,
+    so they are structural and need no recursion.
     """
 
     op: Union[str, None] = None
@@ -204,6 +195,9 @@ class LDTerm:
                 symbol = " . " if item.op == "dot" else " o "
                 todo += (")", item.right, symbol, item.left, "(")
         return "".join(parts)
+
+    def __repr__(self) -> str:
+        return f"LDTerm({str(self)!r})"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LDTerm):

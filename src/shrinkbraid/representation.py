@@ -60,7 +60,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .freegroup import Cmp, FLetter, FWord, curve_cmp, reduce
+from .freegroup import Cmp, FWord, _reduced, _word, curve_cmp
 from .words import Generator, Kind, RWord, XLetterPresentError, x
 
 _X1 = x(1)
@@ -68,30 +68,50 @@ _X1 = x(1)
 
 def apply_gen(g: Generator, w: FWord) -> FWord:
     """Image of a reduced word under one generator's endomorphism."""
-    out: list[FLetter] = []
     i = g.index
-    if g.kind is Kind.X:
-        for let in w.letters:
-            out.append(FLetter(let.index + 1, let.sign) if let.index >= i else let)
-        return FWord(tuple(out))  # index map is monotone, stays reduced
+    if g.kind is Kind.X:  # index map is monotone, stays reduced
+        return _word(tuple([e + 1 if e >= i else e - 1 if e <= -i else e for e in w.ints]))
     if g.kind is Kind.SIGMA:
-        image = (FLetter(i - 1, 1), FLetter(i, -1), FLetter(i + 1, 1))
+        image = (i - 1, -i, i + 1)
     else:
-        image = (FLetter(i + 1, 1), FLetter(i, -1), FLetter(i - 1, 1))
-    for let in w.letters:
-        if let.index != i:
-            out.append(let)
-        elif let.sign > 0:
-            out.extend(image)
+        image = (i + 1, -i, i - 1)
+    if i == 1:  # e_0 is the identity
+        image = tuple([e for e in image if e])
+    inverse = tuple([-e for e in reversed(image)])
+    out: list[int] = []
+    for e in w.ints:
+        if e == i:
+            out += image
+        elif e == -i:
+            out += inverse
         else:
-            out.extend(FLetter(idx, -sg) for idx, sg in reversed(image))
-    return reduce(out)
+            out.append(e)
+    return _word(_reduced(out))
+
+
+# Images grow exponentially with word length: without a bound, the scan for
+# the circled depth-6 left-nested LD term does not end.  The largest image
+# the test suite builds has 455,687 letters.
+MAX_IMAGE_LETTERS = 1 << 20
+
+
+class ImageBudgetError(ValueError):
+    """A free-group image grew past ``MAX_IMAGE_LETTERS``."""
 
 
 def apply_word(w: RWord, u: FWord) -> FWord:
-    """Apply a word letter by letter, rightmost letter first."""
+    """Apply a word letter by letter, rightmost letter first.
+
+    Raises ``ImageBudgetError`` as soon as an intermediate image has more
+    than ``MAX_IMAGE_LETTERS`` letters, so ``_images_cmp`` is bounded too.
+    """
+    budget = MAX_IMAGE_LETTERS
     for g in reversed(w.letters):
         u = apply_gen(g, u)
+        if len(u) > budget:
+            raise ImageBudgetError(
+                f"free-group image of {len(u)} letters exceeds the budget of {budget}"
+            )
     return u
 
 

@@ -4,7 +4,7 @@ import time
 import pytest
 from hypothesis import settings
 
-from shrinkbraid import RWord, sigma, sigma_inv, x
+from shrinkbraid import Cmp, Generator, Kind, RWord, sigma, sigma_inv, x
 from shrinkbraid.freegroup import FLetter, FWord, reduce
 
 settings.register_profile("suite", deadline=None)
@@ -62,3 +62,90 @@ def random_sigma1_positive(rng: random.Random, max_len: int = 8, max_index: int 
     for _ in range(rng.randrange(1, 3)):
         letters.insert(rng.randrange(0, len(letters) + 1), sigma(1))
     return RWord(letters)
+
+
+# --- reference code on FLetter tuples ---------------------------------------
+#
+# The free-group kernel as it was written before words were stored as signed
+# ints: every function takes and returns tuples of FLetter pairs.  Property
+# tests compare the signed-int kernel with these.
+
+Letters = tuple[FLetter, ...]
+
+
+def letter_reduce(letters) -> Letters:
+    out: list[FLetter] = []
+    for let in letters:
+        if let.index == 0:
+            continue
+        if out and out[-1].index == let.index and out[-1].sign == -let.sign:
+            out.pop()
+        else:
+            out.append(let)
+    return tuple(out)
+
+
+def letter_fmul(a: Letters, b: Letters) -> Letters:
+    a = list(a)
+    i = 0
+    while a and i < len(b) and a[-1].index == b[i].index and a[-1].sign == -b[i].sign:
+        a.pop()
+        i += 1
+    return tuple(a) + b[i:]
+
+
+def letter_finv(a: Letters) -> Letters:
+    return tuple(FLetter(let.index, -let.sign) for let in reversed(a))
+
+
+def letter_apply_gen(g: Generator, letters: Letters) -> Letters:
+    i = g.index
+    if g.kind is Kind.X:
+        return tuple(FLetter(let.index + 1, let.sign) if let.index >= i else let for let in letters)
+    if g.kind is Kind.SIGMA:
+        image = (FLetter(i - 1, 1), FLetter(i, -1), FLetter(i + 1, 1))
+    else:
+        image = (FLetter(i + 1, 1), FLetter(i, -1), FLetter(i - 1, 1))
+    out: list[FLetter] = []
+    for let in letters:
+        if let.index != i:
+            out.append(let)
+        elif let.sign > 0:
+            out.extend(image)
+        else:
+            out.extend(letter_finv(image))
+    return letter_reduce(out)
+
+
+def _letter_slot_key(entry, item) -> tuple[int, int]:
+    if entry is None:
+        if item is None:
+            return (0, 0)
+        if item.sign > 0:
+            return (1, -item.index)
+        return (2, item.index)
+    c = entry.index
+    if entry.sign > 0:
+        if item is None:
+            return (1, 0)
+        if item.sign > 0:
+            return (2, -item.index)
+        return (0, item.index) if item.index > c else (3, item.index)
+    if item is None:
+        return (2, 0)
+    if item.sign < 0:
+        return (1, item.index)
+    return (0, -item.index) if item.index < c else (3, -item.index)
+
+
+def letter_curve_cmp(a: Letters, b: Letters) -> Cmp:
+    m = 0
+    n = min(len(a), len(b))
+    while m < n and a[m] == b[m]:
+        m += 1
+    if m == len(a) and m == len(b):
+        return Cmp.EQUAL
+    entry = a[m - 1] if m > 0 else None
+    ka = _letter_slot_key(entry, a[m] if m < len(a) else None)
+    kb = _letter_slot_key(entry, b[m] if m < len(b) else None)
+    return Cmp.GREATER if ka > kb else Cmp.LESS

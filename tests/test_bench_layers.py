@@ -1,15 +1,33 @@
-"""The per-layer tracer in bench/tracer.py names library functions as text.
+"""The benchmark under bench/ reads the library, so library changes can break it.
 
-A deleted or renamed function would otherwise surface only when a traced
+The per-layer tracer in bench/tracer.py names library functions as text: a
+deleted or renamed function would otherwise surface only when a traced
 benchmark run (``bench/run.py --trace 1``) fails to install its wrappers.
+The answer checks in bench/workloads.py read results through public
+attributes such as ``FWord.letters``: a changed contract would otherwise
+surface only as failed queries in a benchmark run.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import shrinkbraid
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER = BENCH / "tracer.py"
+
+# Run in a fresh process from bench/, so that its module names (run, state,
+# workloads) are imported as the benchmark imports them and shadow nothing here.
+ANSWER_CHECKS = """
+import sys
+import run
+import selfcheck
+sb = run.import_library()
+run.install_query_cap()
+sys.exit(sum(selfcheck.check_answers(sb, seed) for seed in (run.DEFAULT_SEED, selfcheck.HELD_OUT_SEED)))
+"""
 
 
 def traced_layers() -> dict[str, tuple[str, ...]]:
@@ -32,3 +50,12 @@ def test_every_traced_name_exists():
     ]
     assert layers
     assert missing == []
+
+
+def test_benchmark_answer_checks_hold():
+    done = subprocess.run(
+        [sys.executable, "-c", ANSWER_CHECKS],
+        cwd=BENCH, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.count("answers hold") == 6

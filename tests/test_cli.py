@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -136,6 +137,13 @@ class TestSxCanonAct:
         code, out, _ = capout("act", "", "e1 e2")
         assert code == 0 and out == "e1 e2\n"
 
+    def test_act_image_budget_is_domain_error(self, capout, monkeypatch):
+        monkeypatch.setattr(representation, "MAX_IMAGE_LETTERS", 64)
+        code, out, err = capout("act", "s1 s2^-1 " * 6, "e1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: free-group image of ")
+        assert err.endswith(" letters exceeds the budget of 64\n")
+
 
 class TestLdLaver:
     def test_ld(self, capout):
@@ -161,6 +169,14 @@ class TestLdLaver:
         code, out, err = capout("ld", left_nested(300))
         assert code == 2 and out == ""
         assert err.startswith("error: realized word of ") and err.count("\n") == 1
+
+    def test_image_budget_is_domain_error(self, capout):
+        # The x-word scan on the circled depth-6 term ran without bound.
+        start = time.monotonic()
+        code, out, err = capout("laver", "(((((((j . j) . j) . j) . j) . j) . j) o j)", "j")
+        assert time.monotonic() - start < 5
+        assert code == 2 and out == ""
+        assert err.startswith("error: free-group image of ") and err.count("\n") == 1
 
 
 class TestColor:

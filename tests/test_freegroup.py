@@ -5,17 +5,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from shrinkbraid import Cmp, apply_word, cmp_L, curve_cmp, finv, fmul, parse_rword, psi
-from shrinkbraid.freegroup import (
-    FLetter,
-    FWord,
-    FWordParseError,
-    _int_inv,
-    _int_mul,
-    parse_fword,
-    reduce,
-)
+from shrinkbraid.freegroup import FLetter, FWord, FWordParseError, parse_fword, reduce
 
-from conftest import random_braid, random_fword
+from conftest import (
+    letter_curve_cmp,
+    letter_finv,
+    letter_fmul,
+    letter_reduce,
+    random_braid,
+    random_fword,
+)
 
 
 letters = st.lists(
@@ -82,21 +81,69 @@ class TestGroupOps:
         assert psi(fmul(u, v)) == fmul(psi(u), psi(v))
 
 
-def ints(u: FWord) -> tuple[int, ...]:
-    return tuple(let.index * let.sign for let in u.letters)
-
-
 class TestIntKernel:
+    """``fmul`` and ``finv`` on signed ints against the FLetter reference code."""
+
     @given(letters, letters)
     def test_mul_matches_fmul(self, a, b):
         u, v = reduce(a), reduce(b)
-        assert _int_mul(ints(u), ints(v)) == ints(fmul(u, v))
+        assert fmul(u, v).letters == letter_fmul(u.letters, v.letters)
 
     @given(letters)
     def test_inv_matches_finv(self, lets):
         u = reduce(lets)
-        assert _int_inv(ints(u)) == ints(finv(u))
-        assert _int_mul(ints(u), _int_inv(ints(u))) == ()
+        assert finv(u).letters == letter_finv(u.letters)
+        assert fmul(u, finv(u)) == FWord.identity()
+
+
+class TestStorage:
+    """An FWord holds one tuple of signed ints; ``letters`` decodes it."""
+
+    @given(letters)
+    def test_letters_round_trip(self, lets):
+        w = reduce(lets)
+        assert FWord(w.letters) == w
+        assert FWord(w.letters).ints == w.ints
+        assert w.ints == tuple(let.index * let.sign for let in w.letters)
+
+    @given(letters)
+    def test_reduce_matches_reference(self, lets):
+        assert reduce(lets).letters == letter_reduce(lets)
+
+    def test_letters_are_fletters(self):
+        assert fw("e2 e1^-1").letters == (FLetter(2, 1), FLetter(1, -1))
+        assert fw("e2 e1^-1").ints == (2, -1)
+
+    @pytest.mark.parametrize("sign", [0, 2, -2])
+    def test_reduce_rejects_bad_sign(self, sign):
+        with pytest.raises(ValueError, match="sign"):
+            reduce([FLetter(1, 1), FLetter(2, sign)])
+
+    def test_reduce_rejects_negative_index(self):
+        with pytest.raises(ValueError, match="index"):
+            reduce([FLetter(-1, 1)])
+
+    def test_reduce_drops_index_zero_between_inverse_letters(self):
+        assert reduce([FLetter(3, 1), FLetter(0, -1), FLetter(3, -1)]) == FWord.identity()
+
+    def test_max_index_and_shift(self):
+        w = fw("e2 e5^-1 e1")
+        assert w.max_index() == 5
+        assert w.shift(2) == fw("e4 e7^-1 e3")
+        assert FWord.identity().max_index() == 0
+
+
+class TestCurveOrderAgainstReference:
+    @given(letters, letters)
+    def test_random_pairs(self, a, b):
+        u, v = reduce(a), reduce(b)
+        assert curve_cmp(u, v) is letter_curve_cmp(u.letters, v.letters)
+
+    @given(letters, letters, letters)
+    def test_shared_prefix(self, prefix, a, b):
+        p = reduce(prefix)
+        u, v = fmul(p, reduce(a)), fmul(p, reduce(b))
+        assert curve_cmp(u, v) is letter_curve_cmp(u.letters, v.letters)
 
 
 class TestCurveOrderCalibration:

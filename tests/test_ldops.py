@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from shrinkbraid import ldops
+from shrinkbraid import freegroup, ldops
 from shrinkbraid import (
     BElement,
     Cmp,
@@ -255,6 +255,13 @@ class TestEvalTerm:
         assert t == u and hash(t) == hash(u)
         assert t != circ(LEAF, u)
 
+    def test_deep_term_repr_needs_no_recursion(self):
+        t = LEAF
+        for _ in range(5000):
+            t = circ(LEAF, t)
+        assert repr(t) == f"LDTerm({str(t)!r})"
+        assert repr(dot(LEAF, LEAF)) == "LDTerm('(j . j)')"
+
 
 def _letter(g: int):
     return sigma(g) if g > 0 else sigma_inv(-g)
@@ -290,7 +297,7 @@ class TestIntKernel:
     @given(encoded_words)
     def test_cancellation(self, word):
         braid = RWord(map(_letter, word))
-        assert ldops._cancelled(word) == ldops._encode(free_cancel(braid))
+        assert freegroup._reduced(word) == ldops._encode(free_cancel(braid))
 
 
 class TestRealizationBudget:

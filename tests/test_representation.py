@@ -20,14 +20,16 @@ from shrinkbraid import (
     x,
 )
 from shrinkbraid.freegroup import FLetter, FWord, parse_fword, reduce
+from shrinkbraid import representation
 from shrinkbraid.representation import (
+    ImageBudgetError,
     _act,
     _images_cmp,
     _quotient_coords,
     _tail_start,
 )
 
-from conftest import random_braid, random_rplus, random_sigma1_positive
+from conftest import letter_apply_gen, random_braid, random_rplus, random_sigma1_positive
 
 
 def fw(text: str) -> FWord:
@@ -76,6 +78,44 @@ class TestGeneratorImages:
             + list(fw("e2").letters)
             + list(fw("e2^-1 e1").letters)
         )
+
+
+fletters = st.lists(st.tuples(st.integers(1, 7), st.sampled_from((1, -1))), max_size=12)
+generators = st.builds(
+    lambda kind, i: kind(i), st.sampled_from((sigma, sigma_inv, x)), st.integers(1, 6)
+)
+
+
+class TestApplyGenAgainstReference:
+    """``apply_gen`` on signed ints against the FLetter reference code."""
+
+    @given(generators, fletters)
+    def test_matches_reference(self, g, pairs):
+        w = reduce(FLetter(i, s) for i, s in pairs)
+        assert apply_gen(g, w).letters == letter_apply_gen(g, w.letters)
+
+    @pytest.mark.parametrize("make", [sigma, sigma_inv])
+    def test_index_one_drops_e0(self, make):
+        w = fw("e1 e2 e1^-1 e1^-1 e3")
+        image = apply_gen(make(1), w)
+        assert image.letters == letter_apply_gen(make(1), w.letters)
+        assert all(let.index >= 1 for let in image.letters)
+
+
+class TestImageBudget:
+    def test_apply_word_raises_past_budget(self, monkeypatch):
+        w = parse_rword("s1 s2^-1 " * 6)
+        assert len(apply_word(w, egen(1))) > 64
+        monkeypatch.setattr(representation, "MAX_IMAGE_LETTERS", 64)
+        with pytest.raises(ImageBudgetError):
+            apply_word(w, egen(1))
+        assert apply_word(parse_rword("s1"), egen(1)) == fw("e1^-1 e2")
+
+    def test_cmp_L_raises_typed_error(self, monkeypatch):
+        monkeypatch.setattr(representation, "MAX_IMAGE_LETTERS", 64)
+        w = parse_rword("s1 s2^-1 " * 6 + "x1")
+        with pytest.raises(ImageBudgetError):
+            cmp_L(w, parse_rword("x1"))
 
 
 class TestCompositionConvention:
