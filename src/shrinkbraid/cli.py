@@ -4,7 +4,10 @@ Exit codes: 0 on success, 1 on parse/usage errors, 2 on domain errors
 (x letter where a braid is required, invalid strand index, non-LD table,
 sigma position out of range, term nested too deeply, realized term word
 over its letter budget, free-group image over its letter budget, coloring
-over its strand budget, envelope orbit search over its state budget).
+over its strand budget, envelope orbit search over its state budget; the
+four budget errors share the base ``freegroup.BudgetError``).  A parse error
+names the offset and text of the offending token; ``canon`` reports the
+first sigma letter of its x word that way.
 Output is deterministic, LF-terminated UTF-8.
 """
 
@@ -14,11 +17,11 @@ import argparse
 import sys
 from typing import Sequence
 
-from .coloring import InvalidStrandIndexError, RankMismatchError, StrandBudgetError, color
-from .envelope import IndexOutOfRangeError, NotLeftDistributiveError, OrbitBudgetError, load_table
-from .freegroup import Cmp, parse_fword
-from .ldops import RealizationBudgetError, eval_term, laver_cmp, parse_term
-from .representation import ImageBudgetError, apply_word, cmp_L, morphism_eq
+from .coloring import InvalidStrandIndexError, RankMismatchError, color
+from .envelope import IndexOutOfRangeError, NotLeftDistributiveError, load_table
+from .freegroup import BudgetError, Cmp, _token_offsets, parse_fword
+from .ldops import eval_term, laver_cmp, parse_term
+from .representation import apply_word, cmp_L, morphism_eq
 from .words import RWordParseError, XLetterPresentError, parse_rword, sx_decompose
 from .xmonoid import XWord, s_of, x_canonicalize
 
@@ -27,11 +30,12 @@ _CMP_TEXT = {Cmp.LESS: "LT", Cmp.EQUAL: "EQ", Cmp.GREATER: "GT"}
 
 
 def _parse_xword(text: str) -> XWord:
+    """Parse an x word; a sigma letter is an error at its own offset."""
     word = parse_rword(text)
-    try:
-        return XWord.from_rword(word)
-    except ValueError:
-        raise RWordParseError("expected a word in x letters only", 0, text)
+    for (offset, token), code in zip(_token_offsets(text), word.codes):
+        if type(code) is int:
+            raise RWordParseError("expected a word in x letters only", offset, token)
+    return XWord.from_rword(word)
 
 
 def _parse_env_seq(text: str) -> tuple[int, ...]:
@@ -137,10 +141,7 @@ def run(argv: Sequence[str]) -> int:
         InvalidStrandIndexError,
         RankMismatchError,
         IndexOutOfRangeError,
-        RealizationBudgetError,
-        ImageBudgetError,
-        StrandBudgetError,
-        OrbitBudgetError,
+        BudgetError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,17 +12,18 @@ A word ending with m strands induces the morphism F_m -> F_n sending the
 k-th generator to the k-th final color; stacking words composes morphisms by
 substitution, contravariantly.
 
-``color`` keeps each color as an ``FWord``, multiplied and inverted by
-``fmul`` and ``finv`` on its signed-int storage, so the final colors are the
-images as they stand: there is no decode step.
+``color`` reads the word's letter codes (``words``) and keeps each color as
+an ``FWord``, multiplied and inverted by ``fmul`` and ``finv`` on its
+signed-int storage, so the final colors are the images as they stand: there
+is no decode step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .freegroup import FWord, finv, fmul
-from .words import Kind, RWord
+from .freegroup import BudgetError, FWord, finv, fmul
+from .words import RWord, _generator
 
 
 class InvalidStrandIndexError(ValueError):
@@ -38,7 +39,7 @@ class RankMismatchError(ValueError):
 MAX_STRANDS = 1 << 16
 
 
-class StrandBudgetError(ValueError):
+class StrandBudgetError(BudgetError):
     """A coloring asked for more than ``MAX_STRANDS`` top strands."""
 
 
@@ -80,22 +81,21 @@ def color(w: RWord, n_top: int) -> ColoredMorphism:
     if n_top > MAX_STRANDS:
         raise StrandBudgetError(f"{n_top} strands exceed the budget of {MAX_STRANDS}")
     colors = [FWord.generator(k) for k in range(1, n_top + 1)]
-    sigma, sigma_inv = Kind.SIGMA, Kind.SIGMA_INV
-    for g in w.letters:
-        kind, i = g
+    for c in w.codes:
+        i = c[0] if type(c) is tuple else c if c > 0 else -c
         if i >= len(colors):
             raise InvalidStrandIndexError(
-                f"letter {g} needs strands {i},{i + 1} but only {len(colors)} remain"
+                f"letter {_generator(c)} needs strands {i},{i + 1} but only {len(colors)} remain"
             )
         left, right = colors[i - 1], colors[i]
-        if kind is sigma:
+        if type(c) is tuple:
+            colors[i - 1 : i + 1] = [fmul(left, right)]
+        elif c > 0:
             colors[i - 1] = fmul(fmul(left, right), finv(left))
             colors[i] = left
-        elif kind is sigma_inv:
+        else:
             colors[i - 1] = right
             colors[i] = fmul(fmul(finv(right), left), right)
-        else:
-            colors[i - 1 : i + 1] = [fmul(left, right)]
     return ColoredMorphism(len(colors), n_top, tuple(colors))
 
 

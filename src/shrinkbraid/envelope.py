@@ -39,6 +39,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Sequence, Union
 
+from .freegroup import BudgetError
 EnvElement = tuple[int, ...]
 
 # States ``orbit_eq`` may hold in its two searches together.  The largest
@@ -70,7 +71,7 @@ class IndexOutOfRangeError(IndexError):
     """A sigma action addressed a position outside the sequence."""
 
 
-class OrbitBudgetError(ValueError):
+class OrbitBudgetError(BudgetError):
     """``orbit_eq`` held more than ``MAX_ORBIT_STATES`` states undecided."""
 
 

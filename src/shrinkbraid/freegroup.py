@@ -9,8 +9,13 @@ Conventions:
   e_k^-1 is -k.  Every operation here reads and writes that tuple; the
   ``letters`` property decodes it to ``FLetter`` pairs for callers that want
   them, and ``FWord(letters)``, ``reduce`` and ``parse_fword`` encode them.
-  ``_reduced`` is the one free-cancellation stack for signed-int words; the
-  braid-word kernel of ``ldops`` (s_i is i, s_i^-1 is -i) shares it.
+  ``_reduced`` is the one free-cancellation stack for signed-int words;
+  braid words share it through their letter codes (s_i is i, s_i^-1 is -i;
+  see ``words``), in ``words.free_cancel`` and the kernel of ``ldops``.
+- ``BudgetError`` is the base of the typed errors that the size budgets of
+  ``ldops``, ``representation``, ``coloring`` and ``envelope`` raise; the
+  command line maps it to exit code 2.  ``_token_offsets`` finds the offset
+  of each token of a word's text for the parse errors of both grammars.
 - ``curve_cmp`` is the linear order obtained by encoding elements of F_n as
   homotopy classes of arcs across a slit disk and ordering their lifted
   endpoints along the boundary of the universal cover.  Combinatorially it is
@@ -31,7 +36,7 @@ single global flip; flipping it exchanges these facts wholesale.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 
 class Cmp(Enum):
@@ -43,6 +48,10 @@ class Cmp(Enum):
 
     def reverse(self) -> "Cmp":
         return Cmp(-self.value)
+
+
+class BudgetError(ValueError):
+    """A computation grew past one of the library's explicit size budgets."""
 
 
 class FLetter(NamedTuple):
@@ -226,16 +235,22 @@ class FWordParseError(ValueError):
         self.token = token
 
 
+def _token_offsets(text: str) -> Iterator[tuple[int, str]]:
+    """(offset, token) for each whitespace-separated token of ``text``."""
+    pos = 0
+    for token in text.split():
+        pos = text.index(token, pos)
+        yield pos, token
+        pos += len(token)
+
+
 def parse_fword(text: str) -> FWord:
     """Parse the grammar: token := "e" digits ["^-1"]; empty = identity.
 
     Digits are ASCII 0-9 only.
     """
     letters = []
-    pos = 0
-    for token in text.split():
-        offset = text.index(token, pos)
-        pos = offset + len(token)
+    for offset, token in _token_offsets(text):
         body = token
         sign = 1
         if body.endswith("^-1"):
@@ -251,5 +266,4 @@ def parse_fword(text: str) -> FWord:
         if index < 1:
             raise FWordParseError("generator index must be >= 1", offset, token)
         letters.append(FLetter(index, sign))
-    word = reduce(letters)
-    return word
+    return reduce(letters)

@@ -22,15 +22,14 @@ and both stay in the family: with c = c' x_1^{m-1},
 so ``b_dot`` builds its braid part directly, free-cancelled, and no term
 is ever rewritten.
 
-Inside this module a braid word is a tuple of nonzero ints: s_i is i and
-s_i^-1 is -i.  ``eval_term_b`` evaluates a whole term in that encoding,
-walking the tree with an explicit stack, and builds ``Generator`` letters
-once, for the root's ``BElement``; ``b_dot`` and ``b_circ`` encode their
-arguments and decode their result around the same kernel.  The dot pushes
-every letter of a, sh^n(c'), W and sh^m(a^-1) through one free-cancellation
-stack, so a need not be cancelled itself (circle products are not).  That
-stack is ``freegroup._reduced``: a signed-int braid word cancels exactly as
-a signed-int free-group word does.
+The kernels ``_dot`` and ``_circ`` read and write a braid word as the tuple
+of letter codes an ``RWord`` stores (s_i is i, s_i^-1 is -i; see ``words``),
+so ``b_dot``, ``b_circ`` and ``eval_term_b`` pass ``RWord.codes`` straight
+through.  ``eval_term_b`` walks the tree with an explicit stack.  The dot
+pushes every letter of a, sh^n(c'), W and sh^m(a^-1) through one
+free-cancellation stack, so a need not be cancelled itself (circle products
+are not).  That stack is ``freegroup._reduced``: a braid word cancels
+exactly as a signed-int free-group word does.
 
 Equality and order of terms go through the faithful
 representation (``morphism_eq`` / ``cmp_L``).  Note the
@@ -44,11 +43,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
-from .freegroup import Cmp, _reduced
+from .freegroup import BudgetError, Cmp, _reduced
 from .representation import cmp_L
-from .words import Generator, Kind, RWord, XLetterPresentError, braid_inverse, shift, sigma, x
+from .words import RWord, XLetterPresentError, _inverse_shifted, _rword, _shifted, shift
 
 
 def _require_braid(w: RWord, what: str) -> None:
@@ -60,14 +59,14 @@ def ld_dot(a: RWord, b: RWord) -> RWord:
     """The self-distributive composition a sh(b) s_1 sh(a^-1) on braids."""
     _require_braid(a, "ld_dot")
     _require_braid(b, "ld_dot")
-    return a * shift(b, 1) * RWord([sigma(1)]) * shift(braid_inverse(a), 1)
+    return _rword((*a.codes, *_shifted(b.codes, 1), 1, *_inverse_shifted(a.codes, 1)), 0)
 
 
 def ld_circ(a: RWord, b: RWord) -> RWord:
     """The circle composition a sh(b) x_1 on braids."""
     _require_braid(a, "ld_circ")
     _require_braid(b, "ld_circ")
-    return a * shift(b, 1) * RWord([x(1)])
+    return _rword((*a.codes, *_shifted(b.codes, 1), (1,)), 1)
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,7 @@ class BElement:
             raise ValueError("power must be >= 1")
 
     def realize(self) -> RWord:
-        return self.braid * RWord((x(1),) * (self.n - 1))
+        return _rword(self.braid.codes + ((1,),) * (self.n - 1), self.n - 1)
 
     @staticmethod
     def from_braid(a: RWord) -> "BElement":
@@ -99,47 +98,31 @@ def b_dot(a: BElement, c: BElement) -> BElement:
     carries the x letters of sh^n(x_1^{m-1}) past s_n, ..., s_1 one factor
     at a time, and x_1^{m-1} sh(a^-1) = sh^m(a^-1) x_1^{m-1} by (5).
     """
-    return _element(*_dot(_encode(a.braid), a.n, _encode(c.braid), c.n))
+    return _element(*_dot(a.braid.codes, a.n, c.braid.codes, c.n))
 
 
 def b_circ(a: BElement, c: BElement) -> BElement:
     """(a x_1^{n-1}) o c = a sh^n(c) x_1^n; powers add."""
-    return _element(*_circ(_encode(a.braid), a.n, _encode(c.braid), c.n))
+    return _element(*_circ(a.braid.codes, a.n, c.braid.codes, c.n))
 
 
-# --- the kernel: braid words as tuples of signed ints (s_i = i, s_i^-1 = -i)
+# --- the kernel: braid words as code tuples (s_i = i, s_i^-1 = -i) -------
 
 _Letters = tuple[int, ...]
 
 
-def _encode(w: RWord) -> _Letters:
-    return tuple(g.index if g.kind is Kind.SIGMA else -g.index for g in w.letters)
-
-
 def _element(word: _Letters, n: int) -> BElement:
-    s, s_inv = Kind.SIGMA, Kind.SIGMA_INV
-    letters = [Generator(s, g) if g > 0 else Generator(s_inv, -g) for g in word]
-    return BElement(RWord(letters), n)
-
-
-def _shifted(word: _Letters, k: int) -> Iterator[int]:
-    """sh^k: every index raised by k, signs kept."""
-    return (g + k if g > 0 else g - k for g in word)
-
-
-def _inverse_shifted(word: _Letters, k: int) -> Iterator[int]:
-    """sh^k of the inverse: letters reversed, signs flipped, indices raised by k."""
-    return (-g - k if g > 0 else k - g for g in reversed(word))
+    return BElement(_rword(word, 0), n)
 
 
 def _dot(a: _Letters, n: int, c: _Letters, m: int) -> tuple[_Letters, int]:
-    """``b_dot`` on encoded words; a need not be free-cancelled."""
+    """``b_dot`` on code tuples; a need not be free-cancelled."""
     w = (i for k in range(n, 0, -1) for i in range(k, k + m))
     return _reduced(chain(a, _shifted(c, n), w, _inverse_shifted(a, m))), m
 
 
 def _circ(a: _Letters, n: int, c: _Letters, m: int) -> tuple[_Letters, int]:
-    """``b_circ`` on encoded words."""
+    """``b_circ`` on code tuples."""
     return (*a, *_shifted(c, n)), n + m
 
 
@@ -224,7 +207,7 @@ def circ(s: LDTerm, t: LDTerm) -> LDTerm:
 MAX_REALIZED_LETTERS = 1 << 16
 
 
-class RealizationBudgetError(ValueError):
+class RealizationBudgetError(BudgetError):
     """A term's realized word grew past ``MAX_REALIZED_LETTERS``."""
 
 

@@ -27,9 +27,12 @@ Discrete Appl. Math. 156 (2008), section 3; Dehornoy, Dynnikov, Rolfsen and
 Wiest, *Ordering Braids*, AMS 2008, ch. XII).  The coordinates are a sparse
 dict from pair index k to a pair (x_k, y_k); a missing key is the pair (0, 1).
 ``_quotient_coords(u, v)``, the only function that computes them, starts from
-the empty dict and feeds it the letters of u^-1 v, rightmost first as in
-``apply_word``, straight from u and v.  With a+ = max(a, 0) and
-a- = min(a, 0), the letter s_i updates pairs i and i + 1:
+the empty dict and feeds ``_act`` the letter codes of u^-1 v (s_i is i,
+s_i^-1 is -i; see ``words``), rightmost first as in ``apply_word``: v's codes
+reversed, then u's codes negated, ``chain(reversed(v.codes), map(neg,
+u.codes))``, so u^-1 is never built and no letter is decoded.  With
+a+ = max(a, 0) and a- = min(a, 0), the code i > 0 (s_i) and the code -i
+(s_i^-1) update pairs i and i + 1:
 
     s_i:    z = x_i - y_i- - x_{i+1} + y_{i+1}+
             x_i'     = x_i + y_i+ + (y_{i+1}+ - z)+
@@ -50,6 +53,8 @@ list as long as its index.
 
 Words b x_1^k (braid letters, then a run of x_1; every braid is the case
 k = 0, and every realized LD term has this form) take the same coordinates.
+``_split_x1_tail`` finds k by reading the x_1 codes at the end of the word
+and checks that they are all of its x letters against the stored count.
 Their tails are pure shifts by k, so b x_1^k = b' x_1^k' needs k = k'; for
 k = k' >= 1 it holds exactly when b^-1 b' x_1^k = x_1^k, which holds exactly
 when every key of the coordinates of b^-1 b' is at most k + 1
@@ -58,12 +63,14 @@ when every key of the coordinates of b^-1 b' is at most k + 1
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import neg
 from typing import Iterable
 
-from .freegroup import Cmp, FWord, _reduced, _word, curve_cmp
-from .words import Generator, Kind, RWord, XLetterPresentError, x
+from .freegroup import BudgetError, Cmp, FWord, _reduced, _word, curve_cmp
+from .words import Generator, Kind, RWord, XLetterPresentError, _rword
 
-_X1 = x(1)
+_X1 = (1,)  # the code of x_1
 
 
 def apply_gen(g: Generator, w: FWord) -> FWord:
@@ -95,7 +102,7 @@ def apply_gen(g: Generator, w: FWord) -> FWord:
 MAX_IMAGE_LETTERS = 1 << 20
 
 
-class ImageBudgetError(ValueError):
+class ImageBudgetError(BudgetError):
     """A free-group image grew past ``MAX_IMAGE_LETTERS``."""
 
 
@@ -104,6 +111,7 @@ def apply_word(w: RWord, u: FWord) -> FWord:
 
     Raises ``ImageBudgetError`` as soon as an intermediate image has more
     than ``MAX_IMAGE_LETTERS`` letters, so ``_images_cmp`` is bounded too.
+    The word is decoded to ``Generator`` letters once per call.
     """
     budget = MAX_IMAGE_LETTERS
     for g in reversed(w.letters):
@@ -129,30 +137,25 @@ def _quotient_coords(u: RWord, v: RWord) -> dict[int, tuple[int, int]]:
     """Sparse Dynnikov coordinates of the braid u^-1 v, (0, 1) pairs dropped.
 
     u^-1 v acts with v's letters rightmost first, then u's letters left to
-    right with s_i and s_i^-1 swapped, so u^-1 is never built.
+    right with their signs flipped, so u^-1 is never built.
     """
     coords: dict[int, tuple[int, int]] = {}
-    _act(coords, reversed(v.letters), Kind.SIGMA)
-    _act(coords, u.letters, Kind.SIGMA_INV)
+    _act(coords, chain(reversed(v.codes), map(neg, u.codes)))
     return {k: pair for k, pair in coords.items() if pair != _TRIVIAL}
 
 
-def _act(
-    coords: dict[int, tuple[int, int]], letters: Iterable[Generator], positive: Kind
-) -> None:
-    """Act on ``coords`` in place by braid letters, in the order given.
-
-    A letter of kind ``positive`` acts as s_i, any other as s_i^-1.
-    """
+def _act(coords: dict[int, tuple[int, int]], codes: Iterable[int]) -> None:
+    """Act on ``coords`` in place by braid letter codes, in the order given."""
     get = coords.get
-    for kind, i in letters:
+    for g in codes:
+        i = g if g > 0 else -g
         a, b = get(i, _TRIVIAL)
         c, d = get(i + 1, _TRIVIAL)
         b_pos = b if b > 0 else 0
         b_neg = b - b_pos
         d_pos = d if d > 0 else 0
         d_neg = d - d_pos
-        if kind is positive:
+        if g > 0:
             z = a - b_neg - c + d_pos
             z_pos = z if z > 0 else 0
             t = d_pos - z
@@ -170,12 +173,12 @@ def _act(
 
 def _split_x1_tail(w: RWord) -> tuple[RWord, int] | None:
     """(b, k) with w = b x_1^k and b a braid word, or None for any other shape."""
-    letters = w.letters
-    end = len(letters)
-    while end and letters[end - 1] == _X1:
+    codes = w.codes
+    end = len(codes)
+    while end and codes[end - 1] == _X1:
         end -= 1
-    head = RWord(letters[:end])
-    return (head, len(letters) - end) if head.is_braid() else None
+    k = len(codes) - end
+    return (_rword(codes[:end], 0), k) if w.xs == k else None
 
 
 def morphism_eq(u: RWord, v: RWord) -> bool:

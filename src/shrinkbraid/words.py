@@ -20,13 +20,26 @@ equality is decided by the faithful free-group representation
 ``sx_decompose`` also reads the x_a s_b rows of (3)/(4)/(5) with s^-1 for s
 on both sides; these follow by multiplying with inverse letters ((3) gives
 the s^-1 form of (4) and vice versa) and are checked against the representation.
+
+Storage.  An ``RWord`` holds one tuple of letter codes, ``codes``, and its
+number of x letters, ``xs``, both fixed at construction, so ``is_braid``
+and ``x_count`` read a stored int.  The codes are s_i = i, s_i^-1 = -i and
+x_i = (i,) (see ``Code`` below); a braid word's codes are the signed ints
+that ``freegroup._reduced``, ``representation._act`` and the kernels of
+``ldops`` read directly.  Every operation here, ``_RELATIONS`` included,
+reads and writes codes.  ``Generator``, ``sigma``, ``sigma_inv``, ``x`` and
+``RWord(generators)`` are the public boundary: the constructor encodes, and
+the read-only ``letters`` property decodes.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Iterable, Literal, NamedTuple, Optional
+from itertools import chain, groupby
+from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Optional, Union
+
+from .freegroup import _reduced, _token_offsets
 
 
 class Kind(Enum):
@@ -38,9 +51,6 @@ class Kind(Enum):
 class Generator(NamedTuple):
     kind: Kind
     index: int
-
-    def shifted(self, k: int) -> "Generator":
-        return Generator(self.kind, self.index + k)
 
     def __str__(self) -> str:
         if self.kind is Kind.SIGMA:
@@ -70,91 +80,131 @@ class XLetterPresentError(ValueError):
     """An operation restricted to braid words met an x letter."""
 
 
-class RWord:
-    """A word over the R generators; the empty word is the identity e."""
+# Letter codes: s_i is the int i, s_i^-1 is -i and x_i is the 1-tuple (i,).
+# Every nonzero int is a braid letter (indices are unbounded).  A 1-tuple
+# never equals an int and cannot be negated, so an x letter never matches a
+# braid letter, and ``freegroup._reduced`` raises TypeError rather than
+# cancel one silently.
+Code = Union[int, tuple[int]]
 
-    __slots__ = ("letters",)
+
+def _code(g: Generator) -> Code:
+    kind, i = g
+    return i if kind is Kind.SIGMA else -i if kind is Kind.SIGMA_INV else (i,)
+
+
+def _generator(c: Code) -> Generator:
+    if type(c) is tuple:
+        return Generator(Kind.X, c[0])
+    return Generator(Kind.SIGMA, c) if c > 0 else Generator(Kind.SIGMA_INV, -c)
+
+
+def _rword(codes: tuple[Code, ...], xs: int) -> "RWord":
+    """The RWord stored as ``codes``, of which exactly ``xs`` are x letters."""
+    word = object.__new__(RWord)
+    word.codes = codes
+    word.xs = xs
+    return word
+
+
+class RWord:
+    """A word over the R generators; the empty word is the identity e.
+
+    Stored as one tuple of letter codes, ``codes``, and its number of x
+    letters, ``xs``, both fixed at construction.
+    """
+
+    __slots__ = ("codes", "xs")
 
     def __init__(self, letters: Iterable[Generator] = ()):
-        self.letters = tuple(letters)
+        self.codes = tuple([_code(g) for g in letters])
+        self.xs = list(map(type, self.codes)).count(tuple)
+
+    @property
+    def letters(self) -> tuple[Generator, ...]:
+        """The word as ``Generator`` letters, decoded from ``codes``."""
+        return tuple([_generator(c) for c in self.codes])
 
     @staticmethod
     def identity() -> "RWord":
-        return RWord(())
+        return _rword((), 0)
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self.codes)
 
     def __bool__(self) -> bool:
-        return bool(self.letters)
+        return bool(self.codes)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, RWord) and self.letters == other.letters
+        return isinstance(other, RWord) and self.codes == other.codes
 
     def __hash__(self) -> int:
-        return hash(self.letters)
+        return hash(self.codes)
 
     def __mul__(self, other: "RWord") -> "RWord":
-        return RWord(self.letters + other.letters)
+        return _rword(self.codes + other.codes, self.xs + other.xs)
 
     def __repr__(self) -> str:
         return f"RWord({str(self)!r})"
 
     def __str__(self) -> str:
-        return " ".join(str(g) for g in self.letters)
+        return " ".join(map(str, self.letters))
 
     def max_index(self) -> int:
-        return max((g.index for g in self.letters), default=0)
+        return max((c[0] if type(c) is tuple else abs(c) for c in self.codes), default=0)
 
     def x_count(self) -> int:
-        return sum(1 for g in self.letters if g.kind is Kind.X)
+        return self.xs
 
     def is_braid(self) -> bool:
-        return all(g.kind is not Kind.X for g in self.letters)
+        return not self.xs
+
+
+def _shifted(codes: Iterable[Code], k: int) -> Iterator[Code]:
+    """sh^k on codes: every index raised by k, signs and kinds kept."""
+    return ((c[0] + k,) if type(c) is tuple else c + k if c > 0 else c - k for c in codes)
+
+
+def _inverse_shifted(codes: tuple[int, ...], k: int) -> Iterator[int]:
+    """sh^k of the inverse of a braid: reversed, signs flipped, indices raised by k."""
+    return (-c - k if c > 0 else k - c for c in reversed(codes))
 
 
 def shift(w: RWord, k: int) -> RWord:
     """The shift map sh^k: every letter index is raised by k, kinds kept."""
     if k < 0:
         raise ValueError("shift amount must be nonnegative")
-    return RWord(g.shifted(k) for g in w.letters)
+    return _rword(tuple(_shifted(w.codes, k)), w.xs)
 
 
 def braid_inverse(w: RWord) -> RWord:
     """Group inverse in B_oo: reverse and swap s_i <-> s_i^-1."""
-    out = []
-    for g in reversed(w.letters):
-        if g.kind is Kind.X:
-            raise XLetterPresentError("x letters are not invertible in R")
-        swapped = Kind.SIGMA_INV if g.kind is Kind.SIGMA else Kind.SIGMA
-        out.append(Generator(swapped, g.index))
-    return RWord(out)
+    if w.xs:
+        raise XLetterPresentError("x letters are not invertible in R")
+    return _rword(tuple(_inverse_shifted(w.codes, 0)), 0)
 
 
 def free_cancel(w: RWord) -> RWord:
-    """Remove all adjacent s_i s_i^-1 and s_i^-1 s_i pairs."""
-    out: list[Generator] = []
-    for g in w.letters:
-        if out and g.kind is not Kind.X and out[-1].index == g.index and (
-            (out[-1].kind is Kind.SIGMA and g.kind is Kind.SIGMA_INV)
-            or (out[-1].kind is Kind.SIGMA_INV and g.kind is Kind.SIGMA)
-        ):
-            out.pop()
-        else:
-            out.append(g)
-    return RWord(out)
+    """Remove all adjacent s_i s_i^-1 and s_i^-1 s_i pairs.
+
+    x letters never cancel, so each run of braid letters between them is
+    cancelled on its own.
+    """
+    runs = groupby(w.codes, lambda c: type(c) is int)
+    codes = chain.from_iterable(_reduced(run) if braid else run for braid, run in runs)
+    return _rword(tuple(codes), w.xs)
 
 
 Direction = Literal["L2R", "R2L"]
-_Side = tuple[tuple[Kind, str, int], ...]  # letters (kind, var, offset): kind_{var + offset}
+_Side = tuple[tuple[bool, str, int], ...]  # letters (is_x, var, offset): s or x_{var + offset}
 _When = Optional[Callable[[int, int], bool]]
 
 
-def _s(var: str, offset: int = 0) -> tuple[Kind, str, int]:
-    return (Kind.SIGMA, var, offset)
+def _s(var: str, offset: int = 0) -> tuple[bool, str, int]:
+    return (False, var, offset)
 
-def _x(var: str, offset: int = 0) -> tuple[Kind, str, int]:
-    return (Kind.X, var, offset)
+def _x(var: str, offset: int = 0) -> tuple[bool, str, int]:
+    return (True, var, offset)
 
 
 # Rows (rule, lhs, rhs, condition on i and j); relation (5) has one per case.
@@ -172,38 +222,39 @@ _RELATIONS: tuple[tuple[int, _Side, _Side, _When], ...] = (
 
 
 def _rewrite(
-    letters: tuple[Generator, ...], pos: int, side: _Side, other: _Side, when: _When
-) -> Optional[tuple[Generator, ...]]:
+    codes: tuple[Code, ...], pos: int, side: _Side, other: _Side, when: _When
+) -> Optional[tuple[Code, ...]]:
     """``other`` under the values of i and j that read ``side`` at ``pos``.
 
     None when ``side`` does not occur there: a letter differs in kind, a
     variable would take two values or one below 1, or ``when`` fails.
     """
-    if pos + len(side) > len(letters):
+    if pos + len(side) > len(codes):
         return None
     bound: dict[str, int] = {}
-    for (kind, var, offset), g in zip(side, letters[pos:]):
-        value = g.index - offset
-        if g.kind is not kind or value < 1 or bound.setdefault(var, value) != value:
+    for (is_x, var, offset), c in zip(side, codes[pos:]):
+        if (type(c) is tuple) is not is_x:
+            return None
+        value = (c[0] if is_x else c) - offset
+        if value < 1 or bound.setdefault(var, value) != value:
             return None
     if when is not None and not when(bound["i"], bound["j"]):
         return None
-    return tuple(Generator(kind, bound[var] + offset) for kind, var, offset in other)
+    return tuple([(bound[v] + k,) if is_x else bound[v] + k for is_x, v, k in other])
 
 
 @lru_cache(maxsize=4096)  # one entry per (x, sigma) pair met; the bound caps its memory
-def _x_past_sigma(xg: Generator, s: Generator) -> tuple[Generator, ...]:
+def _x_past_sigma(xc: tuple[int], s: int) -> tuple[Code, ...]:
     """Rewrite x_a s_b, with s_b of either sign, as sigma letters then one x letter.
 
     Only the x_a s_b rows of (3), (4) and (5) can match the pair, and exactly
     one does.  s_b^-1 is read as s_b and gives its sign to the sigma letters.
     """
-    pair = (xg, Generator(Kind.SIGMA, s.index))
     for _, lhs, rhs, when in _RELATIONS:
-        replacement = _rewrite(pair, 0, lhs, rhs, when)
+        replacement = _rewrite((xc, abs(s)), 0, lhs, rhs, when)
         if replacement is not None:
             break
-    return tuple(g if g.kind is Kind.X else Generator(s.kind, g.index) for g in replacement)
+    return tuple([c if type(c) is tuple or s > 0 else -c for c in replacement])
 
 
 def sx_decompose(w: RWord) -> tuple[RWord, RWord]:
@@ -212,23 +263,17 @@ def sx_decompose(w: RWord) -> tuple[RWord, RWord]:
     Scans right to left; each step moves one x letter past the sigma letter
     to its right, so the procedure is deterministic and terminates.
     """
-    letters = list(w.letters)
-    i = len(letters) - 2
+    codes = list(w.codes)
+    i = len(codes) - 2
     while i >= 0:
-        if (
-            i + 1 < len(letters)
-            and letters[i].kind is Kind.X
-            and letters[i + 1].kind is not Kind.X
-        ):
-            replacement = _x_past_sigma(letters[i], letters[i + 1])
-            letters[i : i + 2] = replacement
+        if i + 1 < len(codes) and type(codes[i]) is tuple and type(codes[i + 1]) is int:
+            replacement = _x_past_sigma(codes[i], codes[i + 1])
+            codes[i : i + 2] = replacement
             i += len(replacement) - 1  # keep following the moved x letter
         else:
             i -= 1
-    split = 0
-    while split < len(letters) and letters[split].kind is not Kind.X:
-        split += 1
-    return RWord(letters[:split]), RWord(letters[split:])
+    split = len(codes) - w.xs
+    return _rword(tuple(codes[:split]), 0), _rword(tuple(codes[split:]), w.xs)
 
 
 def apply_relation(
@@ -237,18 +282,20 @@ def apply_relation(
     """Apply one defining relation at a position, or return None on no match.
 
     L2R rewrites the displayed left side to the right side, R2L the reverse.
-    Used by test harnesses to generate provably equal word pairs.
+    Every relation keeps the number of x letters.  Used by test harnesses to
+    generate provably equal word pairs.
     """
-    if position < 0 or position > len(w.letters):
+    if position < 0 or position > len(w.codes):
         raise IndexError(f"position {position} outside word of length {len(w)}")
     rows = [row[1:] for row in _RELATIONS if row[0] == rule]
     if not rows:
         raise ValueError(f"rule must be 1..7, got {rule}")
     for lhs, rhs, when in rows:
         side, other = (lhs, rhs) if direction == "L2R" else (rhs, lhs)
-        replacement = _rewrite(w.letters, position, side, other, when)
+        replacement = _rewrite(w.codes, position, side, other, when)
         if replacement is not None:
-            return RWord(w.letters[:position] + replacement + w.letters[position + len(side) :])
+            codes = w.codes[:position] + replacement + w.codes[position + len(side) :]
+            return _rword(codes, w.xs)
     return None
 
 
@@ -265,10 +312,10 @@ class RWordParseError(ValueError):
 
 
 @lru_cache(maxsize=4096)  # one entry per distinct token met; the bound caps its memory
-def _letter(token: str) -> Generator | str:
-    """The letter a token spells, or the message of the error it raises.
+def _letter(token: str) -> Code | str:
+    """The code of the letter a token spells, or the message of the error it raises.
 
-    The letter is built once per token and shared by every word that reads
+    The code is built once per token and shared by every word that reads
     that token.
     """
     body = token
@@ -285,25 +332,22 @@ def _letter(token: str) -> Generator | str:
     if index < 1:
         return "generator index must be >= 1"
     if body[0] == "x":
-        return "x letters are not invertible" if inverse else x(index)
-    return sigma_inv(index) if inverse else sigma(index)
+        return "x letters are not invertible" if inverse else (index,)
+    return -index if inverse else index
 
 
 def parse_rword(text: str) -> RWord:
     """Parse: token := ("s" | "x") digits ["^-1"]; "^-1" is illegal after x.
 
     Digits are ASCII 0-9 only.  Tokens are split on any whitespace, and
-    each maps through the cached ``_letter``, so every occurrence of a token
-    gives the same interned ``Generator``.  Offsets are found only when a
-    token fails.
+    each maps through the cached ``_letter`` to its code, so every
+    occurrence of an x token gives the same interned 1-tuple.  Offsets are
+    found only when a token fails.
     """
-    tokens = text.split()
-    letters = tuple([_letter(token) for token in tokens])
-    if str in map(type, letters):
-        pos = 0
-        for token, letter in zip(tokens, letters):
-            offset = text.index(token, pos)
-            pos = offset + len(token)
-            if type(letter) is str:
-                raise RWordParseError(letter, offset, token)
-    return RWord(letters)
+    codes = tuple([_letter(token) for token in text.split()])
+    kinds = list(map(type, codes))
+    if str in kinds:
+        for (offset, token), code in zip(_token_offsets(text), codes):
+            if type(code) is str:
+                raise RWordParseError(code, offset, token)
+    return _rword(codes, kinds.count(tuple))

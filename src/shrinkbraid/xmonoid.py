@@ -16,7 +16,7 @@ through ``sf_eval`` (s_i acts as the transposition of i and i+1).
 from __future__ import annotations
 
 from .freegroup import Cmp
-from .words import Kind, RWord, x
+from .words import RWord, x
 
 
 class XWord:
@@ -55,9 +55,9 @@ class XWord:
 
     @staticmethod
     def from_rword(w: RWord) -> "XWord":
-        if not all(g.kind is Kind.X for g in w.letters):
+        if w.xs != len(w):
             raise ValueError("word contains non-x letters")
-        return XWord(tuple(g.index for g in w.letters))
+        return XWord(tuple([c[0] for c in w.codes]))
 
 
 def x_canonicalize(w: XWord) -> XWord:
@@ -178,12 +178,12 @@ def sf_eval(w: RWord, k: int) -> int:
     """Value at k of the R' representation: s_i^{+-1} swaps i and i+1."""
     if k < 1:
         raise ValueError("argument must be >= 1")
-    for g in w.letters:
-        i = g.index
-        if g.kind is Kind.X:
-            if k > i:
+    for c in w.codes:
+        if type(c) is tuple:
+            if k > c[0]:
                 k -= 1
         else:
+            i = abs(c)
             if k == i:
                 k = i + 1
             elif k == i + 1:

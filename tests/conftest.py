@@ -4,7 +4,7 @@ import time
 import pytest
 from hypothesis import settings
 
-from shrinkbraid import Cmp, Generator, Kind, RWord, sigma, sigma_inv, x
+from shrinkbraid import Cmp, Generator, Kind, RWord, XLetterPresentError, sigma, sigma_inv, x
 from shrinkbraid.freegroup import FLetter, FWord, reduce
 
 settings.register_profile("suite", deadline=None)
@@ -149,3 +149,72 @@ def letter_curve_cmp(a: Letters, b: Letters) -> Cmp:
     ka = _letter_slot_key(entry, a[m] if m < len(a) else None)
     kb = _letter_slot_key(entry, b[m] if m < len(b) else None)
     return Cmp.GREATER if ka > kb else Cmp.LESS
+
+
+# --- reference code on Generator letters -------------------------------------
+#
+# Word operations as they were written before an RWord stored letter codes:
+# every function takes and returns tuples of Generator letters.  Property
+# tests compare the code-based operations with these.
+
+Gens = tuple[Generator, ...]
+
+
+def gen_shift(letters: Gens, k: int) -> Gens:
+    return tuple(Generator(g.kind, g.index + k) for g in letters)
+
+
+def gen_braid_inverse(letters: Gens) -> Gens:
+    out = []
+    for g in reversed(letters):
+        if g.kind is Kind.X:
+            raise XLetterPresentError("x letters are not invertible in R")
+        swapped = Kind.SIGMA_INV if g.kind is Kind.SIGMA else Kind.SIGMA
+        out.append(Generator(swapped, g.index))
+    return tuple(out)
+
+
+def gen_free_cancel(letters: Gens) -> Gens:
+    out: list[Generator] = []
+    for g in letters:
+        if out and g.kind is not Kind.X and out[-1].index == g.index and (
+            (out[-1].kind is Kind.SIGMA and g.kind is Kind.SIGMA_INV)
+            or (out[-1].kind is Kind.SIGMA_INV and g.kind is Kind.SIGMA)
+        ):
+            out.pop()
+        else:
+            out.append(g)
+    return tuple(out)
+
+
+def gen_act(coords: dict, letters, positive: Kind) -> None:
+    """Dynnikov update in place; a letter of kind ``positive`` acts as s_i."""
+    get = coords.get
+    for kind, i in letters:
+        a, b = get(i, (0, 1))
+        c, d = get(i + 1, (0, 1))
+        b_pos = b if b > 0 else 0
+        b_neg = b - b_pos
+        d_pos = d if d > 0 else 0
+        d_neg = d - d_pos
+        if kind is positive:
+            z = a - b_neg - c + d_pos
+            z_pos = z if z > 0 else 0
+            t = d_pos - z
+            coords[i] = (a + b_pos + (t if t > 0 else 0), d - z_pos)
+            t = b_neg + z
+            coords[i + 1] = (c + d_neg + (t if t < 0 else 0), b + z_pos)
+        else:
+            z = a + b_neg - c - d_pos
+            z_neg = z if z < 0 else 0
+            t = d_pos + z
+            coords[i] = (a - b_pos - (t if t > 0 else 0), d + z_neg)
+            t = b_neg - z
+            coords[i + 1] = (c - d_neg - (t if t < 0 else 0), b - z_neg)
+
+
+def gen_quotient_coords(u: Gens, v: Gens) -> dict:
+    coords: dict = {}
+    gen_act(coords, reversed(v), Kind.SIGMA)
+    gen_act(coords, u, Kind.SIGMA_INV)
+    return {k: pair for k, pair in coords.items() if pair != (0, 1)}

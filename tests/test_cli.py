@@ -9,9 +9,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shrinkbraid import coloring, envelope, representation
+from shrinkbraid import coloring, envelope, ldops, representation
 from shrinkbraid.cli import _CMP_TEXT, run
-from shrinkbraid.ldops import LEAF, eval_term, parse_term
+from shrinkbraid.coloring import StrandBudgetError
+from shrinkbraid.envelope import OrbitBudgetError
+from shrinkbraid.freegroup import BudgetError
+from shrinkbraid.ldops import LEAF, RealizationBudgetError, eval_term, parse_term
+from shrinkbraid.representation import ImageBudgetError
 
 
 @pytest.fixture
@@ -128,6 +132,17 @@ class TestSxCanonAct:
     def test_canon_rejects_sigma(self, capout):
         code, _, err = capout("canon", "s1")
         assert code == 1 and "error" in err
+
+    @pytest.mark.parametrize("text, offset, token", [
+        ("x1 x2 s1", 6, "s1"),
+        ("x1\u3000s2^-1 x1 s3", 3, "s2^-1"),
+        ("s1", 0, "s1"),
+    ])
+    def test_canon_error_points_at_first_sigma(self, capout, text, offset, token):
+        code, out, err = capout("canon", text)
+        assert code == 1 and out == ""
+        expected = f"expected a word in x letters only (offset {offset}, token {token!r})"
+        assert err == f"error: {expected}\n"
 
     def test_act(self, capout):
         code, out, _ = capout("act", "s1", "e1")
@@ -259,6 +274,26 @@ class TestEnv:
     def test_missing_file_is_usage_error(self, capout):
         code, _, err = capout("env", "/nonexistent/t.txt", "1", "1", "--op", "dot")
         assert code == 1 and "error" in err
+
+
+@pytest.mark.parametrize("error, module, name, argv", [
+    (RealizationBudgetError, ldops, "MAX_REALIZED_LETTERS", ["ld", "((j . j) . j)"]),
+    (ImageBudgetError, representation, "MAX_IMAGE_LETTERS", ["act", "s1 s1", "e1"]),
+    (StrandBudgetError, coloring, "MAX_STRANDS", ["color", "3", "s1"]),
+    (OrbitBudgetError, envelope, "MAX_ORBIT_STATES", ["env", "1,2,3,1", "3,1,2,3", "--op", "eq"]),
+])
+def test_budget_errors_share_one_base_and_exit_2(
+    capout, monkeypatch, tmp_path, error, module, name, argv
+):
+    assert issubclass(error, BudgetError) and issubclass(error, ValueError)
+    monkeypatch.setattr(module, name, 2)
+    if argv[0] == "env":
+        table = tmp_path / "cyc3.txt"
+        table.write_text("3\n1 3 2\n3 2 1\n2 1 3\n", encoding="utf-8")
+        argv = ["env", str(table), *argv[1:]]
+    code, out, err = capout(*argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestErrors:

@@ -31,7 +31,7 @@ from shrinkbraid.ldops import LDTerm, RealizationBudgetError, TermParseError, si
 from shrinkbraid.words import braid_inverse, free_cancel, sx_decompose
 from shrinkbraid.xmonoid import XWord, x_canonicalize
 
-from conftest import random_braid
+from conftest import gen_braid_inverse, gen_free_cancel, gen_shift, random_braid
 
 
 E = RWord.identity()
@@ -275,29 +275,29 @@ encoded_words = st.lists(chunks, max_size=8).map(lambda cs: tuple(g for c in cs 
 
 
 class TestIntKernel:
-    """The signed-int kernel against the Generator code in ``words``."""
+    """The code-tuple kernel against the reference Generator code in ``conftest``."""
 
     @given(encoded_words)
     def test_round_trip(self, word):
         braid = RWord(map(_letter, word))
         assert ldops._element(word, 1).braid == braid
-        assert ldops._encode(braid) == word
+        assert braid.codes == word
 
     @given(encoded_words, st.integers(0, 4))
     def test_shift(self, word, k):
         braid = RWord(map(_letter, word))
-        assert tuple(ldops._shifted(word, k)) == ldops._encode(shift(braid, k))
+        assert tuple(ldops._shifted(word, k)) == RWord(gen_shift(braid.letters, k)).codes
 
     @given(encoded_words, st.integers(0, 4))
     def test_inverse(self, word, k):
         braid = RWord(map(_letter, word))
-        expected = ldops._encode(shift(braid_inverse(braid), k))
+        expected = RWord(gen_shift(gen_braid_inverse(braid.letters), k)).codes
         assert tuple(ldops._inverse_shifted(word, k)) == expected
 
     @given(encoded_words)
     def test_cancellation(self, word):
         braid = RWord(map(_letter, word))
-        assert freegroup._reduced(word) == ldops._encode(free_cancel(braid))
+        assert freegroup._reduced(word) == RWord(gen_free_cancel(braid.letters)).codes
 
 
 class TestRealizationBudget:

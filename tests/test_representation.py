@@ -29,7 +29,14 @@ from shrinkbraid.representation import (
     _tail_start,
 )
 
-from conftest import letter_apply_gen, random_braid, random_rplus, random_sigma1_positive
+from conftest import (
+    gen_act,
+    gen_quotient_coords,
+    letter_apply_gen,
+    random_braid,
+    random_rplus,
+    random_sigma1_positive,
+)
 
 
 def fw(text: str) -> FWord:
@@ -410,6 +417,24 @@ class TestDynnikovAgainstOracle:
         assert coords(parse_rword("s100000000")).keys() == {100000000, 100000001}
 
 
+SMALL = st.integers(-9, 9)
+
+
+class TestCoordinatesAgainstReference:
+    """The code-fed Dynnikov update against the Kind-dispatch copy in ``conftest``."""
+
+    @given(braids, braids)
+    def test_quotient_coords(self, u, v):
+        assert _quotient_coords(u, v) == gen_quotient_coords(u.letters, v.letters)
+
+    @given(braids, st.dictionaries(st.integers(1, 8), st.tuples(SMALL, SMALL)))
+    def test_act(self, w, start):
+        out, expected = dict(start), dict(start)
+        _act(out, w.codes)
+        gen_act(expected, w.letters, Kind.SIGMA)
+        assert out == expected
+
+
 class TestDynnikovUpdate:
     """The coordinate update is an action of the braid group on all of Z^2n."""
 
@@ -420,7 +445,7 @@ class TestDynnikovUpdate:
     @staticmethod
     def acted(w, start):
         out = dict(start)
-        _act(out, reversed(w.letters), Kind.SIGMA)
+        _act(out, reversed(w.codes))
         return out
 
     @pytest.mark.parametrize("lhs, rhs", [

@@ -17,9 +17,9 @@ from shrinkbraid import (
     sx_decompose,
     x,
 )
-from shrinkbraid.words import Kind, RWordParseError
+from shrinkbraid.words import Generator, Kind, RWordParseError
 
-from conftest import random_braid, random_rplus
+from conftest import gen_braid_inverse, gen_free_cancel, gen_shift, random_braid, random_rplus
 
 
 def w(text: str) -> RWord:
@@ -338,3 +338,61 @@ class TestDerivedQuantities:
         assert word.max_index() == max((i for _, i in spec), default=0)
         assert word.x_count() == sum(1 for kind, _ in spec if kind == "x")
         assert word.is_braid() == all(kind != "x" for kind, _ in spec)
+
+
+# Words of s, s^-1 and x letters over indices 1-6, and braid words with
+# adjacent cancelling pairs, so that cancellation has work to do.
+GENERATORS = st.builds(Generator, st.sampled_from(list(Kind)), st.integers(1, 6))
+R_WORDS = st.lists(GENERATORS, max_size=10).map(RWord)
+_SIGNED = st.builds(Generator, st.sampled_from([Kind.SIGMA, Kind.SIGMA_INV]), st.integers(1, 6))
+_SWAP = {Kind.SIGMA: Kind.SIGMA_INV, Kind.SIGMA_INV: Kind.SIGMA, Kind.X: Kind.X}
+CHUNKS = st.one_of(
+    GENERATORS.map(lambda g: (g,)),
+    _SIGNED.map(lambda g: (g, Generator(_SWAP[g.kind], g.index))),
+)
+CANCELLING_WORDS = st.lists(CHUNKS, max_size=6).map(lambda cs: RWord(g for c in cs for g in c))
+
+
+class TestCodesAgainstReference:
+    """Operations on letter codes against the Generator code in ``conftest``."""
+
+    @given(R_WORDS)
+    def test_round_trips(self, word):
+        assert RWord(word.letters) == word
+        assert parse_rword(str(word)) == word
+        assert parse_rword(str(word)).x_count() == word.x_count()
+
+    @given(st.lists(GENERATORS, max_size=10))
+    def test_codes(self, letters):
+        word = RWord(letters)
+        assert word.letters == tuple(letters)
+        codes = {Kind.SIGMA: lambda i: i, Kind.SIGMA_INV: lambda i: -i, Kind.X: lambda i: (i,)}
+        assert word.codes == tuple(codes[g.kind](g.index) for g in letters)
+
+    @given(R_WORDS, st.integers(0, 4))
+    def test_shift(self, word, k):
+        shifted = shift(word, k)
+        assert shifted.letters == gen_shift(word.letters, k)
+        assert shifted.x_count() == word.x_count()
+
+    @given(CANCELLING_WORDS)
+    def test_braid_inverse(self, word):
+        if word.is_braid():
+            assert braid_inverse(word).letters == gen_braid_inverse(word.letters)
+        else:
+            with pytest.raises(XLetterPresentError):
+                braid_inverse(word)
+
+    @given(CANCELLING_WORDS)
+    def test_free_cancel(self, word):
+        cancelled = free_cancel(word)
+        assert cancelled.letters == gen_free_cancel(word.letters)
+        assert cancelled.x_count() == word.x_count()
+
+    @given(R_WORDS, R_WORDS)
+    def test_product_and_decomposition_keep_the_count(self, u, v):
+        assert (u * v).letters == u.letters + v.letters
+        assert (u * v).x_count() == u.x_count() + v.x_count()
+        braid_part, x_part = sx_decompose(u * v)
+        assert braid_part.is_braid() and x_part.x_count() == len(x_part) == (u * v).x_count()
+        assert RWord(braid_part.letters) == braid_part and RWord(x_part.letters) == x_part
