@@ -2,12 +2,14 @@
 
 Exit codes: 0 on success, 1 on parse/usage errors, 2 on domain errors
 (x letter where a braid is required, invalid strand index, non-LD table,
-sigma position out of range, term nested too deeply, realized term word
-over its letter budget, free-group image over its letter budget, coloring
-over its strand budget, envelope orbit search over its state budget; the
-four budget errors share the base ``freegroup.BudgetError``).  A parse error
-names the offset and text of the offending token; ``canon`` reports the
-first sigma letter of its x word that way.
+sigma position out of range, and the budget errors, which share the base
+``freegroup.BudgetError``: term nested past its bracket budget, realized
+term word over its letter budget, free-group image or color over its letter
+budget, coloring over its strand budget, envelope orbit search over its
+state budget).  A parse error (``freegroup.ParseError``) names the offset
+and text of the offending token; ``canon`` reports the first sigma letter
+of its x word that way.  The argument parser is built once, at import, and
+every ``run`` call reuses it.
 Output is deterministic, LF-terminated UTF-8.
 """
 
@@ -94,10 +96,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def run(argv: Sequence[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
 
@@ -144,9 +148,6 @@ def run(argv: Sequence[str]) -> int:
         BudgetError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        print("error: term nested too deeply", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,13 +15,16 @@ substitution, contravariantly.
 ``color`` reads the word's letter codes (``words``) and keeps each color as
 an ``FWord``, multiplied and inverted by ``fmul`` and ``finv`` on its
 signed-int storage, so the final colors are the images as they stand: there
-is no decode step.
+is no decode step.  Colors share the free-group image budget,
+``representation.MAX_IMAGE_LETTERS``: once a letter makes a color longer
+than that, ``color`` raises ``representation.ImageBudgetError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import representation
 from .freegroup import BudgetError, FWord, finv, fmul
 from .words import RWord, _generator
 
@@ -80,6 +83,7 @@ def color(w: RWord, n_top: int) -> ColoredMorphism:
         raise ValueError("need at least one strand")
     if n_top > MAX_STRANDS:
         raise StrandBudgetError(f"{n_top} strands exceed the budget of {MAX_STRANDS}")
+    budget = representation.MAX_IMAGE_LETTERS
     colors = [FWord.generator(k) for k in range(1, n_top + 1)]
     for c in w.codes:
         i = c[0] if type(c) is tuple else c if c > 0 else -c
@@ -89,13 +93,18 @@ def color(w: RWord, n_top: int) -> ColoredMorphism:
             )
         left, right = colors[i - 1], colors[i]
         if type(c) is tuple:
-            colors[i - 1 : i + 1] = [fmul(left, right)]
+            grown = fmul(left, right)
+            colors[i - 1 : i + 1] = [grown]
         elif c > 0:
-            colors[i - 1] = fmul(fmul(left, right), finv(left))
+            colors[i - 1] = grown = fmul(fmul(left, right), finv(left))
             colors[i] = left
         else:
             colors[i - 1] = right
-            colors[i] = fmul(fmul(finv(right), left), right)
+            colors[i] = grown = fmul(fmul(finv(right), left), right)
+        if len(grown) > budget:
+            raise representation.ImageBudgetError(
+                f"color of {len(grown)} letters exceeds the budget of {budget}"
+            )
     return ColoredMorphism(len(colors), n_top, tuple(colors))
 
 

@@ -14,8 +14,11 @@ Conventions:
   see ``words``), in ``words.free_cancel`` and the kernel of ``ldops``.
 - ``BudgetError`` is the base of the typed errors that the size budgets of
   ``ldops``, ``representation``, ``coloring`` and ``envelope`` raise; the
-  command line maps it to exit code 2.  ``_token_offsets`` finds the offset
-  of each token of a word's text for the parse errors of both grammars.
+  command line maps it to exit code 2.  ``ParseError`` is the base of the
+  three grammars' errors (free-group words here, R words in ``words``, LD
+  terms in ``ldops``): it carries the offset and text of the bad token, and
+  the command line maps it to exit code 1.  ``_token_offsets`` finds the
+  offset of each token of a word's text for the first two.
 - ``curve_cmp`` is the linear order obtained by encoding elements of F_n as
   homotopy classes of arcs across a slit disk and ordering their lifted
   endpoints along the boundary of the universal cover.  Combinatorially it is
@@ -226,13 +229,17 @@ def curve_cmp(w: FWord, u: FWord) -> Cmp:
 # --- word grammar ---------------------------------------------------------
 
 
-class FWordParseError(ValueError):
-    """Raised on malformed free-group word input; carries the byte offset."""
+class ParseError(ValueError):
+    """Malformed input text; carries the offset and text of the bad token."""
 
     def __init__(self, message: str, offset: int, token: str):
         super().__init__(f"{message} (offset {offset}, token {token!r})")
         self.offset = offset
         self.token = token
+
+
+class FWordParseError(ParseError):
+    """Raised on malformed free-group word input."""
 
 
 def _token_offsets(text: str) -> Iterator[tuple[int, str]]:

@@ -31,6 +31,12 @@ free-cancellation stack, so a need not be cancelled itself (circle products
 are not).  That stack is ``freegroup._reduced``: a braid word cancels
 exactly as a signed-int free-group word does.
 
+Nothing here recurses.  ``parse_term`` reads a term's text in one loop with
+a stack of open brackets, and ``MAX_TERM_DEPTH`` bounds how many may be open
+(``TermDepthError``); ``LDTerm``'s ``depth``, ``str``, equality, hashing and
+pickling, and ``eval_term_b``, walk the tree with explicit stacks or go
+through the text.
+
 Equality and order of terms go through the faithful
 representation (``morphism_eq`` / ``cmp_L``).  Note the
 induced order sorts a . b above a but a o b BELOW a: the dot direction is
@@ -45,7 +51,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence, Union
 
-from .freegroup import BudgetError, Cmp, _reduced
+from .freegroup import BudgetError, Cmp, ParseError, _reduced
 from .representation import cmp_L
 from .words import RWord, XLetterPresentError, _inverse_shifted, _rword, _shifted, shift
 
@@ -126,9 +132,6 @@ def _circ(a: _Letters, n: int, c: _Letters, m: int) -> tuple[_Letters, int]:
     return (*a, *_shifted(c, n)), n + m
 
 
-_KERNELS = {"dot": _dot, "circ": _circ}
-
-
 # --- terms over the single generator --------------------------------------
 
 
@@ -138,7 +141,9 @@ class LDTerm:
 
     ``op`` is None for the leaf, "dot" or "circ" for inner nodes.  Equality,
     hashing and ``repr`` go through ``str``, which is fully parenthesized,
-    so they are structural and need no recursion.
+    so they are structural and need no recursion.  A term pickles as its
+    text and unpickles through ``parse_term``, so a term deeper than
+    ``MAX_TERM_DEPTH`` pickles but raises ``TermDepthError`` when loaded.
     """
 
     op: Union[str, None] = None
@@ -190,6 +195,9 @@ class LDTerm:
     def __hash__(self) -> int:
         return hash(str(self))
 
+    def __reduce__(self) -> tuple:
+        return parse_term, (str(self),)
+
 
 LEAF = LDTerm()
 
@@ -211,13 +219,25 @@ class RealizationBudgetError(BudgetError):
     """A term's realized word grew past ``MAX_REALIZED_LETTERS``."""
 
 
+def _check_realized(letters: int, at_least: str = "") -> None:
+    if letters > MAX_REALIZED_LETTERS:
+        raise RealizationBudgetError(
+            f"realized word of {at_least}{letters} letters exceeds the budget of "
+            f"{MAX_REALIZED_LETTERS}"
+        )
+
+
 def eval_term_b(t: LDTerm) -> BElement:
     """Evaluate a term; every subterm's realized word is held to the budget.
 
     The tree is walked with an explicit stack, so depth is not bounded by
-    Python's recursion limit.
+    Python's recursion limit.  Each node is checked before its word is
+    built: a circle's length is exact, since nothing cancels, and a dot's
+    middle factor W has n*m positive letters, each of which can cancel
+    only against one letter of a, c or a^-1, which bounds the dot's length
+    from below.  A dot that passes that bound is checked again, exactly,
+    once built.
     """
-    budget = MAX_REALIZED_LETTERS
     todo: list[Union[LDTerm, str]] = [t]
     values: list[tuple[_Letters, int]] = []
     while todo:
@@ -225,12 +245,13 @@ def eval_term_b(t: LDTerm) -> BElement:
         if isinstance(item, str):  # both operands of this op are evaluated
             c, m = values.pop()
             a, n = values.pop()
-            word, power = _KERNELS[item](a, n, c, m)
-            letters = len(word) + power - 1
-            if letters > budget:
-                raise RealizationBudgetError(
-                    f"realized word of {letters} letters exceeds the budget of {budget}"
-                )
+            if item == "dot":
+                _check_realized(n * m - 2 * len(a) - len(c) + m - 1, "at least ")
+                word, power = _dot(a, n, c, m)
+                _check_realized(len(word) + m - 1)
+            else:
+                _check_realized(len(a) + len(c) + n + m - 1)
+                word, power = _circ(a, n, c, m)
             values.append((word, power))
         elif item.op is None:
             values.append(((), 1))
@@ -270,56 +291,61 @@ def sigma_on_braids(i: int, braids: Sequence[RWord]) -> tuple[RWord, ...]:
 # --- term grammar ----------------------------------------------------------
 
 
-class TermParseError(ValueError):
-    """Raised on malformed LD-term input; carries the byte offset."""
+class TermParseError(ParseError):
+    """Raised on malformed LD-term input."""
 
-    def __init__(self, message: str, offset: int, token: str):
-        super().__init__(f"{message} (offset {offset}, token {token!r})")
-        self.offset = offset
-        self.token = token
+
+# The deepest term ``parse_term`` reads, counted in open brackets: about
+# where the recursive parser it replaced met Python's recursion limit.
+MAX_TERM_DEPTH = 1000
+
+
+class TermDepthError(BudgetError):
+    """A term text opened more than ``MAX_TERM_DEPTH`` brackets."""
 
 
 _TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
-def _tokenize_term(text: str) -> list[tuple[str, int]]:
-    return [(m.group(), m.start()) for m in _TOKEN.finditer(text)]
-
-
 def parse_term(text: str) -> LDTerm:
-    """Parse the grammar: term := "j" | "(" term ("."|"o") term ")"."""
-    tokens = _tokenize_term(text)
-    pos = 0
+    """Parse the grammar: term := "j" | "(" term ("."|"o") term ")".
 
-    def expect_term() -> LDTerm:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise TermParseError("unexpected end of input", len(text), "")
-        token, offset = tokens[pos]
-        pos += 1
-        if token == "j":
-            return LEAF
-        if token != "(":
-            raise TermParseError("expected 'j' or '('", offset, token)
-        left = expect_term()
-        if pos >= len(tokens):
-            raise TermParseError("unexpected end of input", len(text), "")
-        op_token, op_offset = tokens[pos]
-        pos += 1
-        if op_token not in (".", "o"):
-            raise TermParseError("expected '.' or 'o'", op_offset, op_token)
-        right = expect_term()
-        if pos >= len(tokens) or tokens[pos][0] != ")":
-            offset = tokens[pos][1] if pos < len(tokens) else len(text)
-            token = tokens[pos][0] if pos < len(tokens) else ""
-            raise TermParseError("expected ')'", offset, token)
-        pos += 1
-        return LDTerm("dot" if op_token == "." else "circ", left, right)
-
-    term = expect_term()
-    if pos != len(tokens):
-        token, offset = tokens[pos]
-        raise TermParseError("trailing input after term", offset, token)
+    One loop over the tokens.  ``opened`` holds a frame for each bracket not
+    yet closed: () until its left operand and operator are read, then the
+    pair.  ``term`` is the last complete term that no frame has taken; while
+    it is None a term must start.  Errors are raised at the first token that
+    breaks the grammar, and more than ``MAX_TERM_DEPTH`` open brackets raise
+    ``TermDepthError``.
+    """
+    opened: list[tuple] = []
+    term = None
+    for match in _TOKEN.finditer(text):
+        token = match.group()
+        if term is None:
+            if token == "(":
+                if len(opened) == MAX_TERM_DEPTH:
+                    raise TermDepthError("term nested too deeply")
+                opened.append(())
+            elif token == "j":
+                term = LEAF
+            else:
+                raise TermParseError("expected 'j' or '('", match.start(), token)
+        elif not opened:
+            raise TermParseError("trailing input after term", match.start(), token)
+        elif not opened[-1]:
+            if token not in (".", "o"):
+                raise TermParseError("expected '.' or 'o'", match.start(), token)
+            opened[-1] = (term, "dot" if token == "." else "circ")
+            term = None
+        elif token == ")":
+            left, op = opened.pop()
+            term = LDTerm(op, left, term)
+        else:
+            raise TermParseError("expected ')'", match.start(), token)
+    if term is None or (opened and not opened[-1]):
+        raise TermParseError("unexpected end of input", len(text), "")
+    if opened:
+        raise TermParseError("expected ')'", len(text), "")
     return term
 
 

@@ -98,12 +98,13 @@ def apply_gen(g: Generator, w: FWord) -> FWord:
 
 # Images grow exponentially with word length: without a bound, the scan for
 # the circled depth-6 left-nested LD term does not end.  The largest image
-# the test suite builds has 455,687 letters.
+# the test suite builds has 455,687 letters.  ``coloring.color`` holds its
+# colors to the same budget.
 MAX_IMAGE_LETTERS = 1 << 20
 
 
 class ImageBudgetError(BudgetError):
-    """A free-group image grew past ``MAX_IMAGE_LETTERS``."""
+    """A free-group image or color grew past ``MAX_IMAGE_LETTERS``."""
 
 
 def apply_word(w: RWord, u: FWord) -> FWord:

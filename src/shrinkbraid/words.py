@@ -39,7 +39,7 @@ from functools import lru_cache
 from itertools import chain, groupby
 from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Optional, Union
 
-from .freegroup import _reduced, _token_offsets
+from .freegroup import ParseError, _reduced, _token_offsets
 
 
 class Kind(Enum):
@@ -302,13 +302,8 @@ def apply_relation(
 # --- word grammar ---------------------------------------------------------
 
 
-class RWordParseError(ValueError):
-    """Raised on malformed R-word input; carries the byte offset."""
-
-    def __init__(self, message: str, offset: int, token: str):
-        super().__init__(f"{message} (offset {offset}, token {token!r})")
-        self.offset = offset
-        self.token = token
+class RWordParseError(ParseError):
+    """Raised on malformed R-word input."""
 
 
 @lru_cache(maxsize=4096)  # one entry per distinct token met; the bound caps its memory

@@ -6,6 +6,7 @@ from hypothesis import settings
 
 from shrinkbraid import Cmp, Generator, Kind, RWord, XLetterPresentError, sigma, sigma_inv, x
 from shrinkbraid.freegroup import FLetter, FWord, reduce
+from shrinkbraid.ldops import _TOKEN, LEAF, LDTerm, TermParseError
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -218,3 +219,46 @@ def gen_quotient_coords(u: Gens, v: Gens) -> dict:
     gen_act(coords, reversed(v), Kind.SIGMA)
     gen_act(coords, u, Kind.SIGMA_INV)
     return {k: pair for k, pair in coords.items() if pair != (0, 1)}
+
+
+# --- reference code: the recursive term parser ---------------------------------
+#
+# ``ldops.parse_term`` as it was written with one Python call per bracket,
+# before it became one loop with a stack of open brackets.  A property test
+# checks that both give the same term or the same error on random texts.
+
+
+def recursive_parse_term(text: str) -> LDTerm:
+    tokens = [(m.group(), m.start()) for m in _TOKEN.finditer(text)]
+    pos = 0
+
+    def expect_term():
+        nonlocal pos
+        if pos >= len(tokens):
+            raise TermParseError("unexpected end of input", len(text), "")
+        token, offset = tokens[pos]
+        pos += 1
+        if token == "j":
+            return LEAF
+        if token != "(":
+            raise TermParseError("expected 'j' or '('", offset, token)
+        left = expect_term()
+        if pos >= len(tokens):
+            raise TermParseError("unexpected end of input", len(text), "")
+        op_token, op_offset = tokens[pos]
+        pos += 1
+        if op_token not in (".", "o"):
+            raise TermParseError("expected '.' or 'o'", op_offset, op_token)
+        right = expect_term()
+        if pos >= len(tokens) or tokens[pos][0] != ")":
+            offset = tokens[pos][1] if pos < len(tokens) else len(text)
+            token = tokens[pos][0] if pos < len(tokens) else ""
+            raise TermParseError("expected ')'", offset, token)
+        pos += 1
+        return LDTerm("dot" if op_token == "." else "circ", left, right)
+
+    term = expect_term()
+    if pos != len(tokens):
+        token, offset = tokens[pos]
+        raise TermParseError("trailing input after term", offset, token)
+    return term

@@ -14,7 +14,7 @@ from shrinkbraid.cli import _CMP_TEXT, run
 from shrinkbraid.coloring import StrandBudgetError
 from shrinkbraid.envelope import OrbitBudgetError
 from shrinkbraid.freegroup import BudgetError
-from shrinkbraid.ldops import LEAF, RealizationBudgetError, eval_term, parse_term
+from shrinkbraid.ldops import LEAF, RealizationBudgetError, TermDepthError, eval_term, parse_term
 from shrinkbraid.representation import ImageBudgetError
 
 
@@ -185,6 +185,18 @@ class TestLdLaver:
         assert code == 2 and out == ""
         assert err.startswith("error: realized word of ") and err.count("\n") == 1
 
+    def test_dot_budget_is_checked_before_the_work(self, capout):
+        # T_{k+1} = (T_k o T_k) has power 2^k; the dot (T_k . T_k) would
+        # first build a middle factor of 4^k letters.
+        term = "j"
+        for _ in range(12):
+            term = f"({term} o {term})"
+        start = time.monotonic()
+        code, out, err = capout("ld", f"({term} . {term})")
+        assert time.monotonic() - start < 1
+        assert code == 2 and out == ""
+        assert err.startswith("error: realized word of at least ") and err.count("\n") == 1
+
     def test_image_budget_is_domain_error(self, capout):
         # The x-word scan on the circled depth-6 term ran without bound.
         start = time.monotonic()
@@ -206,6 +218,21 @@ class TestColor:
     def test_strand_error_is_domain(self, capout):
         code, _, err = capout("color", "2", "s3")
         assert code == 2 and "error" in err
+
+    def test_color_budget_is_domain_error(self, capout, monkeypatch):
+        monkeypatch.setattr(representation, "MAX_IMAGE_LETTERS", 1000)
+        code, out, err = capout("color", "3", " ".join(["s1 s2^-1"] * 8))
+        assert code == 2 and out == ""
+        assert err.startswith("error: color of ")
+        assert err.endswith(" letters exceeds the budget of 1000\n")
+
+    def test_color_budget_bounds_the_time(self, capout):
+        # Colors grow about 2.6 times per letter pair; unbounded, this one
+        # would need about 2 * 10^9 letters.
+        start = time.monotonic()
+        code, out, err = capout("color", "3", " ".join(["s1 s2^-1"] * 18))
+        assert time.monotonic() - start < 2
+        assert code == 2 and out == "" and err.startswith("error: color of ")
 
     def test_strand_budget_is_domain_error(self, capout):
         code, out, err = capout("color", "3000000", "s1")
@@ -278,6 +305,7 @@ class TestEnv:
 
 @pytest.mark.parametrize("error, module, name, argv", [
     (RealizationBudgetError, ldops, "MAX_REALIZED_LETTERS", ["ld", "((j . j) . j)"]),
+    (TermDepthError, ldops, "MAX_TERM_DEPTH", ["ld", "(((j . j) . j) . j)"]),
     (ImageBudgetError, representation, "MAX_IMAGE_LETTERS", ["act", "s1 s1", "e1"]),
     (StrandBudgetError, coloring, "MAX_STRANDS", ["color", "3", "s1"]),
     (OrbitBudgetError, envelope, "MAX_ORBIT_STATES", ["env", "1,2,3,1", "3,1,2,3", "--op", "eq"]),

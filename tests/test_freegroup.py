@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from shrinkbraid import Cmp, apply_word, cmp_L, curve_cmp, finv, fmul, parse_rword, psi
-from shrinkbraid.freegroup import FLetter, FWord, FWordParseError, parse_fword, reduce
+from shrinkbraid.freegroup import FLetter, FWord, FWordParseError, ParseError, parse_fword, reduce
+from shrinkbraid.ldops import TermParseError
+from shrinkbraid.words import RWordParseError
 
 from conftest import (
     letter_curve_cmp,
@@ -264,3 +266,11 @@ class TestFWordGrammar:
                 parse_fword(f"e1 {token}")
             assert info.value.offset == 3
             assert info.value.token == token
+
+    def test_grammar_errors_share_one_base(self):
+        for error in (FWordParseError, RWordParseError, TermParseError):
+            assert issubclass(error, ParseError) and "__init__" not in vars(error)
+        exc = TermParseError("expected ')'", 6, "")
+        assert isinstance(exc, ValueError)
+        assert str(exc) == "expected ')' (offset 6, token '')"
+        assert (exc.offset, exc.token) == (6, "")

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -27,11 +29,24 @@ from shrinkbraid import (
     sigma_inv,
     x,
 )
-from shrinkbraid.ldops import LDTerm, RealizationBudgetError, TermParseError, sigma_on_braids
+from shrinkbraid.freegroup import BudgetError
+from shrinkbraid.ldops import (
+    LDTerm,
+    RealizationBudgetError,
+    TermDepthError,
+    TermParseError,
+    sigma_on_braids,
+)
 from shrinkbraid.words import braid_inverse, free_cancel, sx_decompose
 from shrinkbraid.xmonoid import XWord, x_canonicalize
 
-from conftest import gen_braid_inverse, gen_free_cancel, gen_shift, random_braid
+from conftest import (
+    gen_braid_inverse,
+    gen_free_cancel,
+    gen_shift,
+    random_braid,
+    recursive_parse_term,
+)
 
 
 E = RWord.identity()
@@ -321,6 +336,34 @@ class TestRealizationBudget:
         assert issubclass(RealizationBudgetError, ValueError)
         assert ldops.MAX_REALIZED_LETTERS == 1 << 16
 
+    def test_dot_is_refused_before_its_word_is_built(self, monkeypatch):
+        # T_{k+1} = (T_k o T_k) has power 2^k and no braid letters, so the
+        # dot (T_k . T_k) has a middle factor W of 4^k positive letters.
+        t = LEAF
+        for _ in range(12):
+            t = circ(t, t)
+        assert eval_term_b(t).n == 1 << 12
+
+        def no_dot(*args):
+            raise AssertionError("the dot ran")
+
+        monkeypatch.setattr(ldops, "_dot", no_dot)
+        with pytest.raises(RealizationBudgetError) as info:
+            eval_term_b(dot(t, t))
+        least = (1 << 24) + (1 << 12) - 1
+        assert str(info.value) == (
+            f"realized word of at least {least} letters exceeds the budget of {1 << 16}"
+        )
+
+    def test_exact_message_where_the_bound_passes(self, monkeypatch):
+        monkeypatch.setattr(ldops, "MAX_REALIZED_LETTERS", 2)
+        with pytest.raises(RealizationBudgetError) as info:
+            eval_term(dot(dot(LEAF, LEAF), LEAF))
+        assert str(info.value) == "realized word of 3 letters exceeds the budget of 2"
+        with pytest.raises(RealizationBudgetError) as info:
+            eval_term(circ(dot(LEAF, LEAF), circ(LEAF, LEAF)))  # s1 x1 x1
+        assert str(info.value) == "realized word of 3 letters exceeds the budget of 2"
+
 
 class TestAlgebraicLaws:
     def test_ld_law(self, rng):
@@ -408,6 +451,45 @@ class TestShiftVector:
             sigma_on_braids(2, (E, E))
 
 
+TERM_TEXTS = st.recursive(
+    st.just("j"),
+    lambda inner: st.tuples(inner, st.sampled_from(".o"), inner).map(
+        lambda p: f"({p[0]} {p[1]} {p[2]})"
+    ),
+    max_leaves=6,
+)
+TOKEN_SOUP = st.lists(
+    st.tuples(
+        st.sampled_from(["j", "(", ")", ".", "o", "k", "jo", "*", "(j"]),
+        st.sampled_from(["", " ", "\t", "\r\n "]),
+    ),
+    max_size=14,
+).map(lambda pairs: "".join(token + sep for token, sep in pairs))
+
+
+def spliced(text, k, drop, insert):
+    """``text`` with ``drop`` characters at position k replaced by ``insert``."""
+    k %= len(text) + 1
+    return text[:k] + insert + text[k + drop :]
+
+
+SPOILED_TERMS = st.builds(
+    spliced,
+    TERM_TEXTS,
+    st.integers(0, 40),
+    st.integers(0, 1),
+    st.sampled_from(["", " j", "(", ")", ".", " o ", "x", " "]),
+)
+
+
+def parse_outcome(parse, text):
+    """The parsed term's text, or the message, offset and token of the error."""
+    try:
+        return str(parse(text))
+    except TermParseError as exc:
+        return str(exc), exc.offset, exc.token
+
+
 class TestTermGrammar:
     def test_round_trip(self):
         text = "((j . j) o (j . (j o j)))"
@@ -425,6 +507,31 @@ class TestTermGrammar:
         with pytest.raises(TermParseError) as info:
             parse_term("(j\t.\n\t(j o\r\n k))")
         assert info.value.offset == 13 and info.value.token == "k"
+
+    @given(st.one_of(TERM_TEXTS, TOKEN_SOUP, SPOILED_TERMS))
+    def test_agrees_with_the_recursive_parser(self, text):
+        assert parse_outcome(parse_term, text) == parse_outcome(recursive_parse_term, text)
+
+    def test_depth_budget(self):
+        assert issubclass(TermDepthError, BudgetError)
+        depth = ldops.MAX_TERM_DEPTH
+        assert depth == 1000
+        deepest = "(j . " * depth + "j" + ")" * depth
+        assert parse_term(deepest).depth() == depth
+        with pytest.raises(TermDepthError) as info:
+            parse_term("(" + deepest + " o j)")
+        assert str(info.value) == "term nested too deeply"
+
+    def test_pickle_goes_through_the_text(self):
+        t = LEAF
+        for _ in range(1000):
+            t = circ(LEAF, t)
+        assert pickle.loads(pickle.dumps(t)) == t
+        for _ in range(4000):
+            t = circ(LEAF, t)
+        data = pickle.dumps(t)  # the text of a 5,000-deep term
+        with pytest.raises(TermDepthError):
+            pickle.loads(data)
 
     def test_depth_and_text_match_recursive_definitions(self):
         def depth(t):
