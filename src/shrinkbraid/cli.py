@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 on parse/usage errors, 2 on domain errors
-(x letter where a braid is required, invalid strand index, non-LD table,
-sigma position out of range, and the budget errors, which share the base
-``freegroup.BudgetError``: term nested past its bracket budget, realized
-term word over its letter budget, free-group image or color over its letter
+Exit codes: 0 on success, 1 on parse/usage errors, 2 on domain errors,
+which share the base ``freegroup.DomainError`` (x letter where a braid is
+required, invalid strand index, non-LD table, sigma position out of range,
+and the budget errors, which share the base ``freegroup.BudgetError``: term
+nested past its bracket budget, realized term word over its letter budget,
+free-group image or color over its letter budget, S sequence over its index
 budget, coloring over its strand budget, envelope orbit search over its
 state budget).  A parse error (``freegroup.ParseError``) names the offset
 and text of the offending token; ``canon`` reports the first sigma letter
@@ -19,12 +20,12 @@ import argparse
 import sys
 from typing import Sequence
 
-from .coloring import InvalidStrandIndexError, RankMismatchError, color
-from .envelope import IndexOutOfRangeError, NotLeftDistributiveError, load_table
-from .freegroup import BudgetError, Cmp, _token_offsets, parse_fword
+from .coloring import color
+from .envelope import load_table
+from .freegroup import Cmp, DomainError, _token_offsets, parse_fword
 from .ldops import eval_term, laver_cmp, parse_term
 from .representation import apply_word, cmp_L, morphism_eq
-from .words import RWordParseError, XLetterPresentError, parse_rword, sx_decompose
+from .words import RWordParseError, parse_rword, sx_decompose
 from .xmonoid import XWord, s_of, x_canonicalize
 
 
@@ -139,14 +140,7 @@ def run(argv: Sequence[str]) -> int:
                 print(",".join(str(a) for a in table.env_circ(u, v)))
             else:
                 print(str(table.orbit_eq(u, v, args.depth)))
-    except (
-        XLetterPresentError,
-        NotLeftDistributiveError,
-        InvalidStrandIndexError,
-        RankMismatchError,
-        IndexOutOfRangeError,
-        BudgetError,
-    ) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

@@ -25,15 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import representation
-from .freegroup import BudgetError, FWord, finv, fmul
+from .freegroup import BudgetError, DomainError, FWord, finv, fmul
 from .words import RWord, _generator
 
 
-class InvalidStrandIndexError(ValueError):
+class InvalidStrandIndexError(DomainError):
     """A letter addressed a strand pair that does not exist at its height."""
 
 
-class RankMismatchError(ValueError):
+class RankMismatchError(DomainError):
     """Composition of colored morphisms with incompatible ranks."""
 
 

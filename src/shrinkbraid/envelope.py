@@ -39,7 +39,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Sequence, Union
 
-from .freegroup import BudgetError
+from .freegroup import BudgetError, DomainError
 EnvElement = tuple[int, ...]
 
 # States ``orbit_eq`` may hold in its two searches together.  The largest
@@ -56,7 +56,7 @@ class OrbitResult(Enum):
         return self.value
 
 
-class NotLeftDistributiveError(ValueError):
+class NotLeftDistributiveError(DomainError):
     """The table fails a.(b.c) = (a.b).(a.c); reports one violating triple."""
 
     def __init__(self, a: int, b: int, c: int):
@@ -67,7 +67,7 @@ class NotLeftDistributiveError(ValueError):
         self.triple = (a, b, c)
 
 
-class IndexOutOfRangeError(IndexError):
+class IndexOutOfRangeError(DomainError, IndexError):
     """A sigma action addressed a position outside the sequence."""
 
 

@@ -12,13 +12,16 @@ Conventions:
   ``_reduced`` is the one free-cancellation stack for signed-int words;
   braid words share it through their letter codes (s_i is i, s_i^-1 is -i;
   see ``words``), in ``words.free_cancel`` and the kernel of ``ldops``.
-- ``BudgetError`` is the base of the typed errors that the size budgets of
-  ``ldops``, ``representation``, ``coloring`` and ``envelope`` raise; the
-  command line maps it to exit code 2.  ``ParseError`` is the base of the
-  three grammars' errors (free-group words here, R words in ``words``, LD
-  terms in ``ldops``): it carries the offset and text of the bad token, and
-  the command line maps it to exit code 1.  ``_token_offsets`` finds the
-  offset of each token of a word's text for the first two.
+- ``DomainError`` is the base of the typed errors for input that parses but
+  lies outside an operation's domain; the command line maps it, and only
+  it, to exit code 2.  ``BudgetError``, one of them, is the base of the
+  errors that the size budgets of ``ldops``, ``representation``,
+  ``xmonoid``, ``coloring`` and ``envelope`` raise.  ``ParseError`` is the
+  base of the three grammars' errors (free-group words here, R words in
+  ``words``, LD terms in ``ldops``): it carries the offset and text of the
+  bad token, and the command line maps it to exit code 1.
+  ``_token_offsets`` finds the offset of each token of a word's text for
+  the first two.
 - ``curve_cmp`` is the linear order obtained by encoding elements of F_n as
   homotopy classes of arcs across a slit disk and ordering their lifted
   endpoints along the boundary of the universal cover.  Combinatorially it is
@@ -53,7 +56,11 @@ class Cmp(Enum):
         return Cmp(-self.value)
 
 
-class BudgetError(ValueError):
+class DomainError(ValueError):
+    """Well-formed input outside an operation's domain (exit code 2)."""
+
+
+class BudgetError(DomainError):
     """A computation grew past one of the library's explicit size budgets."""
 
 

@@ -25,17 +25,19 @@ is ever rewritten.
 The kernels ``_dot`` and ``_circ`` read and write a braid word as the tuple
 of letter codes an ``RWord`` stores (s_i is i, s_i^-1 is -i; see ``words``),
 so ``b_dot``, ``b_circ`` and ``eval_term_b`` pass ``RWord.codes`` straight
-through.  ``eval_term_b`` walks the tree with an explicit stack.  The dot
-pushes every letter of a, sh^n(c'), W and sh^m(a^-1) through one
-free-cancellation stack, so a need not be cancelled itself (circle products
-are not).  That stack is ``freegroup._reduced``: a braid word cancels
-exactly as a signed-int free-group word does.
+through.  The dot pushes every letter of a, sh^n(c'), W and sh^m(a^-1)
+through one free-cancellation stack, so a need not be cancelled itself
+(circle products are not).  That stack is ``freegroup._reduced``: a braid
+word cancels exactly as a signed-int free-group word does.
 
-Nothing here recurses.  ``parse_term`` reads a term's text in one loop with
-a stack of open brackets, and ``MAX_TERM_DEPTH`` bounds how many may be open
-(``TermDepthError``); ``LDTerm``'s ``depth``, ``str``, equality, hashing and
-pickling, and ``eval_term_b``, walk the tree with explicit stacks or go
-through the text.
+An ``LDTerm`` is stored as the tuple of its tokens in postfix order ("j",
+then "." or "o" after both operands), the order in which ``parse_term``
+reads them off the text, so no tree of nodes is built.  Nothing here
+recurses: ``parse_term`` is one loop over the text with a stack of open
+brackets, and ``MAX_TERM_DEPTH`` bounds how many may be open
+(``TermDepthError``); ``depth``, ``str`` and ``eval_term_b`` are each one
+loop over the postfix tuple with a stack of values, equality and hashing
+are the tuple's, and a term pickles as its text.
 
 Equality and order of terms go through the faithful
 representation (``morphism_eq`` / ``cmp_L``).  Note the
@@ -49,7 +51,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence, Union
+from typing import Sequence
 
 from .freegroup import BudgetError, Cmp, ParseError, _reduced
 from .representation import cmp_L
@@ -135,79 +137,76 @@ def _circ(a: _Letters, n: int, c: _Letters, m: int) -> tuple[_Letters, int]:
 # --- terms over the single generator --------------------------------------
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class LDTerm:
-    """Binary dot/circle tree over the generator (the identity braid).
+    """A dot/circle term over the generator (the identity braid).
 
-    ``op`` is None for the leaf, "dot" or "circ" for inner nodes.  Equality,
-    hashing and ``repr`` go through ``str``, which is fully parenthesized,
-    so they are structural and need no recursion.  A term pickles as its
-    text and unpickles through ``parse_term``, so a term deeper than
-    ``MAX_TERM_DEPTH`` pickles but raises ``TermDepthError`` when loaded.
+    Stored as its one slot, ``postfix``: the grammar's tokens in postfix
+    order, "j" for the generator and "." or "o" after the two operands of a
+    dot or a circle, so (s . t) is s.postfix + t.postfix + (".",).  Terms
+    are built by ``LEAF``, ``dot``, ``circ`` and ``parse_term``.  Equality
+    and hashing are those of the tuple; ``depth``, ``str`` and
+    ``eval_term_b`` are each one loop over it with a stack of values.  A
+    term pickles as its text and unpickles through ``parse_term``, so a
+    term deeper than ``MAX_TERM_DEPTH`` pickles but raises
+    ``TermDepthError`` when loaded.
     """
 
-    op: Union[str, None] = None
-    left: Union["LDTerm", None] = None
-    right: Union["LDTerm", None] = None
+    __slots__ = ("postfix",)
 
-    def __post_init__(self) -> None:
-        if self.op is None:
-            if self.left is not None or self.right is not None:
-                raise ValueError("leaf terms carry no children")
-        elif self.op not in ("dot", "circ") or self.left is None or self.right is None:
-            raise ValueError("inner terms need op in {dot, circ} and two children")
+    def __init__(self) -> None:
+        raise TypeError("build terms with LEAF, dot, circ or parse_term")
 
     def depth(self) -> int:
-        """Height of the tree, walked with an explicit stack as in ``eval_term_b``."""
-        deepest = 0
-        todo = [(self, 0)]
-        while todo:
-            t, d = todo.pop()
-            if t.op is None:
-                deepest = max(deepest, d)
+        """Height of the tree."""
+        heights: list[int] = []
+        for token in self.postfix:
+            if token == "j":
+                heights.append(0)
             else:
-                todo += ((t.left, d + 1), (t.right, d + 1))
-        return deepest
+                right = heights.pop()
+                heights[-1] = max(heights[-1], right) + 1
+        return heights[0]
 
     def __str__(self) -> str:
-        """The term in the grammar of ``parse_term``, built without recursion."""
-        parts: list[str] = []
-        todo: list[Union[LDTerm, str]] = [self]
-        while todo:
-            item = todo.pop()
-            if isinstance(item, str):
-                parts.append(item)
-            elif item.op is None:
-                parts.append("j")
+        """The term in the grammar of ``parse_term``, fully parenthesized."""
+        texts: list[str] = []
+        for token in self.postfix:
+            if token == "j":
+                texts.append(token)
             else:
-                symbol = " . " if item.op == "dot" else " o "
-                todo += (")", item.right, symbol, item.left, "(")
-        return "".join(parts)
+                right = texts.pop()
+                texts[-1] = f"({texts[-1]} {token} {right})"
+        return texts[0]
 
     def __repr__(self) -> str:
         return f"LDTerm({str(self)!r})"
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LDTerm):
-            return NotImplemented
-        return self is other or str(self) == str(other)
+        return isinstance(other, LDTerm) and self.postfix == other.postfix
 
     def __hash__(self) -> int:
-        return hash(str(self))
+        return hash(self.postfix)
 
     def __reduce__(self) -> tuple:
         return parse_term, (str(self),)
 
 
-LEAF = LDTerm()
+def _term(postfix: tuple[str, ...]) -> LDTerm:
+    """The LDTerm stored as ``postfix``, which must spell one whole term."""
+    term = object.__new__(LDTerm)
+    term.postfix = postfix
+    return term
+
+
+LEAF = _term(("j",))
 
 
 def dot(s: LDTerm, t: LDTerm) -> LDTerm:
-    return LDTerm("dot", s, t)
+    return _term(s.postfix + t.postfix + (".",))
 
 
 def circ(s: LDTerm, t: LDTerm) -> LDTerm:
-    return LDTerm("circ", s, t)
+    return _term(s.postfix + t.postfix + ("o",))
 
 
 # A left-nested dot term of depth d realizes 2^d - 1 letters, so the budget
@@ -230,33 +229,29 @@ def _check_realized(letters: int, at_least: str = "") -> None:
 def eval_term_b(t: LDTerm) -> BElement:
     """Evaluate a term; every subterm's realized word is held to the budget.
 
-    The tree is walked with an explicit stack, so depth is not bounded by
-    Python's recursion limit.  Each node is checked before its word is
-    built: a circle's length is exact, since nothing cancels, and a dot's
-    middle factor W has n*m positive letters, each of which can cancel
-    only against one letter of a, c or a^-1, which bounds the dot's length
-    from below.  A dot that passes that bound is checked again, exactly,
-    once built.
+    One loop over the postfix tokens with a stack of (word, power) values,
+    so depth is not bounded by Python's recursion limit.  Each node is
+    checked before its word is built: a circle's length is exact, since
+    nothing cancels, and a dot's middle factor W has n*m positive letters,
+    each of which can cancel only against one letter of a, c or a^-1, which
+    bounds the dot's length from below.  A dot that passes that bound is
+    checked again, exactly, once built.
     """
-    todo: list[Union[LDTerm, str]] = [t]
     values: list[tuple[_Letters, int]] = []
-    while todo:
-        item = todo.pop()
-        if isinstance(item, str):  # both operands of this op are evaluated
-            c, m = values.pop()
-            a, n = values.pop()
-            if item == "dot":
-                _check_realized(n * m - 2 * len(a) - len(c) + m - 1, "at least ")
-                word, power = _dot(a, n, c, m)
-                _check_realized(len(word) + m - 1)
-            else:
-                _check_realized(len(a) + len(c) + n + m - 1)
-                word, power = _circ(a, n, c, m)
-            values.append((word, power))
-        elif item.op is None:
+    for token in t.postfix:
+        if token == "j":
             values.append(((), 1))
+            continue
+        c, m = values.pop()
+        a, n = values[-1]
+        if token == ".":
+            _check_realized(n * m - 2 * len(a) - len(c) + m - 1, "at least ")
+            word, power = _dot(a, n, c, m)
+            _check_realized(len(word) + m - 1)
         else:
-            todo += (item.op, item.right, item.left)
+            _check_realized(len(a) + len(c) + n + m - 1)
+            word, power = _circ(a, n, c, m)
+        values[-1] = (word, power)
     return _element(*values[0])
 
 
@@ -310,24 +305,27 @@ _TOKEN = re.compile(r"[()]|[^\s()]+")
 def parse_term(text: str) -> LDTerm:
     """Parse the grammar: term := "j" | "(" term ("."|"o") term ")".
 
-    One loop over the tokens.  ``opened`` holds a frame for each bracket not
-    yet closed: () until its left operand and operator are read, then the
-    pair.  ``term`` is the last complete term that no frame has taken; while
-    it is None a term must start.  Errors are raised at the first token that
-    breaks the grammar, and more than ``MAX_TERM_DEPTH`` open brackets raise
-    ``TermDepthError``.
+    One loop over the tokens, writing the term's postfix tokens as it goes.
+    ``opened`` holds a frame for each bracket not yet closed: "" until its
+    left operand and operator are read, then the operator token, which is
+    written at the matching ")".  ``complete`` says whether a whole term has
+    been read that no frame has taken; while it is False a term must start.
+    Errors are raised at the first token that breaks the grammar, and more
+    than ``MAX_TERM_DEPTH`` open brackets raise ``TermDepthError``.
     """
-    opened: list[tuple] = []
-    term = None
+    opened: list[str] = []
+    postfix: list[str] = []
+    complete = False
     for match in _TOKEN.finditer(text):
         token = match.group()
-        if term is None:
+        if not complete:
             if token == "(":
                 if len(opened) == MAX_TERM_DEPTH:
                     raise TermDepthError("term nested too deeply")
-                opened.append(())
+                opened.append("")
             elif token == "j":
-                term = LEAF
+                postfix.append(token)
+                complete = True
             else:
                 raise TermParseError("expected 'j' or '('", match.start(), token)
         elif not opened:
@@ -335,30 +333,34 @@ def parse_term(text: str) -> LDTerm:
         elif not opened[-1]:
             if token not in (".", "o"):
                 raise TermParseError("expected '.' or 'o'", match.start(), token)
-            opened[-1] = (term, "dot" if token == "." else "circ")
-            term = None
+            opened[-1] = token
+            complete = False
         elif token == ")":
-            left, op = opened.pop()
-            term = LDTerm(op, left, term)
+            postfix.append(opened.pop())
         else:
             raise TermParseError("expected ')'", match.start(), token)
-    if term is None or (opened and not opened[-1]):
+    if not complete or (opened and not opened[-1]):
         raise TermParseError("unexpected end of input", len(text), "")
     if opened:
         raise TermParseError("expected ')'", len(text), "")
-    return term
+    return _term(tuple(postfix))
 
 
 def enumerate_terms(max_depth: int) -> list[LDTerm]:
-    """All dot/circle terms of depth at most max_depth."""
+    """All dot/circle terms of depth at most max_depth.
+
+    A pair of operands from depths 0 .. d-1 makes a term of depth exactly d
+    when one of them is from depth d-1, the last level listed.
+    """
     by_depth: list[list[LDTerm]] = [[LEAF]]
-    for d in range(1, max_depth + 1):
+    for _ in range(max_depth):
         shallow = [t for level in by_depth for t in level]
-        exact = []
-        for op in ("dot", "circ"):
-            for left in shallow:
-                for right in shallow:
-                    if max(left.depth(), right.depth()) == d - 1:
-                        exact.append(LDTerm(op, left, right))
-        by_depth.append(exact)
+        top = len(shallow) - len(by_depth[-1])
+        by_depth.append([
+            op(left, right)
+            for op in (dot, circ)
+            for i, left in enumerate(shallow)
+            for k, right in enumerate(shallow)
+            if max(i, k) >= top
+        ])
     return [t for level in by_depth for t in level]

@@ -39,7 +39,7 @@ from functools import lru_cache
 from itertools import chain, groupby
 from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Optional, Union
 
-from .freegroup import ParseError, _reduced, _token_offsets
+from .freegroup import DomainError, ParseError, _reduced, _token_offsets
 
 
 class Kind(Enum):
@@ -76,7 +76,7 @@ def _checked(i: int) -> int:
     return i
 
 
-class XLetterPresentError(ValueError):
+class XLetterPresentError(DomainError):
     """An operation restricted to braid words met an x letter."""
 
 

@@ -15,7 +15,7 @@ through ``sf_eval`` (s_i acts as the transposition of i and i+1).
 
 from __future__ import annotations
 
-from .freegroup import Cmp
+from .freegroup import BudgetError, Cmp
 from .words import RWord, x
 
 
@@ -114,12 +114,26 @@ class XSeq:
         return "(" + ",".join(str(n) for n in self.prefix) + ")"
 
 
+# ``s_of`` stores one entry per index up to the largest one, so its time,
+# memory and printed length follow the value of that index, not the length
+# of the word: x1000000 takes about 0.2 s and 90 MB.
+MAX_X_INDEX = 1 << 20
+
+
+class SequenceBudgetError(BudgetError):
+    """An S sequence would run past ``MAX_X_INDEX`` entries."""
+
+
 def s_of(w: XWord) -> XSeq:
     """The fiber-size sequence of p(w), read off the canonical form."""
     canon = x_canonicalize(w)
     if not canon.indices:
         return XSeq(())
     top = canon.indices[-1]
+    if top > MAX_X_INDEX:
+        raise SequenceBudgetError(
+            f"S sequence of {top} entries exceeds the budget of {MAX_X_INDEX}"
+        )
     counts = [1] * top
     for i in canon.indices:
         counts[i - 1] += 1

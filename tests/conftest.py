@@ -6,7 +6,7 @@ from hypothesis import settings
 
 from shrinkbraid import Cmp, Generator, Kind, RWord, XLetterPresentError, sigma, sigma_inv, x
 from shrinkbraid.freegroup import FLetter, FWord, reduce
-from shrinkbraid.ldops import _TOKEN, LEAF, LDTerm, TermParseError
+from shrinkbraid.ldops import _TOKEN, LEAF, LDTerm, TermParseError, _term, circ, dot
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -255,10 +255,27 @@ def recursive_parse_term(text: str) -> LDTerm:
             token = tokens[pos][0] if pos < len(tokens) else ""
             raise TermParseError("expected ')'", offset, token)
         pos += 1
-        return LDTerm("dot" if op_token == "." else "circ", left, right)
+        return (dot if op_token == "." else circ)(left, right)
 
     term = expect_term()
     if pos != len(tokens):
         token, offset = tokens[pos]
         raise TermParseError("trailing input after term", offset, token)
     return term
+
+
+# --- reference code: a term's tree, read off its postfix tokens ----------------
+
+
+def children(t: LDTerm) -> tuple:
+    """(op, left, right) of a term: op is "dot" or "circ", or all None for the leaf."""
+    postfix = t.postfix
+    if postfix == ("j",):
+        return None, None, None
+    # Scan back from the operator for the shortest suffix that is a whole term.
+    start, missing = len(postfix) - 1, 1
+    while missing:
+        start -= 1
+        missing += -1 if postfix[start] == "j" else 1
+    op = "dot" if postfix[-1] == "." else "circ"
+    return op, _term(postfix[:start]), _term(postfix[start:-1])

@@ -9,13 +9,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shrinkbraid import coloring, envelope, ldops, representation
+from shrinkbraid import coloring, envelope, ldops, representation, xmonoid
 from shrinkbraid.cli import _CMP_TEXT, run
-from shrinkbraid.coloring import StrandBudgetError
-from shrinkbraid.envelope import OrbitBudgetError
-from shrinkbraid.freegroup import BudgetError
+from shrinkbraid.coloring import InvalidStrandIndexError, RankMismatchError, StrandBudgetError
+from shrinkbraid.envelope import IndexOutOfRangeError, NotLeftDistributiveError, OrbitBudgetError
+from shrinkbraid.freegroup import BudgetError, DomainError
 from shrinkbraid.ldops import LEAF, RealizationBudgetError, TermDepthError, eval_term, parse_term
 from shrinkbraid.representation import ImageBudgetError
+from shrinkbraid.words import XLetterPresentError
+from shrinkbraid.xmonoid import SequenceBudgetError
 
 
 @pytest.fixture
@@ -143,6 +145,14 @@ class TestSxCanonAct:
         assert code == 1 and out == ""
         expected = f"expected a word in x letters only (offset {offset}, token {token!r})"
         assert err == f"error: {expected}\n"
+
+    def test_canon_index_budget_is_domain_error(self, capout):
+        # The S sequence would hold one entry per index up to 10^8.
+        start = time.monotonic()
+        code, out, err = capout("canon", "x100000000")
+        assert time.monotonic() - start < 1
+        assert code == 2 and out == ""
+        assert err == f"error: S sequence of 100000000 entries exceeds the budget of {1 << 20}\n"
 
     def test_act(self, capout):
         code, out, _ = capout("act", "s1", "e1")
@@ -309,6 +319,7 @@ class TestEnv:
     (ImageBudgetError, representation, "MAX_IMAGE_LETTERS", ["act", "s1 s1", "e1"]),
     (StrandBudgetError, coloring, "MAX_STRANDS", ["color", "3", "s1"]),
     (OrbitBudgetError, envelope, "MAX_ORBIT_STATES", ["env", "1,2,3,1", "3,1,2,3", "--op", "eq"]),
+    (SequenceBudgetError, xmonoid, "MAX_X_INDEX", ["canon", "x3"]),
 ])
 def test_budget_errors_share_one_base_and_exit_2(
     capout, monkeypatch, tmp_path, error, module, name, argv
@@ -318,6 +329,36 @@ def test_budget_errors_share_one_base_and_exit_2(
     if argv[0] == "env":
         table = tmp_path / "cyc3.txt"
         table.write_text("3\n1 3 2\n3 2 1\n2 1 3\n", encoding="utf-8")
+        argv = ["env", str(table), *argv[1:]]
+    code, out, err = capout(*argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_domain_errors_share_one_base():
+    for error in (
+        BudgetError,
+        XLetterPresentError,
+        NotLeftDistributiveError,
+        InvalidStrandIndexError,
+        RankMismatchError,
+        IndexOutOfRangeError,
+    ):
+        assert issubclass(error, DomainError) and issubclass(error, ValueError)
+    assert issubclass(IndexOutOfRangeError, IndexError)
+
+
+@pytest.mark.parametrize("argv", [
+    ["color", "2", "s3"],
+    ["env", "1", "1", "--op", "dot"],
+    ["ld", "((j . j) . j)"],
+    ["laver", "((j . j) . j)", "j"],
+])
+def test_domain_errors_exit_2(capout, monkeypatch, tmp_path, argv):
+    monkeypatch.setattr(ldops, "MAX_REALIZED_LETTERS", 2)
+    if argv[0] == "env":
+        table = tmp_path / "add3.txt"
+        table.write_text("3\n2 3 1\n3 1 2\n1 2 3\n", encoding="utf-8")  # not LD
         argv = ["env", str(table), *argv[1:]]
     code, out, err = capout(*argv)
     assert code == 2 and out == ""

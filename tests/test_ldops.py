@@ -41,6 +41,7 @@ from shrinkbraid.words import braid_inverse, free_cancel, sx_decompose
 from shrinkbraid.xmonoid import XWord, x_canonicalize
 
 from conftest import (
+    children,
     gen_braid_inverse,
     gen_free_cancel,
     gen_shift,
@@ -79,10 +80,11 @@ def rewriting_b_dot(a: BElement, c: BElement) -> BElement:
 
 
 def rewriting_eval(t: LDTerm) -> BElement:
-    if t.op is None:
+    op, left, right = children(t)
+    if op is None:
         return BElement(E, 1)
-    lhs, rhs = rewriting_eval(t.left), rewriting_eval(t.right)
-    return rewriting_b_dot(lhs, rhs) if t.op == "dot" else b_circ(lhs, rhs)
+    lhs, rhs = rewriting_eval(left), rewriting_eval(right)
+    return rewriting_b_dot(lhs, rhs) if op == "dot" else b_circ(lhs, rhs)
 
 
 def exact_depth_term(rng, depth: int) -> LDTerm:
@@ -482,6 +484,13 @@ SPOILED_TERMS = st.builds(
 )
 
 
+BUILT_TERMS = st.recursive(
+    st.just(LEAF),
+    lambda inner: st.builds(dot, inner, inner) | st.builds(circ, inner, inner),
+    max_leaves=8,
+)
+
+
 def parse_outcome(parse, text):
     """The parsed term's text, or the message, offset and token of the error."""
     try:
@@ -497,6 +506,31 @@ class TestTermGrammar:
 
     def test_leaf(self):
         assert parse_term("j") == LEAF
+
+    def test_postfix_format(self):
+        assert LEAF.postfix == ("j",)
+        assert parse_term("((j . j) o j)").postfix == ("j", "j", ".", "j", "o")
+        assert circ(dot(LEAF, LEAF), LEAF).postfix == ("j", "j", ".", "j", "o")
+        with pytest.raises(TypeError):
+            LDTerm()
+
+    def test_parse_builds_one_term(self, monkeypatch):
+        built = []
+        term = ldops._term
+
+        def counted(postfix):
+            built.append(postfix)
+            return term(postfix)
+
+        monkeypatch.setattr(ldops, "_term", counted)
+        parse_term("((j . j) o (j . (j o j)))")
+        assert len(built) == 1
+
+    @given(BUILT_TERMS)
+    def test_built_terms_match_their_parsed_text(self, t):
+        parsed = parse_term(str(t))
+        assert parsed == t and hash(parsed) == hash(t)
+        assert eval_term_b(parsed) == eval_term_b(t)
 
     @pytest.mark.parametrize("bad", ["", "(j j)", "(j .", "(j . j) extra", "k", "(j * j)"])
     def test_rejects(self, bad):
@@ -535,12 +569,14 @@ class TestTermGrammar:
 
     def test_depth_and_text_match_recursive_definitions(self):
         def depth(t):
-            return 0 if t.op is None else 1 + max(depth(t.left), depth(t.right))
+            op, left, right = children(t)
+            return 0 if op is None else 1 + max(depth(left), depth(right))
 
         def text(t):
-            if t.op is None:
+            op, left, right = children(t)
+            if op is None:
                 return "j"
-            return f"({text(t.left)} {'.' if t.op == 'dot' else 'o'} {text(t.right)})"
+            return f"({text(left)} {'.' if op == 'dot' else 'o'} {text(right)})"
 
         for t in enumerate_terms(3):
             assert t.depth() == depth(t)
@@ -549,9 +585,10 @@ class TestTermGrammar:
 
     def test_equality_is_structural(self):
         def same(s, t):
-            if s.op is None or t.op is None:
-                return s.op is t.op
-            return s.op == t.op and same(s.left, t.left) and same(s.right, t.right)
+            (s_op, s_left, s_right), (t_op, t_left, t_right) = children(s), children(t)
+            if s_op is None or t_op is None:
+                return s_op is t_op
+            return s_op == t_op and same(s_left, t_left) and same(s_right, t_right)
 
         terms = enumerate_terms(2)
         for s in terms:

@@ -1,9 +1,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from shrinkbraid import Cmp, cmp_L, morphism_eq
+from shrinkbraid import Cmp, cmp_L, morphism_eq, xmonoid
+from shrinkbraid.freegroup import BudgetError
 from shrinkbraid.words import parse_rword
 from shrinkbraid.xmonoid import (
+    SequenceBudgetError,
     XSeq,
     XWord,
     lex_cmp,
@@ -88,6 +90,18 @@ class TestSequenceInvariant:
             u = XWord(tuple(rng.randint(1, 5) for _ in range(rng.randrange(0, 6))))
             v = XWord(tuple(rng.randint(1, 5) for _ in range(rng.randrange(0, 6))))
             assert s_of(u * v).weight() == s_of(u).weight() + s_of(v).weight()
+
+    def test_index_budget(self, monkeypatch):
+        # The budget reads the canonical form: x5 x1 is x1 x4, 4 entries.
+        assert issubclass(SequenceBudgetError, BudgetError)
+        assert xmonoid.MAX_X_INDEX == 1 << 20
+        monkeypatch.setattr(xmonoid, "MAX_X_INDEX", 4)
+        assert s_of(xw(5, 1)) == XSeq((2, 1, 1, 2))
+        with pytest.raises(SequenceBudgetError) as info:
+            s_of(xw(1, 5))
+        assert str(info.value) == "S sequence of 5 entries exceeds the budget of 4"
+        with pytest.raises(SequenceBudgetError):
+            lex_cmp(xw(1), xw(5))
 
 
 class TestSeqCompose:
