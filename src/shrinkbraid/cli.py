@@ -21,7 +21,7 @@ import sys
 from typing import Sequence
 
 from .coloring import color
-from .envelope import load_table
+from .envelope import _ascii_int, load_table
 from .freegroup import Cmp, DomainError, _token_offsets, parse_fword
 from .ldops import eval_term, laver_cmp, parse_term
 from .representation import apply_word, cmp_L, morphism_eq
@@ -43,7 +43,7 @@ def _parse_xword(text: str) -> XWord:
 
 def _parse_env_seq(text: str) -> tuple[int, ...]:
     try:
-        seq = tuple(int(part) for part in text.split(",") if part.strip() != "")
+        seq = tuple(_ascii_int(part) for part in text.split(",") if part.strip() != "")
     except ValueError:
         raise ValueError(f"sequence must be comma-separated integers, got {text!r}")
     if not seq:

@@ -23,6 +23,11 @@ to a common sequence.  ``orbit_eq`` decides this in two stages:
 - Search.  Otherwise both orbits grow breadth first, one layer at a time,
   always on the side with the smaller frontier, and the search answers Yes
   at the first state the two sides share.  No needs both orbits closed.
+  The search runs on sequences coded as ints: entry a_i - 1 sits in bits
+  [b*i, b*(i+1)), with b = max(1, (n-1).bit_length()) for n elements and i
+  from 0.  The table builds ``_steps`` once: for the code p of a pair
+  (a, b), p + _steps[p] is the code of (a.b, a).  So sigma_(i+1) on a code
+  is one shift, one mask, one lookup and one add, and a state is an int.
 
 The invariants do not separate every pair (on a cyclic table a constant
 sequence is fixed by every sigma_i and shares its translation map with
@@ -42,8 +47,8 @@ from typing import Sequence, Union
 from .freegroup import BudgetError, DomainError
 EnvElement = tuple[int, ...]
 
-# States ``orbit_eq`` may hold in its two searches together.  The largest
-# orbit in the benchmark's envelope workload has about 23k states.
+# States ``orbit`` may hold, and ``orbit_eq`` in its two searches together.
+# The largest orbit in the benchmark's envelope workload has about 23k states.
 MAX_ORBIT_STATES = 1 << 18
 
 
@@ -72,13 +77,13 @@ class IndexOutOfRangeError(DomainError, IndexError):
 
 
 class OrbitBudgetError(BudgetError):
-    """``orbit_eq`` held more than ``MAX_ORBIT_STATES`` states undecided."""
+    """``orbit`` or ``orbit_eq`` held more than ``MAX_ORBIT_STATES`` states."""
 
 
 class LDTable:
     """A finite left-distributive magma on elements 1..size."""
 
-    __slots__ = ("size", "table")
+    __slots__ = ("size", "table", "_bits", "_steps")
 
     def __init__(self, table: Sequence[Sequence[int]]):
         self.size = len(table)
@@ -99,6 +104,14 @@ class LDTable:
                 for c in range(1, self.size + 1):
                     if self.dot(a, self.dot(b, c)) != self.dot(ab, self.dot(a, c)):
                         raise NotLeftDistributiveError(a, b, c)
+        # The search's sigma step (module docstring): for the code p of a pair
+        # (a, b), p + steps[p] is the code of (a.b, a).
+        bits = self._bits = max(1, (self.size - 1).bit_length())
+        steps = [0] * (((self.size - 1) << bits) + self.size)
+        for a in self.elements():
+            for b in self.elements():
+                steps[a - 1 | (b - 1) << bits] = self.dot(a, b) - a + ((a - b) << bits)
+        self._steps = steps
 
     def dot(self, a: int, b: int) -> int:
         return self.table[a - 1][b - 1]
@@ -133,7 +146,11 @@ class LDTable:
         return u + v
 
     def orbit(self, s: EnvElement, depth: Union[int, None] = None) -> tuple[set[EnvElement], bool]:
-        """Reachable set under sigma actions; (set, whether it is complete)."""
+        """Reachable set under sigma actions; (set, whether it is complete).
+
+        Raises ``OrbitBudgetError`` once the set holds more than
+        ``MAX_ORBIT_STATES`` states.
+        """
         seen = {s}
         frontier = [s]
         steps = 0
@@ -148,6 +165,8 @@ class LDTable:
                     if image not in seen:
                         seen.add(image)
                         new.append(image)
+                        if len(seen) > MAX_ORBIT_STATES:
+                            raise OrbitBudgetError(f"orbit passed {MAX_ORBIT_STATES} states")
             frontier = new
         return seen, True
 
@@ -175,10 +194,12 @@ class LDTable:
             return OrbitResult.YES
         if self._translation(u) != self._translation(v):
             return OrbitResult.NO
-        rows = self.table
-        positions = range(len(u) - 1)
-        seen = ({u}, {v})
-        frontiers = [[u], [v]]
+        steps, bits = self._steps, self._bits
+        mask = (1 << 2 * bits) - 1
+        shifts = range(0, bits * (len(u) - 1), bits)
+        cu, cv = self._code(u), self._code(v)
+        seen = ({cu}, {cv})
+        frontiers = [[cu], [cv]]
         layers = [0, 0]
         while True:
             # A side with an empty frontier has closed its orbit.
@@ -192,10 +213,9 @@ class LDTable:
             mine, other = seen[k], seen[1 - k]
             room = MAX_ORBIT_STATES - len(other)
             new = []
-            for seq in frontiers[k]:
-                for i in positions:
-                    a = seq[i]
-                    image = seq[:i] + (rows[a - 1][seq[i + 1] - 1], a) + seq[i + 2 :]
+            for code in frontiers[k]:
+                for shift in shifts:
+                    image = code + (steps[code >> shift & mask] << shift)
                     if image in mine:
                         continue
                     if image in other:
@@ -208,6 +228,13 @@ class LDTable:
                         )
             frontiers[k] = new
             layers[k] += 1
+
+    def _code(self, s: EnvElement) -> int:
+        """s as one int: entry a_i - 1 in bits [bits*i, bits*(i+1)), i from 0."""
+        bits, code = self._bits, 0
+        for a in reversed(s):
+            code = code << bits | a - 1
+        return code
 
     def _translate(self, s: EnvElement, c: int) -> int:
         """a_1.(a_2.( ... (a_n.c))) for s = (a_1, ..., a_n)."""
@@ -254,13 +281,26 @@ def cyclic_table(n: int) -> LDTable:
     )
 
 
+def _ascii_int(text: str) -> int:
+    """The int that ``text``, stripped, spells as -?[0-9]+ in ASCII digits.
+
+    Raises ValueError otherwise: ``int`` alone would also read other
+    scripts' digits, underscores and a plus sign.
+    """
+    text = text.strip()
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)
+
+
 def parse_table(text: str) -> LDTable:
     """Line 1: size n; then n rows of n entries in 1..n (row a, column b)."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty table file")
     try:
-        size = int(lines[0].strip())
+        size = _ascii_int(lines[0])
     except ValueError:
         raise ValueError(f"first line must be the size, got {lines[0]!r}")
     if len(lines) != size + 1:
@@ -269,7 +309,7 @@ def parse_table(text: str) -> LDTable:
     for line in lines[1:]:
         entries = line.split()
         try:
-            rows.append(tuple(int(e) for e in entries))
+            rows.append(tuple(_ascii_int(e) for e in entries))
         except ValueError:
             raise ValueError(f"non-integer entry in row {line!r}")
     return LDTable(rows)

@@ -49,7 +49,6 @@ unavoidable complement (see the freegroup module's orientation note).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
 
@@ -77,17 +76,38 @@ def ld_circ(a: RWord, b: RWord) -> RWord:
     return _rword((*a.codes, *_shifted(b.codes, 1), (1,)), 1)
 
 
-@dataclass(frozen=True)
 class BElement:
-    """A braid-with-power pair (a, n) denoting the element a x_1^{n-1}."""
+    """A braid-with-power pair (a, n) denoting the element a x_1^{n-1}.
 
-    braid: RWord
-    n: int
+    Immutable: both fields are fixed at construction.
+    """
 
-    def __post_init__(self) -> None:
-        _require_braid(self.braid, "BElement")
-        if self.n < 1:
+    __slots__ = ("braid", "n")
+
+    def __init__(self, braid: RWord, n: int):
+        _require_braid(braid, "BElement")
+        if n < 1:
             raise ValueError("power must be >= 1")
+        object.__setattr__(self, "braid", braid)
+        object.__setattr__(self, "n", n)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, BElement) and self.n == other.n and self.braid == other.braid
+
+    def __hash__(self) -> int:
+        return hash((self.braid, self.n))
+
+    def __repr__(self) -> str:
+        return f"BElement(braid={self.braid!r}, n={self.n!r})"
+
+    def __reduce__(self) -> tuple:
+        return BElement, (self.braid, self.n)
 
     def realize(self) -> RWord:
         return _rword(self.braid.codes + ((1,),) * (self.n - 1), self.n - 1)

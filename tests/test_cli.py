@@ -312,6 +312,35 @@ class TestEnv:
         code, _, err = capout("env", "/nonexistent/t.txt", "1", "1", "--op", "dot")
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize("seq", ["\u0661,\u0662", "1_0", "+1", "1,\u00b2", "1.0"])
+    def test_sequence_digits_are_ascii(self, capout, table_file, seq):
+        # int() alone reads Arabic-Indic digits, underscores and a plus sign.
+        code, out, err = capout("env", table_file, seq, "1", "--op", "circ")
+        assert code == 1 and out == ""
+        assert err == f"error: sequence must be comma-separated integers, got {seq!r}\n"
+
+    def test_sequence_parts_may_be_spaced(self, capout, table_file):
+        code, out, _ = capout("env", table_file, " 1 , 2 ,", "3", "--op", "circ")
+        assert code == 0 and out == "1,2,3\n"
+
+    def test_negative_entry_is_out_of_range(self, capout, table_file):
+        code, out, err = capout("env", table_file, "-1", "1", "--op", "circ")
+        assert code == 1 and out == ""
+        assert err == "error: element -1 outside 1..3\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("\u0663\n1 3 2\n3 2 1\n2 1 3\n", "error: first line must be the size, got '\u0663'\n"),
+        ("3_0\n1 3 2\n3 2 1\n2 1 3\n", "error: first line must be the size, got '3_0'\n"),
+        ("3\n1 3 2\n3 2 1\n2 1 \u0663\n", "error: non-integer entry in row '2 1 \u0663'\n"),
+        ("3\n1 3 2\n3 2 1\n2 1 +3\n", "error: non-integer entry in row '2 1 +3'\n"),
+    ])
+    def test_table_digits_are_ascii(self, capout, tmp_path, text, message):
+        path = tmp_path / "t.txt"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = capout("env", str(path), "1", "1", "--op", "dot")
+        assert code == 1 and out == ""
+        assert err == message
+
 
 @pytest.mark.parametrize("error, module, name, argv", [
     (RealizationBudgetError, ldops, "MAX_REALIZED_LETTERS", ["ld", "((j . j) . j)"]),

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -93,6 +95,30 @@ class TestColorBasics:
 
     def test_empty_word_is_identity(self):
         assert color(RWord.identity(), 4) == ColoredMorphism.identity_on(4)
+
+    def test_value_semantics(self):
+        morphism = color(parse_rword("s1 x1"), 2)
+        same = ColoredMorphism(1, 2, (fw("e1 e2"),))
+        assert morphism == same and hash(morphism) == hash(same)
+        assert morphism != ColoredMorphism.identity_on(1)
+        assert morphism != (1, 2, morphism.images)
+        assert repr(morphism) == "ColoredMorphism(source_rank=1, target_rank=2, images=(FWord('e1 e2'),))"
+        assert pickle.loads(pickle.dumps(morphism)) == morphism
+
+    def test_fields_are_read_only(self):
+        morphism = ColoredMorphism.identity_on(2)
+        for name in ("source_rank", "target_rank", "images"):
+            with pytest.raises(AttributeError):
+                setattr(morphism, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(morphism, name)
+        assert morphism == ColoredMorphism.identity_on(2)
+
+    def test_constructor_checks(self):
+        with pytest.raises(ValueError, match="one image per source generator required"):
+            ColoredMorphism(2, 2, (fw("e1"),))
+        with pytest.raises(ValueError, match="image uses generators beyond the target rank"):
+            ColoredMorphism(1, 1, (fw("e2"),))
 
     def test_strand_bookkeeping(self):
         morphism = color(parse_rword("x1 x1"), 3)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -225,10 +227,54 @@ ORACLE_TABLES = {
     "C3": cyclic_table(3),
     "C4": cyclic_table(4),
     "C5": cyclic_table(5),
+    "C7": cyclic_table(7),
     "A2": laver_table(2),
     "A3": laver_table(3),
     "rack2": LDTable([[2, 1], [2, 1]]),  # a.b swaps b: every row the same
 }
+
+
+def decode(table, code, length):
+    """The sequence whose ``LDTable._code`` is ``code``."""
+    mask = (1 << table._bits) - 1
+    return tuple((code >> table._bits * i & mask) + 1 for i in range(length))
+
+
+# C7 and C9 take 3 and 4 bits an entry with sizes that are not powers of two.
+CODED_TABLES = {**ORACLE_TABLES, "one": one_element_table(), "C9": cyclic_table(9)}
+
+
+@pytest.mark.parametrize("name", sorted(CODED_TABLES))
+def test_coded_step_is_sigma_action(name):
+    # orbit_eq applies sigma_(i+1) to a code as one add of a table entry.
+    table = CODED_TABLES[name]
+    bits, steps = table._bits, table._steps
+    mask = (1 << 2 * bits) - 1
+    for length in (2, 3, 4):
+        for s in itertools.product(table.elements(), repeat=length):
+            code = table._code(s)
+            assert decode(table, code, length) == s
+            for i in range(length - 1):
+                shift = bits * i
+                image = code + (steps[code >> shift & mask] << shift)
+                assert decode(table, image, length) == table.sigma_action(i + 1, s)
+
+
+def test_orbit_budget(monkeypatch):
+    t = cyclic_table(3)
+    v = (2, 2, 2, 2, 3, 3)
+    monkeypatch.setattr(envelope, "MAX_ORBIT_STATES", 240)
+    states, complete = t.orbit(v)
+    assert len(states) == 240 and complete
+    monkeypatch.setattr(envelope, "MAX_ORBIT_STATES", 239)
+    with pytest.raises(OrbitBudgetError, match="orbit passed 239 states"):
+        t.orbit(v)
+    # Only sigma_4 moves v, so one layer stays under any budget.
+    assert t.orbit(v, 1) == ({v, t.sigma_action(4, v)}, False)
+    # A 12-entry sequence over C7 has an orbit of about 7^11 states.
+    monkeypatch.setattr(envelope, "MAX_ORBIT_STATES", 100)
+    with pytest.raises(OrbitBudgetError):
+        cyclic_table(7).orbit((2, 5, 7, 7, 7, 1, 3, 1, 4, 7, 4, 4))
 
 
 def oracle_orbit_eq(table, u, v, depth):

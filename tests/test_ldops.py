@@ -186,6 +186,27 @@ class TestBElement:
     def test_realize(self):
         assert BElement(parse_rword("s1"), 3).realize() == parse_rword("s1 x1 x1")
 
+    def test_value_semantics(self):
+        a = BElement(parse_rword("s1"), 3)
+        b = BElement(parse_rword("s1"), 3)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != BElement(parse_rword("s1"), 2) and a != BElement(E, 3)
+        assert a != (parse_rword("s1"), 3)
+        assert repr(a) == "BElement(braid=RWord('s1'), n=3)"
+        assert pickle.loads(pickle.dumps(a)) == a
+
+    def test_fields_are_read_only(self):
+        a = BElement(parse_rword("s1"), 3)
+        with pytest.raises(AttributeError):
+            a.n = 0
+        with pytest.raises(AttributeError):
+            a.braid = parse_rword("x1")
+        with pytest.raises(AttributeError):
+            del a.n
+        with pytest.raises(AttributeError):
+            a.extra = 1
+        assert (a.braid, a.n) == (parse_rword("s1"), 3)
+
     def test_b_circ_examples(self):
         assert b_circ(BElement(E, 1), BElement(E, 1)) == BElement(E, 2)
         assert b_circ(BElement(E, 2), BElement(E, 1)) == BElement(E, 3)
