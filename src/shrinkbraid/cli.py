@@ -7,10 +7,12 @@ and the budget errors, which share the base ``freegroup.BudgetError``: term
 nested past its bracket budget, realized term word over its letter budget,
 free-group image or color over its letter budget, S sequence over its index
 budget, coloring over its strand budget, envelope orbit search over its
-state budget).  A parse error (``freegroup.ParseError``) names the offset
-and text of the offending token; ``canon`` reports the first sigma letter
-of its x word that way.  The argument parser is built once, at import, and
-every ``run`` call reuses it.
+state budget, LD table over its size budget).  A parse error
+(``freegroup.ParseError``) names the offset and text of the offending
+token; ``canon`` reports the first sigma letter of its x word that way.
+Integer arguments (the strand count and ``--depth``), like sequence
+entries and table files, take ASCII digits only.  The argument parser is
+built once, at import, and every ``run`` call reuses it.
 Output is deterministic, LF-terminated UTF-8.
 """
 
@@ -22,7 +24,7 @@ from typing import Sequence
 
 from .coloring import color
 from .envelope import _ascii_int, load_table
-from .freegroup import Cmp, DomainError, _token_offsets, parse_fword
+from .freegroup import Cmp, DomainError, _raise_first, parse_fword
 from .ldops import eval_term, laver_cmp, parse_term
 from .representation import apply_word, cmp_L, morphism_eq
 from .words import RWordParseError, parse_rword, sx_decompose
@@ -35,9 +37,8 @@ _CMP_TEXT = {Cmp.LESS: "LT", Cmp.EQUAL: "EQ", Cmp.GREATER: "GT"}
 def _parse_xword(text: str) -> XWord:
     """Parse an x word; a sigma letter is an error at its own offset."""
     word = parse_rword(text)
-    for (offset, token), code in zip(_token_offsets(text), word.codes):
-        if type(code) is int:
-            raise RWordParseError("expected a word in x letters only", offset, token)
+    sigmas = ["expected a word in x letters only" if type(c) is int else c for c in word.codes]
+    _raise_first(text, sigmas, RWordParseError)
     return XWord.from_rword(word)
 
 
@@ -84,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("t2")
 
     p = sub.add_parser("color", help="color a multi-braid word on N strands")
-    p.add_argument("strands", type=int)
+    p.add_argument("strands", type=_ascii_int)
     p.add_argument("w")
 
     p = sub.add_parser("env", help="envelope operations over an LD table file")
@@ -92,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("seq1")
     p.add_argument("seq2")
     p.add_argument("--op", choices=("dot", "circ", "eq"), required=True)
-    p.add_argument("--depth", type=int, default=None,
+    p.add_argument("--depth", type=_ascii_int, default=None,
                    help="search budget for --op eq (default: exact closure)")
     return parser
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from . import representation
 from .freegroup import BudgetError, DomainError, FWord, finv, fmul
-from .words import RWord, _generator
+from .words import RWord, _text
 
 
 class InvalidStrandIndexError(DomainError):
@@ -116,7 +116,7 @@ def color(w: RWord, n_top: int) -> ColoredMorphism:
         i = c[0] if type(c) is tuple else c if c > 0 else -c
         if i >= len(colors):
             raise InvalidStrandIndexError(
-                f"letter {_generator(c)} needs strands {i},{i + 1} but only {len(colors)} remain"
+                f"letter {_text(c)} needs strands {i},{i + 1} but only {len(colors)} remain"
             )
         left, right = colors[i - 1], colors[i]
         if type(c) is tuple:

@@ -2,7 +2,8 @@
 
 A finite LD system is a size-n magma table satisfying left distributivity
 a.(b.c) = (a.b).(a.c); the loader rejects anything else, naming a violating
-triple.  The envelope consists of nonempty sequences of table elements, with
+triple, and raises ``TableBudgetError`` on more than ``MAX_TABLE_SIZE``
+elements.  The envelope consists of nonempty sequences of table elements, with
 
     circle = concatenation,
     dot    = (a_1 ... a_n) . (b_1 ... b_m) = (abar.b_1, ..., abar.b_m)
@@ -41,6 +42,7 @@ search reached that many layers before the sides met or both orbits closed.
 from __future__ import annotations
 
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -50,6 +52,12 @@ EnvElement = tuple[int, ...]
 # States ``orbit`` may hold, and ``orbit_eq`` in its two searches together.
 # The largest orbit in the benchmark's envelope workload has about 23k states.
 MAX_ORBIT_STATES = 1 << 18
+
+# Elements a table may have.  The left-distributivity check is cubic in the
+# size: ``cyclic_table(256)`` took about 0.7 s (0.12 s at 150), and
+# ``parse_table`` on its 234 KB text about 0.85 s, on a shared 2-core x86-64
+# VM.  A 1,000-element table would take about 40 s (extrapolated).
+MAX_TABLE_SIZE = 1 << 8
 
 
 class OrbitResult(Enum):
@@ -80,6 +88,15 @@ class OrbitBudgetError(BudgetError):
     """``orbit`` or ``orbit_eq`` held more than ``MAX_ORBIT_STATES`` states."""
 
 
+class TableBudgetError(BudgetError):
+    """A table has more than ``MAX_TABLE_SIZE`` elements."""
+
+
+def _check_size(size: int) -> None:
+    if size > MAX_TABLE_SIZE:
+        raise TableBudgetError(f"table of {size} elements exceeds the budget of {MAX_TABLE_SIZE}")
+
+
 class LDTable:
     """A finite left-distributive magma on elements 1..size."""
 
@@ -89,6 +106,7 @@ class LDTable:
         self.size = len(table)
         if self.size < 1:
             raise ValueError("table must be nonempty")
+        _check_size(self.size)
         rows = []
         for row in table:
             if len(row) != self.size:
@@ -98,12 +116,18 @@ class LDTable:
                     raise ValueError(f"entry {entry} outside 1..{self.size}")
             rows.append(tuple(row))
         self.table = tuple(rows)
-        for a in range(1, self.size + 1):
-            for b in range(1, self.size + 1):
-                ab = self.dot(a, b)
-                for c in range(1, self.size + 1):
-                    if self.dot(a, self.dot(b, c)) != self.dot(ab, self.dot(a, c)):
-                        raise NotLeftDistributiveError(a, b, c)
+        # a.(b.c) = (a.b).(a.c) for every c says L_a o L_b = L_{a.b} o L_a,
+        # with L_a the map c -> a.c.  after[a - 1] reads a row at the entries
+        # of row a, so after[b - 1](row a) is L_a o L_b.  For a 1-element
+        # table the getters return one int, and that table is LD.
+        after = [itemgetter(*[c - 1 for c in row]) for row in rows]
+        for a, row_a in enumerate(rows, 1):
+            for b, ab in enumerate(row_a, 1):
+                left = after[b - 1](row_a)
+                right = after[a - 1](rows[ab - 1])
+                if left != right:
+                    c = next(c for c in range(self.size) if left[c] != right[c])
+                    raise NotLeftDistributiveError(a, b, c + 1)
         # The search's sigma step (module docstring): for the code p of a pair
         # (a, b), p + steps[p] is the code of (a.b, a).
         bits = self._bits = max(1, (self.size - 1).bit_length())
@@ -303,6 +327,7 @@ def parse_table(text: str) -> LDTable:
         size = _ascii_int(lines[0])
     except ValueError:
         raise ValueError(f"first line must be the size, got {lines[0]!r}")
+    _check_size(size)
     if len(lines) != size + 1:
         raise ValueError(f"expected {size} rows after the size line, got {len(lines) - 1}")
     rows = []

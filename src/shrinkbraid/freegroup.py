@@ -6,12 +6,14 @@ Conventions:
   identity and is dropped at construction time.
 - Words are always kept freely reduced; the empty word is the identity.
 - An ``FWord`` stores one tuple of nonzero ints, ``ints``: e_k is k and
-  e_k^-1 is -k.  Every operation here reads and writes that tuple; the
-  ``letters`` property decodes it to ``FLetter`` pairs for callers that want
-  them, and ``FWord(letters)``, ``reduce`` and ``parse_fword`` encode them.
-  ``_reduced`` is the one free-cancellation stack for signed-int words;
-  braid words share it through their letter codes (s_i is i, s_i^-1 is -i;
-  see ``words``), in ``words.free_cancel`` and the kernel of ``ldops``.
+  e_k^-1 is -k.  Every operation here reads and writes that tuple.
+  ``FLetter`` exists only at the public boundary: the ``letters`` property
+  decodes the ints to ``FLetter`` pairs for callers that want them, and
+  ``FWord(letters)`` and ``reduce`` encode them.  ``parse_fword`` reads
+  text straight to ints.  ``_reduced`` is the one free-cancellation stack
+  for signed-int words; braid words share it through their letter codes
+  (s_i is i, s_i^-1 is -i; see ``words``), in ``words.free_cancel``, the
+  image kernel of ``representation`` and the kernel of ``ldops``.
 - ``DomainError`` is the base of the typed errors for input that parses but
   lies outside an operation's domain; the command line maps it, and only
   it, to exit code 2.  ``BudgetError``, one of them, is the base of the
@@ -20,8 +22,10 @@ Conventions:
   base of the three grammars' errors (free-group words here, R words in
   ``words``, LD terms in ``ldops``): it carries the offset and text of the
   bad token, and the command line maps it to exit code 1.
-  ``_token_offsets`` finds the offset of each token of a word's text for
-  the first two.
+  The first two share one token reader: ``_read_token`` reads a token
+  head<ASCII digits>[^-1] or names its error, and ``_raise_first`` raises
+  the grammar's error at the first bad token, with the offset that
+  ``_token_offsets`` finds.
 - ``curve_cmp`` is the linear order obtained by encoding elements of F_n as
   homotopy classes of arcs across a slit disk and ordering their lifted
   endpoints along the boundary of the universal cover.  Combinatorially it is
@@ -258,26 +262,40 @@ def _token_offsets(text: str) -> Iterator[tuple[int, str]]:
         pos += len(token)
 
 
+def _read_token(token: str, heads: str, shape: str) -> tuple[str, int, bool] | str:
+    """(head, index, inverse) of a token head<ASCII digits>[^-1], or its error message.
+
+    ``heads`` holds the one-character heads the grammar allows and ``shape``
+    is its message for a token of any other form.
+    """
+    inverse = token.endswith("^-1")
+    body = token[:-3] if inverse else token
+    digits = body[1:]
+    if len(body) < 2 or body[0] not in heads or not (digits.isascii() and digits.isdigit()):
+        return shape
+    try:
+        index = int(digits)
+    except ValueError:  # more digits than int() converts from text
+        return "generator index has too many digits"
+    if index < 1:
+        return "generator index must be >= 1"
+    return body[0], index, inverse
+
+
+def _raise_first(text: str, results: Iterable[object], error: type[ParseError]) -> None:
+    """Raise ``error`` at the first token of ``text`` whose result is a message."""
+    for (offset, token), result in zip(_token_offsets(text), results):
+        if type(result) is str:
+            raise error(result, offset, token)
+
+
 def parse_fword(text: str) -> FWord:
     """Parse the grammar: token := "e" digits ["^-1"]; empty = identity.
 
-    Digits are ASCII 0-9 only.
+    Digits are ASCII 0-9 only.  Each token is read to its signed int, so no
+    letter is built.
     """
-    letters = []
-    for offset, token in _token_offsets(text):
-        body = token
-        sign = 1
-        if body.endswith("^-1"):
-            sign = -1
-            body = body[:-3]
-        digits = body[1:]
-        if not body.startswith("e") or not (digits.isascii() and digits.isdigit()):
-            raise FWordParseError("expected e<digits>[^-1]", offset, token)
-        try:
-            index = int(digits)
-        except ValueError:  # more digits than int() converts from text
-            raise FWordParseError("generator index has too many digits", offset, token)
-        if index < 1:
-            raise FWordParseError("generator index must be >= 1", offset, token)
-        letters.append(FLetter(index, sign))
-    return reduce(letters)
+    read = [_read_token(token, "e", "expected e<digits>[^-1]") for token in text.split()]
+    if str in map(type, read):
+        _raise_first(text, read, FWordParseError)
+    return _word(_reduced([-index if inverse else index for _, index, inverse in read]))

@@ -17,7 +17,12 @@ largest letter index of a word follow the pure-shift tail
 e_j -> e_{j + xCount}, so sampling one point beyond that index decides
 equality.  ``_images_cmp`` runs that scan, the only one here: it is the
 oracle, and it decides every order query on a word with an x letter and every
-equality query on a word outside the shape b x_1^k below.
+equality query on a word outside the shape b x_1^k below.  The scan runs on
+letter codes (s_i is i, s_i^-1 is -i, x_i is (i,); see ``words``) and on the
+signed ints of free-group words: ``_image`` maps one code and one reduced
+tuple of ints to the image tuple, and ``apply_word`` folds it over a word's
+codes, so no letter is decoded.  The public ``apply_gen`` is ``_image`` on
+one ``Generator``'s code.
 
 Braid words take a fast path.  Free-group images grow exponentially with word
 length, but the bit length of a braid's Dynnikov coordinates grows linearly,
@@ -68,32 +73,35 @@ from operator import neg
 from typing import Iterable
 
 from .freegroup import BudgetError, Cmp, FWord, _reduced, _word, curve_cmp
-from .words import Generator, Kind, RWord, XLetterPresentError, _rword
+from .words import Code, Generator, RWord, XLetterPresentError, _code, _rword
 
 _X1 = (1,)  # the code of x_1
 
 
-def apply_gen(g: Generator, w: FWord) -> FWord:
-    """Image of a reduced word under one generator's endomorphism."""
-    i = g.index
-    if g.kind is Kind.X:  # index map is monotone, stays reduced
-        return _word(tuple([e + 1 if e >= i else e - 1 if e <= -i else e for e in w.ints]))
-    if g.kind is Kind.SIGMA:
-        image = (i - 1, -i, i + 1)
-    else:
-        image = (i + 1, -i, i - 1)
+def _image(c: Code, ints: tuple[int, ...]) -> tuple[int, ...]:
+    """The image of the reduced word ``ints`` under the letter with code ``c``."""
+    if type(c) is tuple:  # x_i: the index map is monotone, so the image stays reduced
+        i = c[0]
+        return tuple([e + 1 if e >= i else e - 1 if e <= -i else e for e in ints])
+    i = c if c > 0 else -c
+    image = (i - 1, -i, i + 1) if c > 0 else (i + 1, -i, i - 1)
     if i == 1:  # e_0 is the identity
         image = tuple([e for e in image if e])
     inverse = tuple([-e for e in reversed(image)])
     out: list[int] = []
-    for e in w.ints:
+    for e in ints:
         if e == i:
             out += image
         elif e == -i:
             out += inverse
         else:
             out.append(e)
-    return _word(_reduced(out))
+    return _reduced(out)
+
+
+def apply_gen(g: Generator, w: FWord) -> FWord:
+    """Image of a reduced word under one generator's endomorphism."""
+    return _word(_image(_code(g), w.ints))
 
 
 # Images grow exponentially with word length: without a bound, the scan for
@@ -110,18 +118,20 @@ class ImageBudgetError(BudgetError):
 def apply_word(w: RWord, u: FWord) -> FWord:
     """Apply a word letter by letter, rightmost letter first.
 
-    Raises ``ImageBudgetError`` as soon as an intermediate image has more
-    than ``MAX_IMAGE_LETTERS`` letters, so ``_images_cmp`` is bounded too.
-    The word is decoded to ``Generator`` letters once per call.
+    Reads the word's letter codes and the image's ints, and wraps the last
+    image in an ``FWord`` once.  Raises ``ImageBudgetError`` as soon as an
+    intermediate image has more than ``MAX_IMAGE_LETTERS`` letters, so
+    ``_images_cmp`` is bounded too.
     """
     budget = MAX_IMAGE_LETTERS
-    for g in reversed(w.letters):
-        u = apply_gen(g, u)
-        if len(u) > budget:
+    ints = u.ints
+    for c in reversed(w.codes):
+        ints = _image(c, ints)
+        if len(ints) > budget:
             raise ImageBudgetError(
-                f"free-group image of {len(u)} letters exceeds the budget of {budget}"
+                f"free-group image of {len(ints)} letters exceeds the budget of {budget}"
             )
-    return u
+    return _word(ints)
 
 
 def _tail_start(u: RWord, v: RWord) -> int:

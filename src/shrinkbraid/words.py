@@ -26,10 +26,14 @@ number of x letters, ``xs``, both fixed at construction, so ``is_braid``
 and ``x_count`` read a stored int.  The codes are s_i = i, s_i^-1 = -i and
 x_i = (i,) (see ``Code`` below); a braid word's codes are the signed ints
 that ``freegroup._reduced``, ``representation._act`` and the kernels of
-``ldops`` read directly.  Every operation here, ``_RELATIONS`` included,
-reads and writes codes.  ``Generator``, ``sigma``, ``sigma_inv``, ``x`` and
-``RWord(generators)`` are the public boundary: the constructor encodes, and
-the read-only ``letters`` property decodes.
+``ldops`` read directly, and ``representation.apply_word`` maps every code
+to its free-group image.  Every operation here, ``_RELATIONS`` included,
+reads and writes codes: ``parse_rword`` reads text straight to codes, and
+``_text`` spells a code back for ``str`` and error messages.
+``Generator``, ``Kind``, ``sigma``, ``sigma_inv``, ``x`` and
+``RWord(generators)`` are the public boundary, which no other module of
+the library uses (the package only re-exports them): the constructor
+encodes, and the read-only ``letters`` property decodes.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from functools import lru_cache
 from itertools import chain, groupby
 from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Optional, Union
 
-from .freegroup import DomainError, ParseError, _reduced, _token_offsets
+from .freegroup import DomainError, ParseError, _raise_first, _read_token, _reduced
 
 
 class Kind(Enum):
@@ -53,11 +57,7 @@ class Generator(NamedTuple):
     index: int
 
     def __str__(self) -> str:
-        if self.kind is Kind.SIGMA:
-            return f"s{self.index}"
-        if self.kind is Kind.SIGMA_INV:
-            return f"s{self.index}^-1"
-        return f"x{self.index}"
+        return _text(_code(self))
 
 
 def sigma(i: int) -> Generator:
@@ -93,10 +93,11 @@ def _code(g: Generator) -> Code:
     return i if kind is Kind.SIGMA else -i if kind is Kind.SIGMA_INV else (i,)
 
 
-def _generator(c: Code) -> Generator:
+def _text(c: Code) -> str:
+    """The letter a code stands for, as the word grammar spells it."""
     if type(c) is tuple:
-        return Generator(Kind.X, c[0])
-    return Generator(Kind.SIGMA, c) if c > 0 else Generator(Kind.SIGMA_INV, -c)
+        return f"x{c[0]}"
+    return f"s{c}" if c > 0 else f"s{-c}^-1"
 
 
 def _rword(codes: tuple[Code, ...], xs: int) -> "RWord":
@@ -123,7 +124,11 @@ class RWord:
     @property
     def letters(self) -> tuple[Generator, ...]:
         """The word as ``Generator`` letters, decoded from ``codes``."""
-        return tuple([_generator(c) for c in self.codes])
+        return tuple([
+            Generator(Kind.X, c[0]) if type(c) is tuple
+            else Generator(Kind.SIGMA, c) if c > 0 else Generator(Kind.SIGMA_INV, -c)
+            for c in self.codes
+        ])
 
     @staticmethod
     def identity() -> "RWord":
@@ -148,7 +153,7 @@ class RWord:
         return f"RWord({str(self)!r})"
 
     def __str__(self) -> str:
-        return " ".join(map(str, self.letters))
+        return " ".join(map(_text, self.codes))
 
     def max_index(self) -> int:
         return max((c[0] if type(c) is tuple else abs(c) for c in self.codes), default=0)
@@ -310,23 +315,15 @@ class RWordParseError(ParseError):
 def _letter(token: str) -> Code | str:
     """The code of the letter a token spells, or the message of the error it raises.
 
-    The code is built once per token and shared by every word that reads
-    that token.
+    ``freegroup._read_token`` reads the token; the rule left here is that
+    x letters take no "^-1".  The code is built once per token and shared
+    by every word that reads that token.
     """
-    body = token
-    inverse = body.endswith("^-1")
-    if inverse:
-        body = body[:-3]
-    digits = body[1:]
-    if len(body) < 2 or body[0] not in "sx" or not (digits.isascii() and digits.isdigit()):
-        return "expected s<digits>[^-1] or x<digits>"
-    try:
-        index = int(digits)
-    except ValueError:  # more digits than int() converts from text
-        return "generator index has too many digits"
-    if index < 1:
-        return "generator index must be >= 1"
-    if body[0] == "x":
+    read = _read_token(token, "sx", "expected s<digits>[^-1] or x<digits>")
+    if type(read) is str:
+        return read
+    head, index, inverse = read
+    if head == "x":
         return "x letters are not invertible" if inverse else (index,)
     return -index if inverse else index
 
@@ -342,7 +339,5 @@ def parse_rword(text: str) -> RWord:
     codes = tuple([_letter(token) for token in text.split()])
     kinds = list(map(type, codes))
     if str in kinds:
-        for (offset, token), code in zip(_token_offsets(text), codes):
-            if type(code) is str:
-                raise RWordParseError(code, offset, token)
+        _raise_first(text, codes, RWordParseError)
     return _rword(codes, kinds.count(tuple))

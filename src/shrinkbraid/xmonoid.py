@@ -16,7 +16,7 @@ through ``sf_eval`` (s_i acts as the transposition of i and i+1).
 from __future__ import annotations
 
 from .freegroup import BudgetError, Cmp
-from .words import RWord, x
+from .words import RWord, _rword
 
 
 class XWord:
@@ -51,7 +51,7 @@ class XWord:
         return all(a <= b for a, b in zip(self.indices, self.indices[1:]))
 
     def to_rword(self) -> RWord:
-        return RWord(x(i) for i in self.indices)
+        return _rword(tuple([(i,) for i in self.indices]), len(self.indices))
 
     @staticmethod
     def from_rword(w: RWord) -> "XWord":

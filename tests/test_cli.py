@@ -12,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 from shrinkbraid import coloring, envelope, ldops, representation, xmonoid
 from shrinkbraid.cli import _CMP_TEXT, run
 from shrinkbraid.coloring import InvalidStrandIndexError, RankMismatchError, StrandBudgetError
-from shrinkbraid.envelope import IndexOutOfRangeError, NotLeftDistributiveError, OrbitBudgetError
+from shrinkbraid.envelope import (
+    IndexOutOfRangeError, NotLeftDistributiveError, OrbitBudgetError, TableBudgetError
+)
 from shrinkbraid.freegroup import BudgetError, DomainError
 from shrinkbraid.ldops import LEAF, RealizationBudgetError, TermDepthError, eval_term, parse_term
 from shrinkbraid.representation import ImageBudgetError
@@ -249,6 +251,13 @@ class TestColor:
         assert code == 2 and out == ""
         assert err == f"error: 3000000 strands exceed the budget of {coloring.MAX_STRANDS}\n"
 
+    @pytest.mark.parametrize("strands", ["\u0661", "1_0", "+2"])
+    def test_strand_digits_are_ascii(self, capout, strands):
+        # int() alone reads Arabic-Indic digits, underscores and a plus sign.
+        code, out, err = capout("color", strands, "s1")
+        assert code == 1 and out == ""
+        assert err.startswith("usage: ") and "argument strands: invalid" in err
+
 
 class TestEnv:
     @pytest.fixture
@@ -294,6 +303,12 @@ class TestEnv:
         code, out, err = capout(*args)
         assert code == 2 and out == ""
         assert err.startswith("error: orbit search passed 100 states")
+
+    @pytest.mark.parametrize("depth", ["\u0663", "1_0", "+3"])
+    def test_depth_digits_are_ascii(self, capout, table_file, depth):
+        code, out, err = capout("env", table_file, "1,2", "1,2", "--op", "eq", "--depth", depth)
+        assert code == 1 and out == ""
+        assert err.startswith("usage: ") and "argument --depth: invalid" in err
 
     def test_negative_depth_is_usage_error(self, capout, table_file):
         code, out, err = capout("env", table_file, "1,2", "1,2", "--op", "eq", "--depth", "-1")
@@ -349,6 +364,7 @@ class TestEnv:
     (StrandBudgetError, coloring, "MAX_STRANDS", ["color", "3", "s1"]),
     (OrbitBudgetError, envelope, "MAX_ORBIT_STATES", ["env", "1,2,3,1", "3,1,2,3", "--op", "eq"]),
     (SequenceBudgetError, xmonoid, "MAX_X_INDEX", ["canon", "x3"]),
+    (TableBudgetError, envelope, "MAX_TABLE_SIZE", ["env", "1", "1", "--op", "dot"]),
 ])
 def test_budget_errors_share_one_base_and_exit_2(
     capout, monkeypatch, tmp_path, error, module, name, argv

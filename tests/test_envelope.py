@@ -10,6 +10,7 @@ from shrinkbraid.envelope import (
     NotLeftDistributiveError,
     OrbitBudgetError,
     OrbitResult,
+    TableBudgetError,
     cyclic_table,
     one_element_table,
     parse_table,
@@ -319,6 +320,70 @@ class TestOrbitEqAgainstOracle:
             # the capped orbits could not.
             assert (expected, answer) == (OrbitResult.UNKNOWN, OrbitResult.NO)
             assert table._translation(u) != table._translation(v)
+
+
+def reference_violation(rows) -> tuple[int, int, int] | None:
+    """The first (a, b, c) with a.(b.c) != (a.b).(a.c), by the loop over all triples."""
+    n = len(rows)
+    dot = lambda a, b: rows[a - 1][b - 1]
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            for c in range(1, n + 1):
+                if dot(a, dot(b, c)) != dot(dot(a, b), dot(a, c)):
+                    return a, b, c
+    return None
+
+
+# Square tables of 1 to 5 elements with random entries: nearly all are not
+# left distributive, and their first violating triples fall anywhere.
+RANDOM_TABLES = st.integers(1, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(1, n), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+
+
+class TestRowCheckAgainstTripleLoop:
+    @given(RANDOM_TABLES)
+    def test_names_the_same_first_triple(self, rows):
+        expected = reference_violation(rows)
+        if expected is None:
+            assert LDTable(rows).table == tuple(map(tuple, rows))
+        else:
+            with pytest.raises(NotLeftDistributiveError) as info:
+                LDTable(rows)
+            assert info.value.triple == expected
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_cyclic_tables_pass_and_a_changed_entry_fails(self, n):
+        rows = [list(row) for row in cyclic_table(n).table]
+        assert reference_violation(rows) is None
+        rows[n - 1][n - 1] = rows[n - 1][n - 1] % n + 1
+        with pytest.raises(NotLeftDistributiveError) as info:
+            LDTable(rows)
+        assert info.value.triple == reference_violation(rows)
+
+
+class TestTableBudget:
+    def test_table_past_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(envelope, "MAX_TABLE_SIZE", 4)
+        assert cyclic_table(4).size == 4
+        with pytest.raises(TableBudgetError):
+            cyclic_table(5)
+
+    def test_size_line_is_checked_before_any_row(self, monkeypatch):
+        monkeypatch.setattr(envelope, "MAX_TABLE_SIZE", 4)
+        # Neither the rows nor their count are read: the size line decides.
+        with pytest.raises(TableBudgetError) as info:
+            parse_table("5\nnot a row\n")
+        assert str(info.value) == "table of 5 elements exceeds the budget of 4"
+        assert parse_table("3\n1 3 2\n3 2 1\n2 1 3\n").size == 3
+
+    def test_largest_table_loads(self):
+        n = envelope.MAX_TABLE_SIZE
+        assert cyclic_table(n).size == n
+        with pytest.raises(TableBudgetError):
+            parse_table(f"{n + 1}\n")
 
 
 class TestTableFormat:

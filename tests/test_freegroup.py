@@ -2,7 +2,7 @@ import itertools
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from shrinkbraid import Cmp, apply_word, cmp_L, curve_cmp, finv, fmul, parse_rword, psi
 from shrinkbraid.freegroup import FLetter, FWord, FWordParseError, ParseError, parse_fword, reduce
@@ -232,6 +232,67 @@ class TestCurveOrderLaws:
             u, v = random_fword(rng, max_index=4), random_fword(rng, max_index=4)
             for k in (1, 3):
                 assert curve_cmp(u.shift(k), v.shift(k)) is curve_cmp(u, v)
+
+
+def reference_parse_fword(text: str) -> FWord:
+    """The per-token loop ``parse_fword`` replaced: FLetter pairs, then ``reduce``."""
+    letters = []
+    pos = 0
+    for token in text.split():
+        offset = text.index(token, pos)
+        pos = offset + len(token)
+        body = token
+        sign = 1
+        if body.endswith("^-1"):
+            sign = -1
+            body = body[:-3]
+        digits = body[1:]
+        if not body.startswith("e") or not (digits.isascii() and digits.isdigit()):
+            raise FWordParseError("expected e<digits>[^-1]", offset, token)
+        try:
+            index = int(digits)
+        except ValueError:
+            raise FWordParseError("generator index has too many digits", offset, token)
+        if index < 1:
+            raise FWordParseError("generator index must be >= 1", offset, token)
+        letters.append(FLetter(index, sign))
+    return reduce(letters)
+
+
+# Free-group word text: tokens, well formed or built from grammar pieces, with
+# runs of whitespace between them; well-formed neighbours often cancel.
+F_PIECES = ["e", "E", "s", "0", "1", "9", "10", "^-1", "^", "-1", "(", "\u00b2", "\u0663"]
+F_TOKENS = st.one_of(
+    st.builds(str.format, st.sampled_from(["e{}", "e{}^-1"]), st.integers(1, 4)),
+    st.builds(str.format, st.sampled_from(["e{}", "e{}^-1"]), st.integers(1, 4)),
+    st.lists(st.sampled_from(F_PIECES), min_size=1, max_size=4).map("".join),
+)
+F_GAPS = st.lists(st.sampled_from([" ", "\t", "\n", "\xa0", "\u3000"]), max_size=3).map("".join)
+F_TEXTS = st.builds(
+    lambda parts, end: "".join(gap + token for gap, token in parts) + end,
+    st.lists(st.tuples(F_GAPS, F_TOKENS), max_size=8),
+    F_GAPS,
+)
+TOO_LONG = "e" + "1" * (sys.get_int_max_str_digits() + 1)
+TOO_LONG_ZERO = "e" + "0" * (sys.get_int_max_str_digits() + 1)  # digits first, then >= 1
+
+
+class TestParseAgainstReference:
+    @given(F_TEXTS)
+    @example(f"e1 {TOO_LONG} e0")
+    @example(f"e2^-1 e0 {TOO_LONG}")
+    @example(f"e1 {TOO_LONG_ZERO}^-1")
+    def test_matches_token_loop(self, text):
+        try:
+            expected = reference_parse_fword(text)
+        except FWordParseError as exc:
+            with pytest.raises(FWordParseError) as info:
+                parse_fword(text)
+            assert (str(info.value), info.value.offset, info.value.token) == (
+                str(exc), exc.offset, exc.token
+            )
+        else:
+            assert parse_fword(text) == expected
 
 
 class TestFWordGrammar:

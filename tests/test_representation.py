@@ -109,6 +109,31 @@ class TestApplyGenAgainstReference:
         assert all(let.index >= 1 for let in image.letters)
 
 
+def reference_apply_word(w: RWord, u: FWord) -> tuple[FLetter, ...]:
+    """``apply_word`` as a fold of the FLetter reference over Generator letters."""
+    letters = u.letters
+    for g in reversed(w.letters):
+        letters = letter_apply_gen(g, letters)
+    return letters
+
+
+class TestApplyWordAgainstReference:
+    """The scan on letter codes against the Generator-by-Generator fold."""
+
+    @given(st.lists(generators, max_size=6).map(RWord), fletters)
+    def test_matches_reference(self, w, pairs):
+        u = reduce(FLetter(i, s) for i, s in pairs)
+        assert apply_word(w, u).letters == reference_apply_word(w, u)
+
+    @pytest.mark.parametrize("text", ["s1", "s1^-1", "s1 s1", "x1 s1^-1 s2", "s2 s1^-1 x1 s1"])
+    def test_index_one_drops_e0(self, text):
+        w = parse_rword(text)
+        for u in (fw("e1"), fw("e1^-1 e2 e1"), fw("e2 e1 e1 e3^-1")):
+            image = apply_word(w, u)
+            assert image.letters == reference_apply_word(w, u)
+            assert all(let.index >= 1 for let in image.letters)
+
+
 class TestImageBudget:
     def test_apply_word_raises_past_budget(self, monkeypatch):
         w = parse_rword("s1 s2^-1 " * 6)

@@ -369,6 +369,14 @@ class TestCodesAgainstReference:
         codes = {Kind.SIGMA: lambda i: i, Kind.SIGMA_INV: lambda i: -i, Kind.X: lambda i: (i,)}
         assert word.codes == tuple(codes[g.kind](g.index) for g in letters)
 
+    @given(R_WORDS)
+    def test_text_spells_each_letter(self, word):
+        spelled = {Kind.SIGMA: "s{}", Kind.SIGMA_INV: "s{}^-1", Kind.X: "x{}"}
+        assert str(word) == " ".join(map(str, word.letters))
+        assert [str(g) for g in word.letters] == [
+            spelled[g.kind].format(g.index) for g in word.letters
+        ]
+
     @given(R_WORDS, st.integers(0, 4))
     def test_shift(self, word, k):
         shifted = shift(word, k)
