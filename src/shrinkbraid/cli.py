@@ -52,6 +52,14 @@ def _parse_env_seq(text: str) -> tuple[int, ...]:
     return seq
 
 
+def _int_argument(text: str) -> int:
+    """``_ascii_int`` as an argparse type: its message becomes the usage error."""
+    try:
+        return _ascii_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shrinkbraid",
@@ -85,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("t2")
 
     p = sub.add_parser("color", help="color a multi-braid word on N strands")
-    p.add_argument("strands", type=_ascii_int)
+    p.add_argument("strands", type=_int_argument)
     p.add_argument("w")
 
     p = sub.add_parser("env", help="envelope operations over an LD table file")
@@ -93,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("seq1")
     p.add_argument("seq2")
     p.add_argument("--op", choices=("dot", "circ", "eq"), required=True)
-    p.add_argument("--depth", type=_ascii_int, default=None,
+    p.add_argument("--depth", type=_int_argument, default=None,
                    help="search budget for --op eq (default: exact closure)")
     return parser
 

@@ -25,19 +25,23 @@ is ever rewritten.
 The kernels ``_dot`` and ``_circ`` read and write a braid word as the tuple
 of letter codes an ``RWord`` stores (s_i is i, s_i^-1 is -i; see ``words``),
 so ``b_dot``, ``b_circ`` and ``eval_term_b`` pass ``RWord.codes`` straight
-through.  The dot pushes every letter of a, sh^n(c'), W and sh^m(a^-1)
-through one free-cancellation stack, so a need not be cancelled itself
-(circle products are not).  That stack is ``freegroup._reduced``: a braid
-word cancels exactly as a signed-int free-group word does.
+through.  The dot builds every letter of a, sh^n(c'), W and sh^m(a^-1)
+into one list and pushes it through one free-cancellation stack, so a
+need not be cancelled itself (circle products are not).  That stack is
+``freegroup._reduced``: a braid word cancels exactly as a signed-int
+free-group word does.
 
 An ``LDTerm`` is stored as the tuple of its tokens in postfix order ("j",
 then "." or "o" after both operands), the order in which ``parse_term``
 reads them off the text, so no tree of nodes is built.  Nothing here
-recurses: ``parse_term`` is one loop over the text with a stack of open
-brackets, and ``MAX_TERM_DEPTH`` bounds how many may be open
-(``TermDepthError``); ``depth``, ``str`` and ``eval_term_b`` are each one
-loop over the postfix tuple with a stack of values, equality and hashing
-are the tuple's, and a term pickles as its text.
+recurses: ``parse_term`` is one loop over the tokens ``str.split`` cuts
+once each bracket is padded with spaces, with a stack of open brackets,
+and ``MAX_TERM_DEPTH`` bounds how many may be open (``TermDepthError``).
+The token pattern ``_TOKEN`` cuts the same tokens; it is read only when a
+token fails, to find that token's offset.  ``depth``, ``str`` and
+``eval_term_b`` are each one loop over the postfix tuple with a stack of
+values, equality and hashing are the tuple's, and a term pickles as its
+text.
 
 Equality and order of terms go through the faithful
 representation (``morphism_eq`` / ``cmp_L``).  Note the
@@ -49,7 +53,7 @@ unavoidable complement (see the freegroup module's orientation note).
 from __future__ import annotations
 
 import re
-from itertools import chain
+from itertools import islice
 from typing import Sequence
 
 from .freegroup import BudgetError, Cmp, ParseError, _reduced
@@ -144,9 +148,16 @@ def _element(word: _Letters, n: int) -> BElement:
 
 
 def _dot(a: _Letters, n: int, c: _Letters, m: int) -> tuple[_Letters, int]:
-    """``b_dot`` on code tuples; a need not be free-cancelled."""
-    w = (i for k in range(n, 0, -1) for i in range(k, k + m))
-    return _reduced(chain(a, _shifted(c, n), w, _inverse_shifted(a, m))), m
+    """``b_dot`` on code tuples; a need not be free-cancelled.
+
+    The letters of a, sh^n(c), W and sh^m(a^-1) go into one list, W one
+    run s_k ... s_{k+m-1} at a time, and are cancelled in one pass.
+    """
+    letters = [*a, *_shifted(c, n)]
+    for k in range(n, 0, -1):
+        letters += range(k, k + m)
+    letters += _inverse_shifted(a, m)
+    return _reduced(letters), m
 
 
 def _circ(a: _Letters, n: int, c: _Letters, m: int) -> tuple[_Letters, int]:
@@ -319,25 +330,37 @@ class TermDepthError(BudgetError):
     """A term text opened more than ``MAX_TERM_DEPTH`` brackets."""
 
 
+# The token grammar: a bracket, or a run of other non-whitespace characters.
+# ``parse_term`` cuts the same tokens with ``str.split`` and reads this
+# pattern only to locate a token that fails.
 _TOKEN = re.compile(r"[()]|[^\s()]+")
+
+
+def _error_at(text: str, k: int, message: str) -> TermParseError:
+    """The error ``message`` at the k-th token of ``text``, located by ``_TOKEN``."""
+    match = next(islice(_TOKEN.finditer(text), k, None))
+    return TermParseError(message, match.start(), match.group())
 
 
 def parse_term(text: str) -> LDTerm:
     """Parse the grammar: term := "j" | "(" term ("."|"o") term ")".
 
-    One loop over the tokens, writing the term's postfix tokens as it goes.
-    ``opened`` holds a frame for each bracket not yet closed: "" until its
-    left operand and operator are read, then the operator token, which is
-    written at the matching ")".  ``complete`` says whether a whole term has
-    been read that no frame has taken; while it is False a term must start.
-    Errors are raised at the first token that breaks the grammar, and more
-    than ``MAX_TERM_DEPTH`` open brackets raise ``TermDepthError``.
+    The tokens are the text split on whitespace once each bracket is padded
+    with spaces, the same tokens ``_TOKEN`` matches.  One loop reads them,
+    writing the term's postfix tokens as it goes.  ``opened`` holds a frame
+    for each bracket not yet closed: "" until its left operand and operator
+    are read, then the operator token, which is written at the matching ")".
+    ``complete`` says whether a whole term has been read that no frame has
+    taken; while it is False a term must start.  Errors are raised at the
+    first token that breaks the grammar, with the offset ``_TOKEN`` finds
+    for it, and more than ``MAX_TERM_DEPTH`` open brackets raise
+    ``TermDepthError``.
     """
     opened: list[str] = []
     postfix: list[str] = []
     complete = False
-    for match in _TOKEN.finditer(text):
-        token = match.group()
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    for k, token in enumerate(tokens):
         if not complete:
             if token == "(":
                 if len(opened) == MAX_TERM_DEPTH:
@@ -347,18 +370,18 @@ def parse_term(text: str) -> LDTerm:
                 postfix.append(token)
                 complete = True
             else:
-                raise TermParseError("expected 'j' or '('", match.start(), token)
+                raise _error_at(text, k, "expected 'j' or '('")
         elif not opened:
-            raise TermParseError("trailing input after term", match.start(), token)
+            raise _error_at(text, k, "trailing input after term")
         elif not opened[-1]:
             if token not in (".", "o"):
-                raise TermParseError("expected '.' or 'o'", match.start(), token)
+                raise _error_at(text, k, "expected '.' or 'o'")
             opened[-1] = token
             complete = False
         elif token == ")":
             postfix.append(opened.pop())
         else:
-            raise TermParseError("expected ')'", match.start(), token)
+            raise _error_at(text, k, "expected ')'")
     if not complete or (opened and not opened[-1]):
         raise TermParseError("unexpected end of input", len(text), "")
     if opened:

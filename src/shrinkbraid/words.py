@@ -41,7 +41,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import lru_cache
 from itertools import chain, groupby
-from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Optional, Union
+from typing import Callable, Iterable, Literal, NamedTuple, Optional, Union
 
 from .freegroup import DomainError, ParseError, _raise_first, _read_token, _reduced
 
@@ -165,14 +165,14 @@ class RWord:
         return not self.xs
 
 
-def _shifted(codes: Iterable[Code], k: int) -> Iterator[Code]:
-    """sh^k on codes: every index raised by k, signs and kinds kept."""
-    return ((c[0] + k,) if type(c) is tuple else c + k if c > 0 else c - k for c in codes)
+def _shifted(codes: Iterable[Code], k: int) -> list[Code]:
+    """sh^k on codes, as a new list: every index raised by k, signs and kinds kept."""
+    return [(c[0] + k,) if type(c) is tuple else c + k if c > 0 else c - k for c in codes]
 
 
-def _inverse_shifted(codes: tuple[int, ...], k: int) -> Iterator[int]:
-    """sh^k of the inverse of a braid: reversed, signs flipped, indices raised by k."""
-    return (-c - k if c > 0 else k - c for c in reversed(codes))
+def _inverse_shifted(codes: tuple[int, ...], k: int) -> list[int]:
+    """sh^k of a braid's inverse, as a new list: reversed, signs flipped, indices raised by k."""
+    return [-c - k if c > 0 else k - c for c in reversed(codes)]
 
 
 def shift(w: RWord, k: int) -> RWord:

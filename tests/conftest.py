@@ -1,11 +1,12 @@
 import random
 import time
+from itertools import chain
 
 import pytest
 from hypothesis import settings
 
 from shrinkbraid import Cmp, Generator, Kind, RWord, XLetterPresentError, sigma, sigma_inv, x
-from shrinkbraid.freegroup import FLetter, FWord, reduce
+from shrinkbraid.freegroup import FLetter, FWord, _reduced, reduce
 from shrinkbraid.ldops import _TOKEN, LEAF, LDTerm, TermParseError, _term, circ, dot
 
 settings.register_profile("suite", deadline=None)
@@ -262,6 +263,31 @@ def recursive_parse_term(text: str) -> LDTerm:
         token, offset = tokens[pos]
         raise TermParseError("trailing input after term", offset, token)
     return term
+
+
+# --- reference code: the generator-chain dot and circle kernels ----------------
+#
+# ``ldops._dot`` and ``_circ`` as they were written before they built one list
+# each: the shift helpers are generators and the dot chains them with a
+# generator of W's letters into one cancellation pass.  A property test checks
+# that both kernels give the same code tuples and powers.
+
+
+def chain_shifted(codes, k: int):
+    return ((c[0] + k,) if type(c) is tuple else c + k if c > 0 else c - k for c in codes)
+
+
+def chain_inverse_shifted(codes, k: int):
+    return (-c - k if c > 0 else k - c for c in reversed(codes))
+
+
+def chain_dot(a, n: int, c, m: int):
+    w = (i for k in range(n, 0, -1) for i in range(k, k + m))
+    return _reduced(chain(a, chain_shifted(c, n), w, chain_inverse_shifted(a, m))), m
+
+
+def chain_circ(a, n: int, c, m: int):
+    return (*a, *chain_shifted(c, n)), n + m
 
 
 # --- reference code: a term's tree, read off its postfix tokens ----------------

@@ -256,7 +256,8 @@ class TestColor:
         # int() alone reads Arabic-Indic digits, underscores and a plus sign.
         code, out, err = capout("color", strands, "s1")
         assert code == 1 and out == ""
-        assert err.startswith("usage: ") and "argument strands: invalid" in err
+        assert err.startswith("usage: ") and "argument strands: not an ASCII integer: " in err
+        assert "_ascii_int" not in err
 
 
 class TestEnv:
@@ -308,7 +309,8 @@ class TestEnv:
     def test_depth_digits_are_ascii(self, capout, table_file, depth):
         code, out, err = capout("env", table_file, "1,2", "1,2", "--op", "eq", "--depth", depth)
         assert code == 1 and out == ""
-        assert err.startswith("usage: ") and "argument --depth: invalid" in err
+        assert err.startswith("usage: ") and "argument --depth: not an ASCII integer: " in err
+        assert "_ascii_int" not in err
 
     def test_negative_depth_is_usage_error(self, capout, table_file):
         code, out, err = capout("env", table_file, "1,2", "1,2", "--op", "eq", "--depth", "-1")

@@ -1,4 +1,5 @@
 import pickle
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -41,6 +42,8 @@ from shrinkbraid.words import braid_inverse, free_cancel, sx_decompose
 from shrinkbraid.xmonoid import XWord, x_canonicalize
 
 from conftest import (
+    chain_circ,
+    chain_dot,
     children,
     gen_braid_inverse,
     gen_free_cancel,
@@ -337,6 +340,17 @@ class TestIntKernel:
         braid = RWord(map(_letter, word))
         assert freegroup._reduced(word) == RWord(gen_free_cancel(braid.letters)).codes
 
+    # a is left uncancelled, as a circle product's braid is.
+    @given(
+        st.tuples(encoded_words, encoded_words).map(lambda p: p[0] + p[1]),
+        st.integers(1, 5),
+        encoded_words,
+        st.integers(1, 5),
+    )
+    def test_kernels_match_the_generator_chain_reference(self, a, n, c, m):
+        assert ldops._dot(a, n, c, m) == chain_dot(a, n, c, m)
+        assert ldops._circ(a, n, c, m) == chain_circ(a, n, c, m)
+
 
 class TestRealizationBudget:
     @staticmethod
@@ -377,6 +391,17 @@ class TestRealizationBudget:
         assert str(info.value) == (
             f"realized word of at least {least} letters exceeds the budget of {1 << 16}"
         )
+
+    def test_small_budget_refuses_the_dot_before_its_word_is_built(self, monkeypatch):
+        def no_dot(*args):
+            raise AssertionError("the dot ran")
+
+        monkeypatch.setattr(ldops, "MAX_REALIZED_LETTERS", 2)
+        monkeypatch.setattr(ldops, "_dot", no_dot)
+        two = circ(LEAF, LEAF)  # x_1: power 2, no braid letters
+        with pytest.raises(RealizationBudgetError) as info:
+            eval_term_b(dot(two, two))  # n*m + m - 1 = 5 letters at least
+        assert str(info.value) == "realized word of at least 5 letters exceeds the budget of 2"
 
     def test_exact_message_where_the_bound_passes(self, monkeypatch):
         monkeypatch.setattr(ldops, "MAX_REALIZED_LETTERS", 2)
@@ -481,10 +506,13 @@ TERM_TEXTS = st.recursive(
     ),
     max_leaves=6,
 )
+# Separators beyond ASCII whitespace, on which str.split and the regex \s
+# must agree for parse_term's offsets to match the recursive parser's.
+UNICODE_SPACES = ["\x1c", "\x85", "\xa0", "\u2028", "\u3000"]
 TOKEN_SOUP = st.lists(
     st.tuples(
-        st.sampled_from(["j", "(", ")", ".", "o", "k", "jo", "*", "(j"]),
-        st.sampled_from(["", " ", "\t", "\r\n "]),
+        st.sampled_from(["j", "(", ")", ".", "o", "k", "jo", "*", "(j", "\u0135", "j\u0135"]),
+        st.sampled_from(["", " ", "\t", "\r\n ", *UNICODE_SPACES]),
     ),
     max_size=14,
 ).map(lambda pairs: "".join(token + sep for token, sep in pairs))
@@ -501,7 +529,7 @@ SPOILED_TERMS = st.builds(
     TERM_TEXTS,
     st.integers(0, 40),
     st.integers(0, 1),
-    st.sampled_from(["", " j", "(", ")", ".", " o ", "x", " "]),
+    st.sampled_from(["", " j", "(", ")", ".", " o ", "x", " ", "\u0135", *UNICODE_SPACES]),
 )
 
 
@@ -518,6 +546,17 @@ def parse_outcome(parse, text):
         return str(parse(text))
     except TermParseError as exc:
         return str(exc), exc.offset, exc.token
+
+
+class ScanRan(Exception):
+    pass
+
+
+class NoScan:
+    """Stands in for ``ldops._TOKEN`` where the pattern must not be read."""
+
+    def finditer(self, text):
+        raise ScanRan(text)
 
 
 class TestTermGrammar:
@@ -566,6 +605,42 @@ class TestTermGrammar:
     @given(st.one_of(TERM_TEXTS, TOKEN_SOUP, SPOILED_TERMS))
     def test_agrees_with_the_recursive_parser(self, text):
         assert parse_outcome(parse_term, text) == parse_outcome(recursive_parse_term, text)
+
+    def test_error_offset_counts_unicode_separators(self):
+        with pytest.raises(TermParseError) as info:
+            parse_term("(j\u3000.\u3000k)")
+        assert info.value.offset == 5 and info.value.token == "k"
+
+    def test_split_cuts_tokens_where_the_pattern_does(self):
+        # parse_term cuts tokens with str.split and locates them with _TOKEN.
+        spaces = [chr(i) for i in range(sys.maxunicode + 1) if chr(i).isspace()]
+        assert set(UNICODE_SPACES) < set(spaces)
+        for space in spaces:
+            text = f"(j{space}.{space}(j)){space}\u0135{space}"
+            tokens = [match.group() for match in ldops._TOKEN.finditer(text)]
+            assert tokens == ["(", "j", ".", "(", "j", ")", ")", "\u0135"]
+            assert text.replace("(", " ( ").replace(")", " ) ").split() == tokens
+
+    @given(TERM_TEXTS)
+    def test_valid_text_is_read_without_the_token_pattern(self, text):
+        expected = recursive_parse_term(text)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ldops, "_TOKEN", NoScan())
+            assert parse_term(text) == expected
+
+    def test_only_a_failing_token_is_located_by_the_pattern(self, monkeypatch):
+        depth = ldops.MAX_TERM_DEPTH
+        deepest = "(j . " * depth + "j" + ")" * depth
+        monkeypatch.setattr(ldops, "_TOKEN", NoScan())
+        assert parse_term(deepest).depth() == depth
+        with pytest.raises(ScanRan):
+            parse_term("(j * j)")
+        monkeypatch.undo()
+        with pytest.raises(TermParseError) as info:
+            parse_term("(j * j)")
+        assert (str(info.value), info.value.offset, info.value.token) == (
+            parse_outcome(recursive_parse_term, "(j * j)")
+        )
 
     def test_depth_budget(self):
         assert issubclass(TermDepthError, BudgetError)
