@@ -7,9 +7,10 @@ and the budget errors, which share the base ``freegroup.BudgetError``: term
 nested past its bracket budget, realized term word over its letter budget,
 free-group image or color over its letter budget, S sequence over its index
 budget, coloring over its strand budget, envelope orbit search over its
-state budget, LD table over its size budget).  A parse error
-(``freegroup.ParseError``) names the offset and text of the offending
-token; ``canon`` reports the first sigma letter of its x word that way.
+state budget, LD table over its size budget, ``sx`` over its rewrite-step
+budget).  A parse error (``freegroup.ParseError``) names the offset and
+text of the offending token; ``canon`` reports the first sigma letter of
+its x word that way.
 Integer arguments (the strand count and ``--depth``), like sequence
 entries and table files, take ASCII digits only.  The argument parser is
 built once, at import, and every ``run`` call reuses it.
@@ -38,7 +39,7 @@ def _parse_xword(text: str) -> XWord:
     """Parse an x word; a sigma letter is an error at its own offset."""
     word = parse_rword(text)
     sigmas = ["expected a word in x letters only" if type(c) is int else c for c in word.codes]
-    _raise_first(text, sigmas, RWordParseError)
+    _raise_first(text, text.split(), sigmas, RWordParseError)
     return XWord.from_rword(word)
 
 

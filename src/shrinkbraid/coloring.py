@@ -23,7 +23,7 @@ than that, ``color`` raises ``representation.ImageBudgetError``.
 from __future__ import annotations
 
 from . import representation
-from .freegroup import BudgetError, DomainError, FWord, finv, fmul
+from .freegroup import BudgetError, DomainError, FWord, _Frozen, finv, fmul
 from .words import RWord, _text
 
 
@@ -44,7 +44,7 @@ class StrandBudgetError(BudgetError):
     """A coloring asked for more than ``MAX_STRANDS`` top strands."""
 
 
-class ColoredMorphism:
+class ColoredMorphism(_Frozen):
     """Images of the source generators as words over the target generators.
 
     Immutable: the ranks and the images are fixed at construction.
@@ -58,35 +58,7 @@ class ColoredMorphism:
         for image in images:
             if image.max_index() > target_rank:
                 raise ValueError("image uses generators beyond the target rank")
-        object.__setattr__(self, "source_rank", source_rank)
-        object.__setattr__(self, "target_rank", target_rank)
-        object.__setattr__(self, "images", images)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ColoredMorphism)
-            and self.source_rank == other.source_rank
-            and self.target_rank == other.target_rank
-            and self.images == other.images
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.source_rank, self.target_rank, self.images))
-
-    def __repr__(self) -> str:
-        return (
-            f"ColoredMorphism(source_rank={self.source_rank!r}, "
-            f"target_rank={self.target_rank!r}, images={self.images!r})"
-        )
-
-    def __reduce__(self) -> tuple:
-        return ColoredMorphism, (self.source_rank, self.target_rank, self.images)
+        super().__init__(source_rank, target_rank, images)
 
     def apply(self, w: FWord) -> FWord:
         """Substitute source generators by their images."""

@@ -17,15 +17,24 @@ Conventions:
 - ``DomainError`` is the base of the typed errors for input that parses but
   lies outside an operation's domain; the command line maps it, and only
   it, to exit code 2.  ``BudgetError``, one of them, is the base of the
-  errors that the size budgets of ``ldops``, ``representation``,
-  ``xmonoid``, ``coloring`` and ``envelope`` raise.  ``ParseError`` is the
-  base of the three grammars' errors (free-group words here, R words in
-  ``words``, LD terms in ``ldops``): it carries the offset and text of the
-  bad token, and the command line maps it to exit code 1.
+  errors that the size budgets of ``words``, ``ldops``,
+  ``representation``, ``xmonoid``, ``coloring`` and ``envelope`` raise.
+  ``ParseError`` is the base of the three grammars' errors (free-group
+  words here, R words in ``words``, LD terms in ``ldops``): it carries the
+  offset and text of the bad token, and the command line maps it to exit
+  code 1.
   The first two share one token reader: ``_read_token`` reads a token
   head<ASCII digits>[^-1] or names its error, and ``_raise_first`` raises
-  the grammar's error at the first bad token, with the offset that
-  ``_token_offsets`` finds.
+  the grammar's error at the first bad token.  All three grammars find the
+  offset of a bad token with ``_offset``, from the tokens their parser
+  already split, so valid text never computes an offset.
+- ``_Frozen`` is the base of the immutable value classes (``BElement``,
+  ``ColoredMorphism``, ``XWord``, ``XSeq``): it sets their ``__slots__``
+  fields once, refuses later assignment, and gives them equality, hashing,
+  pickling and a repr over those fields.  ``FWord``, ``RWord`` and
+  ``LDTerm`` are not built on it: their kernels construct one on every
+  call, through ``_word``, ``_rword`` and ``_term``, which write their
+  slots directly, and their equality compares one tuple.
 - ``curve_cmp`` is the linear order obtained by encoding elements of F_n as
   homotopy classes of arcs across a slit disk and ordering their lifted
   endpoints along the boundary of the universal cover.  Combinatorially it is
@@ -46,7 +55,7 @@ single global flip; flipping it exchanges these facts wholesale.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 
 class Cmp(Enum):
@@ -66,6 +75,46 @@ class DomainError(ValueError):
 
 class BudgetError(DomainError):
     """A computation grew past one of the library's explicit size budgets."""
+
+
+class _Frozen:
+    """Base of the immutable value classes; a subclass's fields are its ``__slots__``.
+
+    ``__init__(*values)`` sets the fields in slot order, and after that
+    assigning or deleting one raises ``AttributeError``.  Equality (same
+    type, equal field values), hashing, pickling and the field-naming repr
+    all read the fields.  A subclass checks its arguments and passes them
+    to ``super().__init__``, so its constructor takes the fields in slot
+    order, as ``__reduce__`` calls it.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
 
 
 class FLetter(NamedTuple):
@@ -253,13 +302,18 @@ class FWordParseError(ParseError):
     """Raised on malformed free-group word input."""
 
 
-def _token_offsets(text: str) -> Iterator[tuple[int, str]]:
-    """(offset, token) for each whitespace-separated token of ``text``."""
+def _offset(text: str, tokens: Sequence[str], k: int) -> int:
+    """Where the k-th of ``tokens``, the tokens of ``text`` in order, starts in it.
+
+    Each token is found with ``text.index`` from the end of the one before.
+    This is exact because only whitespace lies between one token's end and
+    the next token's start, and every token begins with a non-whitespace
+    character, so no match can start before the token itself.
+    """
     pos = 0
-    for token in text.split():
-        pos = text.index(token, pos)
-        yield pos, token
-        pos += len(token)
+    for token in tokens[:k]:
+        pos = text.index(token, pos) + len(token)
+    return text.index(tokens[k], pos)
 
 
 def _read_token(token: str, heads: str, shape: str) -> tuple[str, int, bool] | str:
@@ -282,11 +336,13 @@ def _read_token(token: str, heads: str, shape: str) -> tuple[str, int, bool] | s
     return body[0], index, inverse
 
 
-def _raise_first(text: str, results: Iterable[object], error: type[ParseError]) -> None:
-    """Raise ``error`` at the first token of ``text`` whose result is a message."""
-    for (offset, token), result in zip(_token_offsets(text), results):
+def _raise_first(
+    text: str, tokens: Sequence[str], results: Iterable[object], error: type[ParseError]
+) -> None:
+    """Raise ``error`` at the first of ``tokens`` whose result is a message."""
+    for k, result in enumerate(results):
         if type(result) is str:
-            raise error(result, offset, token)
+            raise error(result, _offset(text, tokens, k), tokens[k])
 
 
 def parse_fword(text: str) -> FWord:
@@ -295,7 +351,8 @@ def parse_fword(text: str) -> FWord:
     Digits are ASCII 0-9 only.  Each token is read to its signed int, so no
     letter is built.
     """
-    read = [_read_token(token, "e", "expected e<digits>[^-1]") for token in text.split()]
+    tokens = text.split()
+    read = [_read_token(token, "e", "expected e<digits>[^-1]") for token in tokens]
     if str in map(type, read):
-        _raise_first(text, read, FWordParseError)
+        _raise_first(text, tokens, read, FWordParseError)
     return _word(_reduced([-index if inverse else index for _, index, inverse in read]))

@@ -37,11 +37,10 @@ reads them off the text, so no tree of nodes is built.  Nothing here
 recurses: ``parse_term`` is one loop over the tokens ``str.split`` cuts
 once each bracket is padded with spaces, with a stack of open brackets,
 and ``MAX_TERM_DEPTH`` bounds how many may be open (``TermDepthError``).
-The token pattern ``_TOKEN`` cuts the same tokens; it is read only when a
-token fails, to find that token's offset.  ``depth``, ``str`` and
-``eval_term_b`` are each one loop over the postfix tuple with a stack of
-values, equality and hashing are the tuple's, and a term pickles as its
-text.
+Only a failing token is located in the text, by ``freegroup._offset``,
+as in the word grammars.  ``depth``, ``str`` and ``eval_term_b`` are each
+one loop over the postfix tuple with a stack of values, equality and
+hashing are the tuple's, and a term pickles as its text.
 
 Equality and order of terms go through the faithful
 representation (``morphism_eq`` / ``cmp_L``).  Note the
@@ -52,11 +51,9 @@ unavoidable complement (see the freegroup module's orientation note).
 
 from __future__ import annotations
 
-import re
-from itertools import islice
 from typing import Sequence
 
-from .freegroup import BudgetError, Cmp, ParseError, _reduced
+from .freegroup import BudgetError, Cmp, ParseError, _Frozen, _offset, _reduced
 from .representation import cmp_L
 from .words import RWord, XLetterPresentError, _inverse_shifted, _rword, _shifted, shift
 
@@ -80,7 +77,7 @@ def ld_circ(a: RWord, b: RWord) -> RWord:
     return _rword((*a.codes, *_shifted(b.codes, 1), (1,)), 1)
 
 
-class BElement:
+class BElement(_Frozen):
     """A braid-with-power pair (a, n) denoting the element a x_1^{n-1}.
 
     Immutable: both fields are fixed at construction.
@@ -92,26 +89,7 @@ class BElement:
         _require_braid(braid, "BElement")
         if n < 1:
             raise ValueError("power must be >= 1")
-        object.__setattr__(self, "braid", braid)
-        object.__setattr__(self, "n", n)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, BElement) and self.n == other.n and self.braid == other.braid
-
-    def __hash__(self) -> int:
-        return hash((self.braid, self.n))
-
-    def __repr__(self) -> str:
-        return f"BElement(braid={self.braid!r}, n={self.n!r})"
-
-    def __reduce__(self) -> tuple:
-        return BElement, (self.braid, self.n)
+        super().__init__(braid, n)
 
     def realize(self) -> RWord:
         return _rword(self.braid.codes + ((1,),) * (self.n - 1), self.n - 1)
@@ -330,31 +308,20 @@ class TermDepthError(BudgetError):
     """A term text opened more than ``MAX_TERM_DEPTH`` brackets."""
 
 
-# The token grammar: a bracket, or a run of other non-whitespace characters.
-# ``parse_term`` cuts the same tokens with ``str.split`` and reads this
-# pattern only to locate a token that fails.
-_TOKEN = re.compile(r"[()]|[^\s()]+")
-
-
-def _error_at(text: str, k: int, message: str) -> TermParseError:
-    """The error ``message`` at the k-th token of ``text``, located by ``_TOKEN``."""
-    match = next(islice(_TOKEN.finditer(text), k, None))
-    return TermParseError(message, match.start(), match.group())
-
-
 def parse_term(text: str) -> LDTerm:
     """Parse the grammar: term := "j" | "(" term ("."|"o") term ")".
 
     The tokens are the text split on whitespace once each bracket is padded
-    with spaces, the same tokens ``_TOKEN`` matches.  One loop reads them,
-    writing the term's postfix tokens as it goes.  ``opened`` holds a frame
-    for each bracket not yet closed: "" until its left operand and operator
-    are read, then the operator token, which is written at the matching ")".
-    ``complete`` says whether a whole term has been read that no frame has
-    taken; while it is False a term must start.  Errors are raised at the
-    first token that breaks the grammar, with the offset ``_TOKEN`` finds
-    for it, and more than ``MAX_TERM_DEPTH`` open brackets raise
-    ``TermDepthError``.
+    with spaces: a bracket, or a run of other non-whitespace characters.
+    One loop reads them, writing the term's postfix tokens as it goes.
+    ``opened`` holds a frame for each bracket not yet closed: "" until its
+    left operand and operator are read, then the operator token, which is
+    written at the matching ")".  ``complete`` says whether a whole term
+    has been read that no frame has taken; while it is False a term must
+    start.  Errors are raised at the
+    first token that breaks the grammar, with the offset
+    ``freegroup._offset`` finds for it, and more than ``MAX_TERM_DEPTH``
+    open brackets raise ``TermDepthError``.
     """
     opened: list[str] = []
     postfix: list[str] = []
@@ -370,18 +337,18 @@ def parse_term(text: str) -> LDTerm:
                 postfix.append(token)
                 complete = True
             else:
-                raise _error_at(text, k, "expected 'j' or '('")
+                raise TermParseError("expected 'j' or '('", _offset(text, tokens, k), token)
         elif not opened:
-            raise _error_at(text, k, "trailing input after term")
+            raise TermParseError("trailing input after term", _offset(text, tokens, k), token)
         elif not opened[-1]:
             if token not in (".", "o"):
-                raise _error_at(text, k, "expected '.' or 'o'")
+                raise TermParseError("expected '.' or 'o'", _offset(text, tokens, k), token)
             opened[-1] = token
             complete = False
         elif token == ")":
             postfix.append(opened.pop())
         else:
-            raise _error_at(text, k, "expected ')'")
+            raise TermParseError("expected ')'", _offset(text, tokens, k), token)
     if not complete or (opened and not opened[-1]):
         raise TermParseError("unexpected end of input", len(text), "")
     if opened:

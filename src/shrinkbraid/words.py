@@ -43,7 +43,7 @@ from functools import lru_cache
 from itertools import chain, groupby
 from typing import Callable, Iterable, Literal, NamedTuple, Optional, Union
 
-from .freegroup import DomainError, ParseError, _raise_first, _read_token, _reduced
+from .freegroup import BudgetError, DomainError, ParseError, _raise_first, _read_token, _reduced
 
 
 class Kind(Enum):
@@ -262,23 +262,49 @@ def _x_past_sigma(xc: tuple[int], s: int) -> tuple[Code, ...]:
     return tuple([c if type(c) is tuple or s > 0 else -c for c in replacement])
 
 
+# ``sx_decompose`` takes one step for each braid letter an x letter moves
+# past, and the braid part grows as x letters pass: x1^250 s1^250 takes
+# 7,843,750 steps and gives 62,750 letters.
+MAX_REWRITE_STEPS = 1 << 20
+
+
+class RewriteBudgetError(BudgetError):
+    """``sx_decompose`` would take more than ``MAX_REWRITE_STEPS`` steps."""
+
+
 def sx_decompose(w: RWord) -> tuple[RWord, RWord]:
     """Split w = braidPart . xPart with the same image in R.
 
-    Scans right to left; each step moves one x letter past the sigma letter
-    to its right, so the procedure is deterministic and terminates.
+    Reads the codes right to left, keeping what it has read as a braid part
+    followed by an x part.  A braid letter joins the front of the braid
+    part.  An x letter moves left to right through the braid part, one
+    ``_x_past_sigma`` step per braid letter, into a new braid part, and
+    joins the front of the x part.  So every x letter is moved past each
+    sigma letter to its right, and the procedure is deterministic and
+    terminates.  ``RewriteBudgetError`` is raised before a move that would
+    take the step count past ``MAX_REWRITE_STEPS``.
     """
-    codes = list(w.codes)
-    i = len(codes) - 2
-    while i >= 0:
-        if i + 1 < len(codes) and type(codes[i]) is tuple and type(codes[i + 1]) is int:
-            replacement = _x_past_sigma(codes[i], codes[i + 1])
-            codes[i : i + 2] = replacement
-            i += len(replacement) - 1  # keep following the moved x letter
-        else:
-            i -= 1
-    split = len(codes) - w.xs
-    return _rword(tuple(codes[:split]), 0), _rword(tuple(codes[split:]), w.xs)
+    braid: list[int] = []  # the braid part, reversed
+    xs: list[tuple[int]] = []  # the x part, reversed
+    steps = 0
+    for c in reversed(w.codes):
+        if type(c) is int:
+            braid.append(c)
+            continue
+        steps += len(braid)
+        if steps > MAX_REWRITE_STEPS:
+            raise RewriteBudgetError(
+                f"decomposition of at least {steps} rewrite steps exceeds the budget of "
+                f"{MAX_REWRITE_STEPS}"
+            )
+        moved: list[int] = []
+        for s in reversed(braid):
+            replacement = _x_past_sigma(c, s)
+            moved += replacement[:-1]
+            c = replacement[-1]
+        braid = moved[::-1]
+        xs.append(c)
+    return _rword(tuple(reversed(braid)), 0), _rword(tuple(reversed(xs)), w.xs)
 
 
 def apply_relation(
@@ -336,8 +362,9 @@ def parse_rword(text: str) -> RWord:
     occurrence of an x token gives the same interned 1-tuple.  Offsets are
     found only when a token fails.
     """
-    codes = tuple([_letter(token) for token in text.split()])
+    tokens = text.split()
+    codes = tuple([_letter(token) for token in tokens])
     kinds = list(map(type, codes))
     if str in kinds:
-        _raise_first(text, codes, RWordParseError)
+        _raise_first(text, tokens, codes, RWordParseError)
     return _rword(codes, kinds.count(tuple))

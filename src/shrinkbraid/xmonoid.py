@@ -15,34 +15,25 @@ through ``sf_eval`` (s_i acts as the transposition of i and i+1).
 
 from __future__ import annotations
 
-from .freegroup import BudgetError, Cmp
+from .freegroup import BudgetError, Cmp, _Frozen
 from .words import RWord, _rword
 
 
-class XWord:
-    """A word x_{i_1} ... x_{i_m}, stored as its index sequence."""
+class XWord(_Frozen):
+    """A word x_{i_1} ... x_{i_m}, stored as its index sequence; immutable."""
 
     __slots__ = ("indices",)
 
     def __init__(self, indices: tuple[int, ...] = ()):
         if any(i < 1 for i in indices):
             raise ValueError("x indices must be >= 1")
-        self.indices = tuple(indices)
+        super().__init__(tuple(indices))
 
     def __len__(self) -> int:
         return len(self.indices)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, XWord) and self.indices == other.indices
-
-    def __hash__(self) -> int:
-        return hash(self.indices)
-
     def __mul__(self, other: "XWord") -> "XWord":
         return XWord(self.indices + other.indices)
-
-    def __repr__(self) -> str:
-        return f"XWord({self.indices!r})"
 
     def __str__(self) -> str:
         return " ".join(f"x{i}" for i in self.indices)
@@ -80,8 +71,8 @@ def x_canonicalize(w: XWord) -> XWord:
     return XWord(tuple(seq))
 
 
-class XSeq:
-    """Eventually-1 sequence of positive integers, trailing 1s trimmed."""
+class XSeq(_Frozen):
+    """Eventually-1 sequence of positive integers, trailing 1s trimmed; immutable."""
 
     __slots__ = ("prefix",)
 
@@ -91,7 +82,7 @@ class XSeq:
         trimmed = list(prefix)
         while trimmed and trimmed[-1] == 1:
             trimmed.pop()
-        self.prefix = tuple(trimmed)
+        super().__init__(tuple(trimmed))
 
     def entry(self, k: int) -> int:
         """1-based access; entries beyond the prefix equal 1."""
@@ -100,15 +91,6 @@ class XSeq:
     def weight(self) -> int:
         """Sum of (entry - 1); equals the canonical word length."""
         return sum(n - 1 for n in self.prefix)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, XSeq) and self.prefix == other.prefix
-
-    def __hash__(self) -> int:
-        return hash(self.prefix)
-
-    def __repr__(self) -> str:
-        return f"XSeq({self.prefix!r})"
 
     def __str__(self) -> str:
         return "(" + ",".join(str(n) for n in self.prefix) + ")"
@@ -148,10 +130,6 @@ def seq_compose(m: XSeq, n: XSeq) -> XSeq:
     seq_compose(s_of(u), s_of(v)) with u the left factor.
     """
     blocks = max(len(n.prefix), len(m.prefix), 1)
-    # Past the prefix of n, blocks are singletons; one extra block suffices
-    # to cover the remainder of m's prefix.
-    while sum(n.entry(k) for k in range(1, blocks + 1)) < len(m.prefix):
-        blocks += 1
     out = []
     pos = 1
     for k in range(1, blocks + 1):
@@ -166,16 +144,12 @@ def lex_cmp(c: XWord, d: XWord) -> Cmp:
 
     Oriented to agree with the representation order ``cmp_L``: the word with
     the lexicographically SMALLER sequence is the GREATER element (x_2 > x_1,
-    and every x-word sorts below the identity there).
+    and every x-word sorts below the identity there).  The trimmed prefixes
+    compare as plain tuples: a proper prefix sorts first, as its padding
+    does, because the longer prefix ends above 1.
     """
-    sc, sd = s_of(c), s_of(d)
-    if sc == sd:
-        return Cmp.EQUAL
-    for k in range(1, max(len(sc.prefix), len(sd.prefix)) + 1):
-        a, b = sc.entry(k), sd.entry(k)
-        if a != b:
-            return Cmp.GREATER if a < b else Cmp.LESS
-    return Cmp.EQUAL
+    sc, sd = s_of(c).prefix, s_of(d).prefix
+    return Cmp.EQUAL if sc == sd else Cmp.GREATER if sc < sd else Cmp.LESS
 
 
 def p_eval(w: XWord, k: int) -> int:

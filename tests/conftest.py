@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from itertools import chain
 
@@ -7,7 +8,9 @@ from hypothesis import settings
 
 from shrinkbraid import Cmp, Generator, Kind, RWord, XLetterPresentError, sigma, sigma_inv, x
 from shrinkbraid.freegroup import FLetter, FWord, _reduced, reduce
-from shrinkbraid.ldops import _TOKEN, LEAF, LDTerm, TermParseError, _term, circ, dot
+from shrinkbraid.ldops import LEAF, LDTerm, TermParseError, _term, circ, dot
+from shrinkbraid.words import _rword, _x_past_sigma
+from shrinkbraid.xmonoid import s_of
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -64,6 +67,15 @@ def random_sigma1_positive(rng: random.Random, max_len: int = 8, max_index: int 
     for _ in range(rng.randrange(1, 3)):
         letters.insert(rng.randrange(0, len(letters) + 1), sigma(1))
     return RWord(letters)
+
+
+class OffsetRan(Exception):
+    pass
+
+
+def no_offset(text, tokens, k):
+    """Stands in for ``freegroup._offset`` where no token may be located."""
+    raise OffsetRan(tokens[k])
 
 
 # --- reference code on FLetter tuples ---------------------------------------
@@ -225,12 +237,17 @@ def gen_quotient_coords(u: Gens, v: Gens) -> dict:
 # --- reference code: the recursive term parser ---------------------------------
 #
 # ``ldops.parse_term`` as it was written with one Python call per bracket,
-# before it became one loop with a stack of open brackets.  A property test
-# checks that both give the same term or the same error on random texts.
+# before it became one loop with a stack of open brackets, and with its own
+# token pattern, before every grammar located a bad token the same way.  A
+# property test checks that both give the same term or the same error on
+# random texts.
+
+# The token grammar: a bracket, or a run of other non-whitespace characters.
+TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
 def recursive_parse_term(text: str) -> LDTerm:
-    tokens = [(m.group(), m.start()) for m in _TOKEN.finditer(text)]
+    tokens = [(m.group(), m.start()) for m in TOKEN.finditer(text)]
     pos = 0
 
     def expect_term():
@@ -305,3 +322,41 @@ def children(t: LDTerm) -> tuple:
         missing += -1 if postfix[start] == "j" else 1
     op = "dot" if postfix[-1] == "." else "circ"
     return op, _term(postfix[:start]), _term(postfix[start:-1])
+
+
+# --- reference code: the splice loop of sx_decompose ---------------------------
+#
+# ``words.sx_decompose`` as it was written before it rebuilt its braid part:
+# one list of codes, in which each x letter is spliced past the sigma letter
+# to its right, scanning right to left.  It has no step budget.
+
+
+def splice_sx_decompose(w: RWord) -> tuple[RWord, RWord]:
+    codes = list(w.codes)
+    i = len(codes) - 2
+    while i >= 0:
+        if i + 1 < len(codes) and type(codes[i]) is tuple and type(codes[i + 1]) is int:
+            replacement = _x_past_sigma(codes[i], codes[i + 1])
+            codes[i : i + 2] = replacement
+            i += len(replacement) - 1  # keep following the moved x letter
+        else:
+            i -= 1
+    split = len(codes) - w.xs
+    return _rword(tuple(codes[:split]), 0), _rword(tuple(codes[split:]), w.xs)
+
+
+# --- reference code: lex_cmp on padded sequences --------------------------------
+#
+# ``xmonoid.lex_cmp`` as it was written before it compared trimmed prefixes
+# as tuples: entry by entry, the shorter sequence padded with 1s.
+
+
+def padded_lex_cmp(c, d) -> Cmp:
+    sc, sd = s_of(c), s_of(d)
+    if sc == sd:
+        return Cmp.EQUAL
+    for k in range(1, max(len(sc.prefix), len(sd.prefix)) + 1):
+        a, b = sc.entry(k), sd.entry(k)
+        if a != b:
+            return Cmp.GREATER if a < b else Cmp.LESS
+    return Cmp.EQUAL

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shrinkbraid import coloring, envelope, ldops, representation, xmonoid
+from shrinkbraid import coloring, envelope, ldops, representation, words, xmonoid
 from shrinkbraid.cli import _CMP_TEXT, run
 from shrinkbraid.coloring import InvalidStrandIndexError, RankMismatchError, StrandBudgetError
 from shrinkbraid.envelope import (
@@ -18,7 +18,7 @@ from shrinkbraid.envelope import (
 from shrinkbraid.freegroup import BudgetError, DomainError
 from shrinkbraid.ldops import LEAF, RealizationBudgetError, TermDepthError, eval_term, parse_term
 from shrinkbraid.representation import ImageBudgetError
-from shrinkbraid.words import XLetterPresentError
+from shrinkbraid.words import RewriteBudgetError, XLetterPresentError
 from shrinkbraid.xmonoid import SequenceBudgetError
 
 
@@ -155,6 +155,15 @@ class TestSxCanonAct:
         assert time.monotonic() - start < 1
         assert code == 2 and out == ""
         assert err == f"error: S sequence of 100000000 entries exceeds the budget of {1 << 20}\n"
+
+    def test_sx_step_budget_bounds_the_time(self, capout):
+        # Unbounded, this one takes 62,625,000 rewrite steps.
+        start = time.monotonic()
+        code, out, err = capout("sx", " ".join(["x1"] * 500 + ["s1"] * 500))
+        assert time.monotonic() - start < 2
+        assert code == 2 and out == ""
+        assert err.startswith("error: decomposition of at least ")
+        assert err.endswith(f" rewrite steps exceeds the budget of {1 << 20}\n")
 
     def test_act(self, capout):
         code, out, _ = capout("act", "s1", "e1")
@@ -367,6 +376,7 @@ class TestEnv:
     (OrbitBudgetError, envelope, "MAX_ORBIT_STATES", ["env", "1,2,3,1", "3,1,2,3", "--op", "eq"]),
     (SequenceBudgetError, xmonoid, "MAX_X_INDEX", ["canon", "x3"]),
     (TableBudgetError, envelope, "MAX_TABLE_SIZE", ["env", "1", "1", "--op", "dot"]),
+    (RewriteBudgetError, words, "MAX_REWRITE_STEPS", ["sx", "x1 s1 s2 s3"]),
 ])
 def test_budget_errors_share_one_base_and_exit_2(
     capout, monkeypatch, tmp_path, error, module, name, argv

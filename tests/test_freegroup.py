@@ -4,16 +4,18 @@ import sys
 import pytest
 from hypothesis import example, given, strategies as st
 
-from shrinkbraid import Cmp, apply_word, cmp_L, curve_cmp, finv, fmul, parse_rword, psi
+from shrinkbraid import Cmp, apply_word, cmp_L, curve_cmp, finv, fmul, freegroup, parse_rword, psi
 from shrinkbraid.freegroup import FLetter, FWord, FWordParseError, ParseError, parse_fword, reduce
 from shrinkbraid.ldops import TermParseError
 from shrinkbraid.words import RWordParseError
 
 from conftest import (
+    OffsetRan,
     letter_curve_cmp,
     letter_finv,
     letter_fmul,
     letter_reduce,
+    no_offset,
     random_braid,
     random_fword,
 )
@@ -327,6 +329,20 @@ class TestFWordGrammar:
                 parse_fword(f"e1 {token}")
             assert info.value.offset == 3
             assert info.value.token == token
+
+    @pytest.mark.parametrize("parse, valid, bad", [
+        (parse_fword, ["", "e1 e2^-1", "\u3000e3\ne3^-1 e1\t"], "e1 e2 f2"),
+        (parse_rword, ["", "s1 x2 s3^-1", "\u3000x1\ns2^-1 x1\t"], "s1 x2 x3^-1"),
+    ])
+    def test_only_a_failing_token_is_located(self, monkeypatch, parse, valid, bad):
+        expected = [parse(text) for text in valid]
+        with pytest.raises(ParseError) as info:
+            parse(bad)
+        monkeypatch.setattr(freegroup, "_offset", no_offset)
+        assert [parse(text) for text in valid] == expected
+        with pytest.raises(OffsetRan):
+            parse(bad)
+        assert (info.value.offset, info.value.token) == (6, bad.split()[2])
 
     def test_grammar_errors_share_one_base(self):
         for error in (FWordParseError, RWordParseError, TermParseError):

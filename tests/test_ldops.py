@@ -42,12 +42,14 @@ from shrinkbraid.words import braid_inverse, free_cancel, sx_decompose
 from shrinkbraid.xmonoid import XWord, x_canonicalize
 
 from conftest import (
+    OffsetRan,
     chain_circ,
     chain_dot,
     children,
     gen_braid_inverse,
     gen_free_cancel,
     gen_shift,
+    no_offset,
     random_braid,
     recursive_parse_term,
 )
@@ -506,8 +508,8 @@ TERM_TEXTS = st.recursive(
     ),
     max_leaves=6,
 )
-# Separators beyond ASCII whitespace, on which str.split and the regex \s
-# must agree for parse_term's offsets to match the recursive parser's.
+# Separators beyond ASCII whitespace, on which str.split and the reference
+# parser's regex \s must agree for parse_term to match the recursive parser.
 UNICODE_SPACES = ["\x1c", "\x85", "\xa0", "\u2028", "\u3000"]
 TOKEN_SOUP = st.lists(
     st.tuples(
@@ -546,17 +548,6 @@ def parse_outcome(parse, text):
         return str(parse(text))
     except TermParseError as exc:
         return str(exc), exc.offset, exc.token
-
-
-class ScanRan(Exception):
-    pass
-
-
-class NoScan:
-    """Stands in for ``ldops._TOKEN`` where the pattern must not be read."""
-
-    def finditer(self, text):
-        raise ScanRan(text)
 
 
 class TestTermGrammar:
@@ -611,29 +602,32 @@ class TestTermGrammar:
             parse_term("(j\u3000.\u3000k)")
         assert info.value.offset == 5 and info.value.token == "k"
 
-    def test_split_cuts_tokens_where_the_pattern_does(self):
-        # parse_term cuts tokens with str.split and locates them with _TOKEN.
+    def test_late_failing_token_is_located_across_every_separator(self):
+        # parse_term cuts tokens with str.split and locates a failing one by
+        # searching the text; the recursive parser matches a regex.
         spaces = [chr(i) for i in range(sys.maxunicode + 1) if chr(i).isspace()]
         assert set(UNICODE_SPACES) < set(spaces)
-        for space in spaces:
-            text = f"(j{space}.{space}(j)){space}\u0135{space}"
-            tokens = [match.group() for match in ldops._TOKEN.finditer(text)]
-            assert tokens == ["(", "j", ".", "(", "j", ")", ")", "\u0135"]
-            assert text.replace("(", " ( ").replace(")", " ) ").split() == tokens
+        for s in spaces:
+            text = f"{s}(j{s}.{s}(j{s}o{s}(j)){s}\u0135{s}"
+            outcome = parse_outcome(parse_term, text)
+            assert outcome[2] == ")" and outcome == parse_outcome(recursive_parse_term, text)
+            text = f"(j{s}.{s}(j{s}o{s}j)){s}\u0135{s}"
+            outcome = parse_outcome(parse_term, text)
+            assert outcome[2] == "\u0135" and outcome == parse_outcome(recursive_parse_term, text)
 
     @given(TERM_TEXTS)
-    def test_valid_text_is_read_without_the_token_pattern(self, text):
+    def test_valid_text_is_read_without_locating_a_token(self, text):
         expected = recursive_parse_term(text)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ldops, "_TOKEN", NoScan())
+            patch.setattr(ldops, "_offset", no_offset)
             assert parse_term(text) == expected
 
-    def test_only_a_failing_token_is_located_by_the_pattern(self, monkeypatch):
+    def test_only_a_failing_token_is_located(self, monkeypatch):
         depth = ldops.MAX_TERM_DEPTH
         deepest = "(j . " * depth + "j" + ")" * depth
-        monkeypatch.setattr(ldops, "_TOKEN", NoScan())
+        monkeypatch.setattr(ldops, "_offset", no_offset)
         assert parse_term(deepest).depth() == depth
-        with pytest.raises(ScanRan):
+        with pytest.raises(OffsetRan):
             parse_term("(j * j)")
         monkeypatch.undo()
         with pytest.raises(TermParseError) as info:

@@ -17,9 +17,18 @@ from shrinkbraid import (
     sx_decompose,
     x,
 )
-from shrinkbraid.words import Generator, Kind, RWordParseError
+from shrinkbraid import words
+from shrinkbraid.freegroup import BudgetError
+from shrinkbraid.words import Generator, Kind, RewriteBudgetError, RWordParseError
 
-from conftest import gen_braid_inverse, gen_free_cancel, gen_shift, random_braid, random_rplus
+from conftest import (
+    gen_braid_inverse,
+    gen_free_cancel,
+    gen_shift,
+    random_braid,
+    random_rplus,
+    splice_sx_decompose,
+)
 
 
 def w(text: str) -> RWord:
@@ -404,3 +413,25 @@ class TestCodesAgainstReference:
         braid_part, x_part = sx_decompose(u * v)
         assert braid_part.is_braid() and x_part.x_count() == len(x_part) == (u * v).x_count()
         assert RWord(braid_part.letters) == braid_part and RWord(x_part.letters) == x_part
+
+
+class TestSxRebuild:
+    """``sx_decompose`` against the splice loop in ``conftest``, and its budget."""
+
+    @given(st.lists(GENERATORS, max_size=16).map(RWord))
+    def test_matches_the_splice_loop(self, word):
+        assert sx_decompose(word) == splice_sx_decompose(word)
+
+    def test_step_budget(self, monkeypatch):
+        assert issubclass(RewriteBudgetError, BudgetError)
+        assert words.MAX_REWRITE_STEPS == 1 << 20
+        word = w("x2 x1 s1 s2 s1^-1")  # x1 moves past 3 letters, then x2 past 5
+        assert sx_decompose(word) == splice_sx_decompose(word)
+        monkeypatch.setattr(words, "MAX_REWRITE_STEPS", 8)
+        assert sx_decompose(word) == splice_sx_decompose(word)
+        monkeypatch.setattr(words, "MAX_REWRITE_STEPS", 7)
+        with pytest.raises(RewriteBudgetError) as info:
+            sx_decompose(word)
+        assert str(info.value) == (
+            "decomposition of at least 8 rewrite steps exceeds the budget of 7"
+        )

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,6 +17,8 @@ from shrinkbraid.xmonoid import (
     sf_eval,
     x_canonicalize,
 )
+
+from conftest import padded_lex_cmp
 
 
 indices = st.lists(st.integers(1, 6), max_size=8)
@@ -151,6 +155,11 @@ class TestLexCmp:
     def test_equal(self):
         assert lex_cmp(xw(2, 1), xw(1, 1)) is Cmp.EQUAL  # same element of X_oo
 
+    @given(indices, indices)
+    def test_matches_the_padded_loop(self, a, b):
+        c, d = XWord(tuple(a)), XWord(tuple(b))
+        assert lex_cmp(c, d) is padded_lex_cmp(c, d)
+
     def test_agreement_with_representation_order(self, rng):
         for _ in range(300):
             c = XWord(tuple(rng.randint(1, 5) for _ in range(rng.randrange(0, 6))))
@@ -209,3 +218,17 @@ class TestXSeqBasics:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             XSeq((0,))
+
+
+@pytest.mark.parametrize("value, field, text", [
+    (XWord((1, 2)), "indices", "XWord(indices=(1, 2))"),
+    (XSeq((2, 1)), "prefix", "XSeq(prefix=(2,))"),
+])
+def test_values_are_read_only_and_pickle(value, field, text):
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+        setattr(value, field, ())
+    with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+        delattr(value, field)
+    assert repr(value) == text
+    copy = pickle.loads(pickle.dumps(value))
+    assert copy == value and hash(copy) == hash(value) and type(copy) is type(value)
