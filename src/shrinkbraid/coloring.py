@@ -13,17 +13,20 @@ k-th generator to the k-th final color; stacking words composes morphisms by
 substitution, contravariantly.
 
 ``color`` reads the word's letter codes (``words``) and keeps each color as
-an ``FWord``, multiplied and inverted by ``fmul`` and ``finv`` on its
-signed-int storage, so the final colors are the images as they stand: there
-is no decode step.  Colors share the free-group image budget,
-``representation.MAX_IMAGE_LETTERS``: once a letter makes a color longer
-than that, ``color`` raises ``representation.ImageBudgetError``.
+a bare reduced tuple of signed ints (e_k is k, e_k^-1 is -k), multiplied and
+inverted by the free-group tuple kernels ``_mul`` and ``_inv``; each final
+color is wrapped in an ``FWord`` once, so there is no decode step and no
+word object per letter.  ``ColoredMorphism.apply``, and so
+``compose_colored``, folds ``_mul`` the same way.  Colors share the
+free-group image budget, ``representation.MAX_IMAGE_LETTERS``: once a letter
+makes a color longer than that, ``color`` raises
+``representation.ImageBudgetError``.
 """
 
 from __future__ import annotations
 
 from . import representation
-from .freegroup import BudgetError, DomainError, FWord, _Frozen, finv, fmul
+from .freegroup import BudgetError, DomainError, FWord, _Frozen, _inv, _mul, _word
 from .words import RWord, _text
 
 
@@ -62,14 +65,14 @@ class ColoredMorphism(_Frozen):
 
     def apply(self, w: FWord) -> FWord:
         """Substitute source generators by their images."""
-        out = FWord.identity()
+        out: tuple[int, ...] = ()
         for g in w.ints:
             index = abs(g)
             if index > self.source_rank:
                 raise ValueError(f"letter index {index} beyond source rank")
-            image = self.images[index - 1]
-            out = fmul(out, image if g > 0 else finv(image))
-        return out
+            image = self.images[index - 1].ints
+            out = _mul(out, image if g > 0 else _inv(image))
+        return _word(out)
 
     @staticmethod
     def identity_on(n: int) -> "ColoredMorphism":
@@ -83,7 +86,7 @@ def color(w: RWord, n_top: int) -> ColoredMorphism:
     if n_top > MAX_STRANDS:
         raise StrandBudgetError(f"{n_top} strands exceed the budget of {MAX_STRANDS}")
     budget = representation.MAX_IMAGE_LETTERS
-    colors = [FWord.generator(k) for k in range(1, n_top + 1)]
+    colors = [(k,) for k in range(1, n_top + 1)]
     for c in w.codes:
         i = c[0] if type(c) is tuple else c if c > 0 else -c
         if i >= len(colors):
@@ -92,19 +95,19 @@ def color(w: RWord, n_top: int) -> ColoredMorphism:
             )
         left, right = colors[i - 1], colors[i]
         if type(c) is tuple:
-            grown = fmul(left, right)
+            grown = _mul(left, right)
             colors[i - 1 : i + 1] = [grown]
         elif c > 0:
-            colors[i - 1] = grown = fmul(fmul(left, right), finv(left))
+            colors[i - 1] = grown = _mul(_mul(left, right), _inv(left))
             colors[i] = left
         else:
             colors[i - 1] = right
-            colors[i] = grown = fmul(fmul(finv(right), left), right)
+            colors[i] = grown = _mul(_mul(_inv(right), left), right)
         if len(grown) > budget:
             raise representation.ImageBudgetError(
                 f"color of {len(grown)} letters exceeds the budget of {budget}"
             )
-    return ColoredMorphism(len(colors), n_top, tuple(colors))
+    return ColoredMorphism(len(colors), n_top, tuple([_word(c) for c in colors]))
 
 
 def compose_colored(f: ColoredMorphism, g: ColoredMorphism) -> ColoredMorphism:

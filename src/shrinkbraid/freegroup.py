@@ -13,7 +13,11 @@ Conventions:
   text straight to ints.  ``_reduced`` is the one free-cancellation stack
   for signed-int words; braid words share it through their letter codes
   (s_i is i, s_i^-1 is -i; see ``words``), in ``words.free_cancel``, the
-  image kernel of ``representation`` and the kernel of ``ldops``.
+  image kernel and the Dynnikov feed of ``representation`` and the kernel
+  of ``ldops``.  ``_mul`` (cancellation at the seam only) and ``_inv`` are
+  the tuple kernels of ``fmul`` and ``finv``, which wrap their result with
+  ``_word``; ``coloring`` calls the kernels directly, so its colors stay
+  bare tuples until the word is read.
 - ``DomainError`` is the base of the typed errors for input that parses but
   lies outside an operation's domain; the command line maps it, and only
   it, to exit code 2.  ``BudgetError``, one of them, is the base of the
@@ -217,18 +221,27 @@ class FWord:
         return _word(tuple([g + k if g > 0 else g - k for g in self.ints]))
 
 
-def fmul(u: FWord, v: FWord) -> FWord:
-    """Reduced concatenation: cancellation can only happen at the seam."""
-    a, b = u.ints, v.ints
+def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The product of two reduced int tuples: cancellation can only happen at the seam."""
     i = 0
     n = min(len(a), len(b))
     while i < n and a[-1 - i] == -b[i]:
         i += 1
-    return _word(a[: len(a) - i] + b[i:] if i else a + b)
+    return a[: len(a) - i] + b[i:] if i else a + b
+
+
+def _inv(a: tuple[int, ...]) -> tuple[int, ...]:
+    """The inverse of a reduced int tuple, which is reduced too."""
+    return tuple([-g for g in reversed(a)])
+
+
+def fmul(u: FWord, v: FWord) -> FWord:
+    """Reduced concatenation; ``_mul`` on the two words' ints."""
+    return _word(_mul(u.ints, v.ints))
 
 
 def finv(u: FWord) -> FWord:
-    return _word(tuple([-g for g in reversed(u.ints)]))
+    return _word(_inv(u.ints))
 
 
 def psi(u: FWord) -> FWord:

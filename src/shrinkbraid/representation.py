@@ -35,7 +35,10 @@ dict from pair index k to a pair (x_k, y_k); a missing key is the pair (0, 1).
 the empty dict and feeds ``_act`` the letter codes of u^-1 v (s_i is i,
 s_i^-1 is -i; see ``words``), rightmost first as in ``apply_word``: v's codes
 reversed, then u's codes negated, ``chain(reversed(v.codes), map(neg,
-u.codes))``, so u^-1 is never built and no letter is decoded.  With
+u.codes))``, so u^-1 is never built and no letter is decoded.  The feed is
+freely cancelled by ``freegroup._reduced`` first, so letters of a shared
+prefix of u and v and inserted s_i s_i^-1 pairs cost no update; this is
+exact because the update below is a group action on all of Z^2n.  With
 a+ = max(a, 0) and a- = min(a, 0), the code i > 0 (s_i) and the code -i
 (s_i^-1) update pairs i and i + 1:
 
@@ -148,10 +151,13 @@ def _quotient_coords(u: RWord, v: RWord) -> dict[int, tuple[int, int]]:
     """Sparse Dynnikov coordinates of the braid u^-1 v, (0, 1) pairs dropped.
 
     u^-1 v acts with v's letters rightmost first, then u's letters left to
-    right with their signs flipped, so u^-1 is never built.
+    right with their signs flipped, so u^-1 is never built.  That feed is
+    freely cancelled before ``_act`` reads it.  This is exact because
+    ``_act`` is a group action on all of Z^2n (``TestDynnikovUpdate``), so
+    an adjacent s_i s_i^-1 acts as the identity.
     """
     coords: dict[int, tuple[int, int]] = {}
-    _act(coords, chain(reversed(v.codes), map(neg, u.codes)))
+    _act(coords, _reduced(chain(reversed(v.codes), map(neg, u.codes))))
     return {k: pair for k, pair in coords.items() if pair != _TRIVIAL}
 
 

@@ -25,9 +25,10 @@ class XWord(_Frozen):
     __slots__ = ("indices",)
 
     def __init__(self, indices: tuple[int, ...] = ()):
+        indices = tuple(indices)  # an iterator would be used up by the check
         if any(i < 1 for i in indices):
             raise ValueError("x indices must be >= 1")
-        super().__init__(tuple(indices))
+        super().__init__(indices)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -77,9 +78,9 @@ class XSeq(_Frozen):
     __slots__ = ("prefix",)
 
     def __init__(self, prefix: tuple[int, ...] = ()):
-        if any(n < 1 for n in prefix):
+        trimmed = list(prefix)  # an iterator would be used up by the check
+        if any(n < 1 for n in trimmed):
             raise ValueError("sequence entries must be >= 1")
-        trimmed = list(prefix)
         while trimmed and trimmed[-1] == 1:
             trimmed.pop()
         super().__init__(tuple(trimmed))

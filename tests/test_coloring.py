@@ -3,7 +3,7 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from shrinkbraid import coloring
+from shrinkbraid import coloring, representation
 from shrinkbraid import (
     ColoredMorphism,
     InvalidStrandIndexError,
@@ -136,6 +136,16 @@ class TestColorBasics:
         with pytest.raises(coloring.StrandBudgetError):
             color(RWord.identity(), 5)
         assert issubclass(coloring.StrandBudgetError, ValueError)
+
+    def test_image_budget(self, monkeypatch):
+        w = parse_rword("s1 s2^-1 " * 8)
+        prefixes = [RWord(w.letters[:k]) for k in range(len(w) + 1)]
+        longest = max(len(image) for p in prefixes for image in color(p, 3).images)
+        monkeypatch.setattr(representation, "MAX_IMAGE_LETTERS", longest)
+        assert color(w, 3) == reference_color(w, 3)
+        monkeypatch.setattr(representation, "MAX_IMAGE_LETTERS", longest - 1)
+        with pytest.raises(representation.ImageBudgetError, match=f"the budget of {longest - 1}$"):
+            color(w, 3)
 
 
 class TestRecoloringRules:

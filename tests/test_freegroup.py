@@ -5,7 +5,16 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from shrinkbraid import Cmp, apply_word, cmp_L, curve_cmp, finv, fmul, freegroup, parse_rword, psi
-from shrinkbraid.freegroup import FLetter, FWord, FWordParseError, ParseError, parse_fword, reduce
+from shrinkbraid.freegroup import (
+    FLetter,
+    FWord,
+    FWordParseError,
+    ParseError,
+    _inv,
+    _mul,
+    parse_fword,
+    reduce,
+)
 from shrinkbraid.ldops import TermParseError
 from shrinkbraid.words import RWordParseError
 
@@ -98,6 +107,29 @@ class TestIntKernel:
         u = reduce(lets)
         assert finv(u).letters == letter_finv(u.letters)
         assert fmul(u, finv(u)) == FWord.identity()
+
+
+def decoded(ints: tuple[int, ...]) -> tuple[FLetter, ...]:
+    return tuple(FLetter(g, 1) if g > 0 else FLetter(-g, -1) for g in ints)
+
+
+class TestTupleKernels:
+    """``_mul`` and ``_inv`` on bare int tuples against the FLetter reference code."""
+
+    @given(letters, letters)
+    def test_mul_matches_reference(self, a, b):
+        u, v = reduce(a), reduce(b)
+        product = _mul(u.ints, v.ints)
+        assert type(product) is tuple
+        assert decoded(product) == letter_fmul(u.letters, v.letters)
+
+    @given(letters)
+    def test_inv_matches_reference(self, lets):
+        u = reduce(lets)
+        inverse = _inv(u.ints)
+        assert type(inverse) is tuple
+        assert decoded(inverse) == letter_finv(u.letters)
+        assert _mul(u.ints, inverse) == () and _mul(inverse, u.ints) == ()
 
 
 class TestStorage:

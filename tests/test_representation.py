@@ -346,6 +346,21 @@ letters = st.builds(_signed, st.integers(1, MAX_STRAND_INDEX), st.booleans())
 braids = st.lists(letters, max_size=12).map(RWord)
 
 
+@st.composite
+def cancelling_braids(draw):
+    """A braid word with cancelling pairs s_i^e s_i^-e inserted anywhere.
+
+    Pairs may land inside one another, so the feed of ``_quotient_coords``
+    holds nested runs that free cancellation removes.
+    """
+    out = list(draw(braids).letters)
+    pairs = st.tuples(st.integers(1, MAX_STRAND_INDEX), st.booleans(), st.integers(0, 20))
+    for i, positive, p in draw(st.lists(pairs, max_size=4)):
+        p = min(p, len(out))
+        out[p:p] = [_signed(i, positive), _signed(i, not positive)]
+    return RWord(out)
+
+
 def _equal_rewrite(w: RWord, rnd: random.Random) -> RWord:
     """A word equal to w: relations (6)/(7) and inserted cancelling pairs."""
     out = list(w.letters)
@@ -448,9 +463,14 @@ SMALL = st.integers(-9, 9)
 class TestCoordinatesAgainstReference:
     """The code-fed Dynnikov update against the Kind-dispatch copy in ``conftest``."""
 
-    @given(braids, braids)
+    @given(cancelling_braids(), cancelling_braids())
     def test_quotient_coords(self, u, v):
         assert _quotient_coords(u, v) == gen_quotient_coords(u.letters, v.letters)
+
+    @given(braids, cancelling_braids(), cancelling_braids())
+    def test_quotient_coords_shared_prefix(self, p, u, v):
+        pu, pv = p * u, p * v
+        assert _quotient_coords(pu, pv) == gen_quotient_coords(pu.letters, pv.letters)
 
     @given(braids, st.dictionaries(st.integers(1, 8), st.tuples(SMALL, SMALL)))
     def test_act(self, w, start):
@@ -458,6 +478,34 @@ class TestCoordinatesAgainstReference:
         _act(out, w.codes)
         gen_act(expected, w.letters, Kind.SIGMA)
         assert out == expected
+
+
+class TestFreeCancellationBeforeAct:
+    """``_act`` receives u^-1 v freely cancelled: a shared prefix costs no update."""
+
+    @pytest.fixture
+    def fed(self, monkeypatch):
+        lengths = []
+        act = representation._act
+
+        def recorder(coords, codes):
+            codes = tuple(codes)
+            lengths.append(len(codes))
+            act(coords, codes)
+
+        monkeypatch.setattr(representation, "_act", recorder)
+        return lengths
+
+    def test_equal_long_words_make_no_update(self, fed):
+        rnd = random.Random(20000)
+        w = RWord(
+            [_signed(rnd.randint(1, MAX_STRAND_INDEX), rnd.random() < 0.5) for _ in range(20000)]
+        )
+        assert morphism_eq(w, w)
+        assert cmp_L(w, w) is Cmp.EQUAL
+        assert fed == [0, 0]
+        assert cmp_L(w, w * RWord([sigma(1)])) is Cmp.LESS
+        assert fed == [0, 0, 1]
 
 
 class TestDynnikovUpdate:

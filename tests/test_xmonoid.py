@@ -232,3 +232,14 @@ def test_values_are_read_only_and_pickle(value, field, text):
     assert repr(value) == text
     copy = pickle.loads(pickle.dumps(value))
     assert copy == value and hash(copy) == hash(value) and type(copy) is type(value)
+
+
+@pytest.mark.parametrize("make, field, values", [
+    (XWord, "indices", (1, 2)),
+    (XSeq, "prefix", (2, 3)),
+])
+def test_generator_arguments_are_read_whole(make, field, values):
+    assert getattr(make(v for v in values), field) == values
+    assert make(iter(values)) == make(values)
+    with pytest.raises(ValueError):
+        make(v for v in (2, 0, 3))
