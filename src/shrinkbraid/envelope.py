@@ -14,29 +14,37 @@ taken modulo the positive-braid action
     sigma_i (a_1, ..., a_n) = (a_1, ..., a_i . a_{i+1}, a_i, ..., a_n).
 
 Two sequences are equal in the envelope iff some positive braids take them
-to a common sequence.  ``orbit_eq`` decides this in two stages:
+to a common sequence.  ``orbit_eq`` decides this in three stages:
 
 - Invariants.  Length is preserved by every sigma_i, and so is the left
   translation c -> a_1.(a_2.( ... (a_n.c))): left distributivity gives
   (a_i.a_{i+1}).(a_i.c) = a_i.(a_{i+1}.c).  (This is also why ``env_dot``
   is well defined on orbits.)  Sequences whose lengths or translation maps
   differ are answered No without any search.
+- The absorbing rule.  On an *absorbing* table (a row is the identity, for
+  a left identity t, the rows are distinct, and repeating sigma_1 carries
+  every pair to a first entry t; the Laver tables are such) the two
+  invariants are complete, so equal lengths and maps answer Yes without
+  any search.  ``orbit_eq`` gives the proof.
 - Search.  Otherwise both orbits grow breadth first, one layer at a time,
   always on the side with the smaller frontier, and the search answers Yes
-  at the first state the two sides share.  No needs both orbits closed.
-  The search runs on sequences coded as ints: entry a_i - 1 sits in bits
-  [b*i, b*(i+1)), with b = max(1, (n-1).bit_length()) for n elements and i
-  from 0.  The table builds ``_steps`` once: for the code p of a pair
-  (a, b), p + _steps[p] is the code of (a.b, a).  So sigma_(i+1) on a code
-  is one shift, one mask, one lookup and one add, and a state is an int.
+  at the first state the two sides share.  No needs both orbits closed,
+  or one of them on a *rack* (every row a permutation), where orbits are
+  equivalence classes.  The search runs on sequences coded as ints: entry
+  a_i - 1 sits in bits [b*i, b*(i+1)), with b = max(1, (n-1).bit_length())
+  for n elements and i from 0.  The table builds ``_steps`` once: for the
+  code p of a pair (a, b), p + _steps[p] is the code of (a.b, a).  So
+  sigma_(i+1) on a code is one shift, one mask, one lookup and one add,
+  and a state is an int.
 
-The invariants do not separate every pair (on a cyclic table a constant
-sequence is fixed by every sigma_i and shares its translation map with
-other sequences), so a search may have to close a whole orbit, which has
-up to about n^(L-1) states for L entries from n.  Once the two searches
-hold more than ``MAX_ORBIT_STATES`` states together, ``orbit_eq`` raises
-``OrbitBudgetError``.  With a finite ``depth`` it answers Unknown when a
-search reached that many layers before the sides met or both orbits closed.
+The invariants do not separate every pair on other tables (on a cyclic
+table a constant sequence is fixed by every sigma_i and shares its
+translation map with other sequences), so a search may have to close a
+whole orbit, which has up to about n^(L-1) states for L entries from n.
+Once the two searches hold more than ``MAX_ORBIT_STATES`` states together,
+``orbit_eq`` raises ``OrbitBudgetError``.  With a finite ``depth`` it
+answers Unknown when a search reached that many layers before the sides met
+or the closed orbits decided.
 """
 
 from __future__ import annotations
@@ -100,7 +108,7 @@ def _check_size(size: int) -> None:
 class LDTable:
     """A finite left-distributive magma on elements 1..size."""
 
-    __slots__ = ("size", "table", "_bits", "_steps")
+    __slots__ = ("size", "table", "_bits", "_steps", "_rack", "_absorbing")
 
     def __init__(self, table: Sequence[Sequence[int]]):
         self.size = len(table)
@@ -136,6 +144,8 @@ class LDTable:
             for b in self.elements():
                 steps[a - 1 | (b - 1) << bits] = self.dot(a, b) - a + ((a - b) << bits)
         self._steps = steps
+        self._rack = all(len(set(row)) == self.size for row in rows)
+        self._absorbing = self._absorbs()
 
     def dot(self, a: int, b: int) -> int:
         return self.table[a - 1][b - 1]
@@ -199,14 +209,37 @@ class LDTable:
     ) -> OrbitResult:
         """Whether u and v have a common image under positive braids.
 
-        No when the lengths or the left-translation maps differ; otherwise
-        a breadth-first search from both sides, which answers Yes at the
-        first shared state and No once both orbits are closed.  ``depth``
-        caps the layers searched from each side; None searches until closure.
-        Unknown occurs only under a finite ``depth``: the maps agree, and a
-        side reached ``depth`` layers before the sides met or both closed.
-        Raises ``OrbitBudgetError`` once the two sides hold more than
+        Three stages.  No when the lengths or the left-translation maps
+        differ.  Otherwise Yes at once on an absorbing table.  Otherwise a
+        breadth-first search from both sides, which answers Yes at the first
+        shared state and No once both orbits are closed, or once one is on a
+        rack.  ``depth`` caps the layers searched from each side; None
+        searches until closure.  Unknown occurs only under a finite
+        ``depth``: the maps agree, the table is not absorbing, and a side
+        reached ``depth`` layers before the search decided.  Raises
+        ``OrbitBudgetError`` once the two sides hold more than
         ``MAX_ORBIT_STATES`` states.
+
+        The absorbing rule.  Let t be the left identity of an absorbing
+        table (``_absorbs``).  For i = 1..L-1 in turn, apply sigma_i until
+        entry i is t: sigma_i acts on entries i and i+1 as sigma_1 acts on
+        a pair, so this ends, and it leaves entries 1..i-1 at t.  The result
+        is (t, ..., t, z), whose translation map is L_z, as L_t = id; the
+        map is an orbit invariant, and the rows are distinct, so z is the
+        element whose row is the map.  Two sequences of one length with one
+        map therefore reach the same (t, ..., t, z): Yes.  A Laver table A_k
+        on 1..N, N = 2^k, is absorbing: N.q = q; p.q > p for p < N, so a
+        pair (a, b) reaches a first entry N within N - a steps; and
+        p.1 = p + 1 for p < N with N.1 = 1, so the rows are distinct.
+
+        The rack rule.  On a rack (every row a permutation) sigma_1 is a
+        bijection on pairs, as b is read back from (a.b, a) through row a,
+        so each sigma_i is a bijection on the finite set of sequences of one
+        length, and a power of it is its inverse.  Positive-braid orbits are
+        then whole braid-group orbits, that is, equivalence classes.  The
+        two sides never hold a common state while the search runs, so a
+        side whose frontier is empty holds the whole class of its sequence,
+        and the other sequence is not in it: No.
         """
         self._check_seq(u)
         self._check_seq(v)
@@ -218,6 +251,8 @@ class LDTable:
             return OrbitResult.YES
         if self._translation(u) != self._translation(v):
             return OrbitResult.NO
+        if self._absorbing:
+            return OrbitResult.YES
         steps, bits = self._steps, self._bits
         mask = (1 << 2 * bits) - 1
         shifts = range(0, bits * (len(u) - 1), bits)
@@ -226,9 +261,10 @@ class LDTable:
         frontiers = [[cu], [cv]]
         layers = [0, 0]
         while True:
-            # A side with an empty frontier has closed its orbit.
+            # A side with an empty frontier has closed its orbit; on a rack
+            # one closed side decides (the rack rule above).
             open_sides = [k for k in (0, 1) if frontiers[k]]
-            if not open_sides:
+            if len(open_sides) < 1 + self._rack:
                 return OrbitResult.NO
             growing = [k for k in open_sides if depth is None or layers[k] < depth]
             if not growing:
@@ -252,6 +288,32 @@ class LDTable:
                         )
             frontiers[k] = new
             layers[k] += 1
+
+    def _absorbs(self) -> bool:
+        """Whether some row is the identity, for t, the rows are distinct, and
+        repeating sigma_1, (a, b) -> (a.b, a), carries every pair to a first
+        entry t.
+
+        sigma_1 is a function on the n^2 pair codes (p -> p + _steps[p]).
+        Walk k from each pair stamps k on the pairs it passes until it meets
+        a first entry t or a stamped pair; every earlier walk reached t, so
+        only its own stamp k, a cycle without t, fails.  Each pair is stamped
+        once, so this takes O(n^2) steps; a table with no identity row, such
+        as a cyclic one, stops after one scan of the rows.
+        """
+        identity = tuple(self.elements())
+        if identity not in self.table or len(set(self.table)) < self.size:
+            return False
+        t_code, bits, steps = self.table.index(identity), self._bits, self._steps
+        low, stamps = (1 << bits) - 1, [0] * len(steps)
+        pairs = (a | b << bits for b in range(self.size) for a in range(self.size))
+        for k, p in enumerate(pairs, 1):
+            while not stamps[p] and p & low != t_code:
+                stamps[p] = k
+                p += steps[p]
+            if stamps[p] == k:
+                return False
+        return True
 
     def _code(self, s: EnvElement) -> int:
         """s as one int: entry a_i - 1 in bits [bits*i, bits*(i+1)), i from 0."""
@@ -327,6 +389,8 @@ def parse_table(text: str) -> LDTable:
         size = _ascii_int(lines[0])
     except ValueError:
         raise ValueError(f"first line must be the size, got {lines[0]!r}")
+    if size < 1:
+        raise ValueError(f"table size must be at least 1, got {size}")
     _check_size(size)
     if len(lines) != size + 1:
         raise ValueError(f"expected {size} rows after the size line, got {len(lines) - 1}")

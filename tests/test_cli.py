@@ -304,12 +304,21 @@ class TestEnv:
         )
         assert code == 0 and out == "No\n"
 
-    def test_eq_state_budget_is_domain_error(self, capout, table_file, monkeypatch):
+    def test_eq_state_budget_is_domain_error(self, capout, table_file, tmp_path, monkeypatch):
         # 1,1,1,1,1,1 is fixed by every sigma_i and shares its translation
-        # map with 2,2,2,2,3,3, whose orbit has 240 states.
-        args = ("env", table_file, "1,1,1,1,1,1", "2,2,2,2,3,3", "--op", "eq")
+        # map with 2,2,2,2,3,3, whose orbit has 240 states.  C3 is a rack, so
+        # the closed side of the constant sequence answers No under any
+        # budget.  C6 is not: 6,3,6,3,6 and 4,4,2,5,3 share a map, and only
+        # their closed orbits, of 16 and 182 states, answer No.
+        rack_args = ("env", table_file, "1,1,1,1,1,1", "2,2,2,2,3,3", "--op", "eq")
+        path = tmp_path / "cyc6.txt"
+        rows = [" ".join(str((2 * b - a) % 6 + 1) for b in range(6)) for a in range(6)]
+        path.write_text("6\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        args = ("env", str(path), "6,3,6,3,6", "4,4,2,5,3", "--op", "eq")
+        assert capout(*rack_args)[:2] == (0, "No\n")
         assert capout(*args)[:2] == (0, "No\n")
         monkeypatch.setattr(envelope, "MAX_ORBIT_STATES", 100)
+        assert capout(*rack_args)[:2] == (0, "No\n")
         code, out, err = capout(*args)
         assert code == 2 and out == ""
         assert err.startswith("error: orbit search passed 100 states")
@@ -353,6 +362,14 @@ class TestEnv:
         code, out, err = capout("env", table_file, "-1", "1", "--op", "circ")
         assert code == 1 and out == ""
         assert err == "error: element -1 outside 1..3\n"
+
+    @pytest.mark.parametrize("size", ["-3", "0"])
+    def test_table_size_below_one_is_usage_error(self, capout, tmp_path, size):
+        path = tmp_path / "t.txt"
+        path.write_text(f"{size}\n", encoding="utf-8")
+        code, out, err = capout("env", str(path), "1", "1", "--op", "dot")
+        assert code == 1 and out == ""
+        assert err == f"error: table size must be at least 1, got {size}\n"
 
     @pytest.mark.parametrize("text, message", [
         ("\u0663\n1 3 2\n3 2 1\n2 1 3\n", "error: first line must be the size, got '\u0663'\n"),

@@ -1,4 +1,6 @@
 import itertools
+import random
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -159,9 +161,11 @@ class TestOrbitEquality:
 
     @pytest.mark.parametrize("n, u, v, states", [
         # A constant sequence over a cyclic table is fixed by every sigma_i,
-        # so only the closed orbit of v, 240 states, certifies No.
+        # so its side closes at once.  C3 is a rack, where that closed side
+        # answers No under any budget; the orbit of v has 240 states.
         (3, (1,) * 6, (2, 2, 2, 2, 3, 3), 1 + 240),
-        # Orbits of 16 and 182 states: the budget counts both sides together.
+        # C6 is no rack: only both orbits closed, of 16 and 182 states,
+        # certify No, and the budget counts both sides together.
         (6, (6, 3, 6, 3, 6), (4, 4, 2, 5, 3), 16 + 182),
     ])
     def test_state_budget(self, monkeypatch, n, u, v, states):
@@ -169,9 +173,37 @@ class TestOrbitEquality:
         assert t._translation(u) == t._translation(v)
         monkeypatch.setattr(envelope, "MAX_ORBIT_STATES", states)
         assert t.orbit_eq(u, v) is OrbitResult.NO
+        if t._rack:
+            monkeypatch.setattr(envelope, "MAX_ORBIT_STATES", 1)
+            assert t.orbit_eq(u, v) is OrbitResult.NO
+            return
         monkeypatch.setattr(envelope, "MAX_ORBIT_STATES", states - 1)
         with pytest.raises(OrbitBudgetError):
             t.orbit_eq(u, v)
+
+    def test_rack_one_closed_side_answers_no(self, monkeypatch):
+        # The whole orbit of v over C5 passes the default budget; the
+        # constant u closes after one layer, whichever side grows first.
+        t = cyclic_table(5)
+        u, v = (1,) * 10, (2, 5, 5, 2, 3, 5, 4, 5, 1, 5)
+        assert t._rack and t._translation(u) == t._translation(v)
+        monkeypatch.setattr(envelope, "MAX_ORBIT_STATES", 100)
+        assert t.orbit_eq(u, v) is OrbitResult.NO
+        assert t.orbit_eq(v, u) is OrbitResult.NO
+
+    def test_absorbing_yes_needs_no_state(self, monkeypatch):
+        # Over A3 a 12-entry pair 40 random sigma steps apart: the absorbing
+        # rule answers Yes before the search holds a state past the first.
+        t = laver_table(3)
+        rng = random.Random(12)
+        u = tuple(rng.randint(1, 8) for _ in range(12))
+        v = u
+        for _ in range(40):
+            v = t.sigma_action(rng.randint(1, 11), v)
+        assert u != v
+        monkeypatch.setattr(envelope, "MAX_ORBIT_STATES", 1)
+        assert t.orbit_eq(u, v) is OrbitResult.YES
+        assert t.orbit_eq(u, v, depth=0) is OrbitResult.YES
 
     def test_unknown_on_tiny_budget(self):
         t = cyclic_table(5)
@@ -233,6 +265,91 @@ ORACLE_TABLES = {
     "A3": laver_table(3),
     "rack2": LDTable([[2, 1], [2, 1]]),  # a.b swaps b: every row the same
 }
+
+
+def ld_tables(max_size):
+    """Every left-distributive table on 1 to ``max_size`` elements."""
+    for n in range(1, max_size + 1):
+        for entries in itertools.product(range(1, n + 1), repeat=n * n):
+            try:
+                yield LDTable([entries[i : i + n] for i in range(0, n * n, n)])
+            except NotLeftDistributiveError:
+                pass
+
+
+# The 234 LD tables on at most 3 elements, 9 of them absorbing.
+SMALL_LD_TABLES = list(ld_tables(3))
+SMALL_ABSORBING_TABLES = [table for table in SMALL_LD_TABLES if table._absorbing]
+
+
+def left_identity(table) -> int:
+    return table.table.index(tuple(table.elements())) + 1
+
+
+def left_identity_forms(table, length):
+    """Each sequence of ``length`` mapped to a (t, ..., t, z) in its orbit.
+
+    One backward search over the sigma_i edges between all sequences of
+    ``length``, from every (t, ..., t, z) at once; a sequence whose orbit
+    holds none is missing.
+    """
+    preimages = defaultdict(list)
+    for s in itertools.product(table.elements(), repeat=length):
+        for i in range(1, length):
+            preimages[table.sigma_action(i, s)].append(s)
+    prefix = (left_identity(table),) * (length - 1)
+    form = {prefix + (z,): prefix + (z,) for z in table.elements()}
+    stack = list(form)
+    while stack:
+        s = stack.pop()
+        for p in preimages[s]:
+            if p not in form:
+                form[p] = form[s]
+                stack.append(p)
+    return form
+
+
+class TestAbsorbingTables:
+    def test_flags(self):
+        for n in range(3, 10):
+            assert not cyclic_table(n)._absorbing
+            assert cyclic_table(n)._rack == (n % 2 == 1)
+        assert ORACLE_TABLES["rack2"]._rack and not ORACLE_TABLES["rack2"]._absorbing
+        assert one_element_table()._absorbing
+        for k in (1, 2, 3):
+            assert laver_table(k)._absorbing
+        assert not any(t._rack for t in (ORACLE_TABLES["A2"], ORACLE_TABLES["A3"]))
+        assert len(SMALL_LD_TABLES) == 234 and len(SMALL_ABSORBING_TABLES) == 9
+
+    def test_absorbing_flag_against_pair_orbits(self):
+        # The definition read off each pair's whole sigma_1 orbit.
+        for table in SMALL_LD_TABLES:
+            identity = tuple(table.elements())
+            expected = (
+                identity in table.table
+                and len(set(table.table)) == table.size
+                and all(
+                    any(p[0] == left_identity(table) for p in table.orbit((a, b))[0])
+                    for a in table.elements()
+                    for b in table.elements()
+                )
+            )
+            assert table._absorbing == expected
+
+    @pytest.mark.parametrize("table, max_length", [
+        pytest.param(laver_table(2), 5, id="A2"),
+        pytest.param(laver_table(3), 4, id="A3"),
+        *(pytest.param(table, 4, id=f"small{k}") for k, table in enumerate(SMALL_ABSORBING_TABLES)),
+    ])
+    def test_every_orbit_holds_its_left_identity_form(self, table, max_length):
+        # The lemma behind the absorbing rule: the orbit of s holds
+        # (t, ..., t, z), with z the element whose row is the map of s.
+        prefix = (left_identity(table),)
+        for length in range(1, max_length + 1):
+            form = left_identity_forms(table, length)
+            for s in itertools.product(table.elements(), repeat=length):
+                z = table.table.index(table._translation(s)) + 1
+                assert form.get(s) == prefix * (length - 1) + (z,)
 
 
 def decode(table, code, length):
@@ -316,10 +433,12 @@ class TestOrbitEqAgainstOracle:
         expected = oracle_orbit_eq(table, u, v, depth)
         answer = table.orbit_eq(u, v, depth)
         if answer is not expected:
-            # The one allowed difference: the invariant certifies No where
-            # the capped orbits could not.
-            assert (expected, answer) == (OrbitResult.UNKNOWN, OrbitResult.NO)
-            assert table._translation(u) != table._translation(v)
+            # The one allowed difference: the capped orbits cannot decide,
+            # and the answer is that of the whole orbits.  The invariants and
+            # the absorbing rule answer without a search, and on a rack one
+            # closed side answers No.
+            assert expected is OrbitResult.UNKNOWN
+            assert answer is oracle_orbit_eq(table, u, v, None)
 
 
 def reference_violation(rows) -> tuple[int, int, int] | None:
