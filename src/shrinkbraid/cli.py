@@ -44,13 +44,11 @@ def _parse_xword(text: str) -> XWord:
 
 
 def _parse_env_seq(text: str) -> tuple[int, ...]:
+    """The entries of ``text``; the table's ``_check_seq`` rejects an empty one."""
     try:
-        seq = tuple(_ascii_int(part) for part in text.split(",") if part.strip() != "")
+        return tuple(_ascii_int(part) for part in text.split(",") if part.strip() != "")
     except ValueError:
         raise ValueError(f"sequence must be comma-separated integers, got {text!r}")
-    if not seq:
-        raise ValueError("envelope sequences are nonempty")
-    return seq
 
 
 def _int_argument(text: str) -> int:

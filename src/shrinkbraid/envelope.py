@@ -20,7 +20,10 @@ to a common sequence.  ``orbit_eq`` decides this in three stages:
   translation c -> a_1.(a_2.( ... (a_n.c))): left distributivity gives
   (a_i.a_{i+1}).(a_i.c) = a_i.(a_{i+1}.c).  (This is also why ``env_dot``
   is well defined on orbits.)  Sequences whose lengths or translation maps
-  differ are answered No without any search.
+  differ are answered No without any search.  The map of (a_1, ..., a_n)
+  is the rows of a_1, ..., a_n composed left to right through ``_after``,
+  one ``itemgetter`` per row that the left-distributivity check builds:
+  one C-level call per entry, and ``env_dot`` reads its entries off it.
 - The absorbing rule.  On an *absorbing* table (a row is the identity, for
   a left identity t, the rows are distinct, and repeating sigma_1 carries
   every pair to a first entry t; the Laver tables are such) the two
@@ -35,14 +38,18 @@ to a common sequence.  ``orbit_eq`` decides this in three stages:
   for n elements and i from 0.  The table builds ``_steps`` once: for the
   code p of a pair (a, b), p + _steps[p] is the code of (a.b, a).  So
   sigma_(i+1) on a code is one shift, one mask, one lookup and one add,
-  and a state is an int.
+  and a state is an int.  ``orbit`` and ``orbit_eq`` grow their layers
+  through the one ``_grow``; ``orbit`` decodes its states once at the end,
+  and ``sigma_action`` is the public single step that no search calls.
 
 The invariants do not separate every pair on other tables (on a cyclic
 table a constant sequence is fixed by every sigma_i and shares its
 translation map with other sequences), so a search may have to close a
 whole orbit, which has up to about n^(L-1) states for L entries from n.
 Once the two searches hold more than ``MAX_ORBIT_STATES`` states together,
-``orbit_eq`` raises ``OrbitBudgetError``.  With a finite ``depth`` it
+``orbit_eq`` raises ``OrbitBudgetError``, as ``orbit`` does past that many
+states of one orbit; both say "orbit search passed N states", N the
+budget.  With a finite ``depth`` it
 answers Unknown when a search reached that many layers before the sides met
 or the closed orbits decided.
 """
@@ -52,7 +59,7 @@ from __future__ import annotations
 from enum import Enum
 from operator import itemgetter
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Container, Sequence, Union
 
 from .freegroup import BudgetError, DomainError
 EnvElement = tuple[int, ...]
@@ -108,7 +115,7 @@ def _check_size(size: int) -> None:
 class LDTable:
     """A finite left-distributive magma on elements 1..size."""
 
-    __slots__ = ("size", "table", "_bits", "_steps", "_rack", "_absorbing")
+    __slots__ = ("size", "table", "_after", "_bits", "_steps", "_rack", "_absorbing")
 
     def __init__(self, table: Sequence[Sequence[int]]):
         self.size = len(table)
@@ -125,10 +132,12 @@ class LDTable:
             rows.append(tuple(row))
         self.table = tuple(rows)
         # a.(b.c) = (a.b).(a.c) for every c says L_a o L_b = L_{a.b} o L_a,
-        # with L_a the map c -> a.c.  after[a - 1] reads a row at the entries
-        # of row a, so after[b - 1](row a) is L_a o L_b.  For a 1-element
-        # table the getters return one int, and that table is LD.
-        after = [itemgetter(*[c - 1 for c in row]) for row in rows]
+        # with L_a the map c -> a.c.  after[a - 1] composes a map, as a tuple,
+        # with L_a: after[b - 1](row a) is L_a o L_b.  A getter of one index
+        # returns a bare entry, so the one row of a 1-element table, the
+        # identity, reads the whole tuple instead.
+        after = [itemgetter(*[c - 1 for c in row]) if self.size > 1 else itemgetter(slice(None))
+                 for row in rows]
         for a, row_a in enumerate(rows, 1):
             for b, ab in enumerate(row_a, 1):
                 left = after[b - 1](row_a)
@@ -144,6 +153,7 @@ class LDTable:
             for b in self.elements():
                 steps[a - 1 | (b - 1) << bits] = self.dot(a, b) - a + ((a - b) << bits)
         self._steps = steps
+        self._after = after
         self._rack = all(len(set(row)) == self.size for row in rows)
         self._absorbing = self._absorbs()
 
@@ -162,6 +172,7 @@ class LDTable:
 
     def sigma_action(self, i: int, s: EnvElement) -> EnvElement:
         """Replace positions i, i+1 by (a_i . a_{i+1}, a_i); 1-based i."""
+        self._check_seq(s)
         if not 1 <= i < len(s):
             raise IndexOutOfRangeError(
                 f"sigma_{i} undefined on a sequence of length {len(s)}"
@@ -172,7 +183,8 @@ class LDTable:
         """Left-nested products of u applied to each entry of v."""
         self._check_seq(u)
         self._check_seq(v)
-        return tuple(self._translate(u, b) for b in v)
+        translation = self._translation(u)
+        return tuple(translation[b - 1] for b in v)
 
     def env_circ(self, u: EnvElement, v: EnvElement) -> EnvElement:
         self._check_seq(u)
@@ -183,26 +195,19 @@ class LDTable:
         """Reachable set under sigma actions; (set, whether it is complete).
 
         Raises ``OrbitBudgetError`` once the set holds more than
-        ``MAX_ORBIT_STATES`` states.
+        ``MAX_ORBIT_STATES`` states, and ValueError on a sequence that is
+        empty or has an entry outside 1..size.
         """
-        seen = {s}
-        frontier = [s]
-        steps = 0
-        while frontier:
-            if depth is not None and steps >= depth:
-                return seen, False
-            steps += 1
-            new = []
-            for seq in frontier:
-                for i in range(1, len(seq)):
-                    image = self.sigma_action(i, seq)
-                    if image not in seen:
-                        seen.add(image)
-                        new.append(image)
-                        if len(seen) > MAX_ORBIT_STATES:
-                            raise OrbitBudgetError(f"orbit passed {MAX_ORBIT_STATES} states")
-            frontier = new
-        return seen, True
+        self._check_seq(s)
+        bits, code = self._bits, self._code(s)
+        seen, frontier, layers = {code}, [code], 0
+        shifts = range(0, bits * (len(s) - 1), bits)
+        while frontier and (depth is None or layers < depth):
+            frontier = self._grow(frontier, seen, (), shifts, MAX_ORBIT_STATES)
+            layers += 1
+        low, entries = (1 << bits) - 1, range(0, bits * len(s), bits)
+        states = {tuple((code >> shift & low) + 1 for shift in entries) for code in seen}
+        return states, not frontier
 
     def orbit_eq(
         self, u: EnvElement, v: EnvElement, depth: Union[int, None] = None
@@ -253,8 +258,7 @@ class LDTable:
             return OrbitResult.NO
         if self._absorbing:
             return OrbitResult.YES
-        steps, bits = self._steps, self._bits
-        mask = (1 << 2 * bits) - 1
+        bits = self._bits
         shifts = range(0, bits * (len(u) - 1), bits)
         cu, cv = self._code(u), self._code(v)
         seen = ({cu}, {cv})
@@ -270,24 +274,36 @@ class LDTable:
             if not growing:
                 return OrbitResult.UNKNOWN
             k = min(growing, key=lambda side: len(frontiers[side]))
-            mine, other = seen[k], seen[1 - k]
-            room = MAX_ORBIT_STATES - len(other)
-            new = []
-            for code in frontiers[k]:
-                for shift in shifts:
-                    image = code + (steps[code >> shift & mask] << shift)
-                    if image in mine:
-                        continue
-                    if image in other:
-                        return OrbitResult.YES
-                    mine.add(image)
-                    new.append(image)
-                    if len(mine) > room:
-                        raise OrbitBudgetError(
-                            f"orbit search passed {MAX_ORBIT_STATES} states"
-                        )
-            frontiers[k] = new
+            room = MAX_ORBIT_STATES - len(seen[1 - k])
+            frontiers[k] = self._grow(frontiers[k], seen[k], seen[1 - k], shifts, room)
+            if frontiers[k] is None:
+                return OrbitResult.YES
             layers[k] += 1
+
+    def _grow(
+        self, frontier: list[int], mine: set[int], other: Container[int], shifts: range, room: int
+    ) -> Union[list[int], None]:
+        """One breadth-first layer on codes: the images of ``frontier`` under
+        each sigma_i (a shift in ``shifts``) that are not yet in ``mine``,
+        added to ``mine`` as they are found.
+
+        Returns None at the first image in ``other``; raises
+        ``OrbitBudgetError`` once ``mine`` holds more than ``room`` codes.
+        """
+        steps, mask = self._steps, (1 << 2 * self._bits) - 1
+        new = []
+        for code in frontier:
+            for shift in shifts:
+                image = code + (steps[code >> shift & mask] << shift)
+                if image in mine:
+                    continue
+                if image in other:
+                    return None
+                mine.add(image)
+                new.append(image)
+                if len(mine) > room:
+                    raise OrbitBudgetError(f"orbit search passed {MAX_ORBIT_STATES} states")
+        return new
 
     def _absorbs(self) -> bool:
         """Whether some row is the identity, for t, the rows are distinct, and
@@ -322,16 +338,13 @@ class LDTable:
             code = code << bits | a - 1
         return code
 
-    def _translate(self, s: EnvElement, c: int) -> int:
-        """a_1.(a_2.( ... (a_n.c))) for s = (a_1, ..., a_n)."""
-        rows = self.table
-        for a in reversed(s):
-            c = rows[a - 1][c - 1]
-        return c
-
     def _translation(self, s: EnvElement) -> tuple[int, ...]:
-        """The left-translation map of s, an orbit invariant, as a tuple."""
-        return tuple(self._translate(s, c) for c in self.elements())
+        """The left-translation map of s, an orbit invariant, as a tuple: the
+        rows of a_1, ..., a_n composed left to right through ``_after``."""
+        after, translation = self._after, self.table[s[0] - 1]
+        for a in s[1:]:
+            translation = after[a - 1](translation)
+        return translation
 
     def _check_seq(self, s: EnvElement) -> None:
         if not s:

@@ -363,6 +363,12 @@ class TestEnv:
         assert code == 1 and out == ""
         assert err == "error: element -1 outside 1..3\n"
 
+    def test_empty_sequence_is_usage_error(self, capout, table_file):
+        # The table's own sequence check rejects it, as it does in the library.
+        code, out, err = capout("env", table_file, "", "1,2", "--op", "dot")
+        assert code == 1 and out == ""
+        assert err == "error: envelope sequences are nonempty\n"
+
     @pytest.mark.parametrize("size", ["-3", "0"])
     def test_table_size_below_one_is_usage_error(self, capout, tmp_path, size):
         path = tmp_path / "t.txt"

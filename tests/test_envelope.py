@@ -78,6 +78,8 @@ class TestSigmaAction:
             t.sigma_action(2, (1, 2))
         with pytest.raises(IndexOutOfRangeError):
             t.sigma_action(0, (1, 2))
+        with pytest.raises(ValueError, match="element 0 outside 1..3"):
+            t.sigma_action(1, (0, 1))
 
     def test_braid_relations_pointwise(self, rng, table):
         for _ in range(60):
@@ -121,6 +123,10 @@ class TestEnvelopeOps:
             t.env_dot((), (1,))
         with pytest.raises(ValueError):
             t.env_circ((1,), (7,))
+        with pytest.raises(ValueError, match="element 0 outside 1..3"):
+            t.orbit((0, 1))
+        with pytest.raises(ValueError, match="envelope sequences are nonempty"):
+            t.orbit(())
 
 
 class TestOrbitEquality:
@@ -362,20 +368,49 @@ def decode(table, code, length):
 CODED_TABLES = {**ORACLE_TABLES, "one": one_element_table(), "C9": cyclic_table(9)}
 
 
+def sigma_closure(table, s, depth=None):
+    """What ``orbit`` returns, from sigma_action: the sequences that at most
+    ``depth`` layers reach from s, and whether the last layer was empty."""
+    seen, frontier, layers = {s}, {s}, 0
+    while frontier and (depth is None or layers < depth):
+        frontier = {table.sigma_action(i, t) for t in frontier for i in range(1, len(s))} - seen
+        seen |= frontier
+        layers += 1
+    return seen, not frontier
+
+
+def translate(table, s, c):
+    """a_1.(a_2.( ... (a_n.c))) for s = (a_1, ..., a_n), one entry at a time."""
+    for a in reversed(s):
+        c = table.dot(a, c)
+    return c
+
+
 @pytest.mark.parametrize("name", sorted(CODED_TABLES))
 def test_coded_step_is_sigma_action(name):
-    # orbit_eq applies sigma_(i+1) to a code as one add of a table entry.
+    # orbit_eq applies sigma_(i+1) to a code as one add of a table entry, and
+    # orbit grows the same coded layers; the map composes rows through getters.
     table = CODED_TABLES[name]
     bits, steps = table._bits, table._steps
     mask = (1 << 2 * bits) - 1
-    for length in (2, 3, 4):
-        for s in itertools.product(table.elements(), repeat=length):
+    for length in (1, 2, 3, 4):
+        sequences = list(itertools.product(table.elements(), repeat=length))
+        for s in sequences:
             code = table._code(s)
             assert decode(table, code, length) == s
             for i in range(length - 1):
                 shift = bits * i
                 image = code + (steps[code >> shift & mask] << shift)
                 assert decode(table, image, length) == table.sigma_action(i + 1, s)
+            expected = tuple(translate(table, s, c) for c in table.elements())
+            assert table._translation(s) == expected
+            assert table.env_dot(s, tuple(table.elements())) == expected
+            assert table.orbit(s, 1) == sigma_closure(table, s, 1)
+        # A whole orbit of 4 entries over C9 holds about 700 states: every
+        # sequence of up to 3 entries, and about 50 of 4.
+        step = max(1, len(sequences) // 50) if length == 4 else 1
+        for s in sequences[::step]:
+            assert table.orbit(s) == sigma_closure(table, s)
 
 
 def test_orbit_budget(monkeypatch):
@@ -385,7 +420,7 @@ def test_orbit_budget(monkeypatch):
     states, complete = t.orbit(v)
     assert len(states) == 240 and complete
     monkeypatch.setattr(envelope, "MAX_ORBIT_STATES", 239)
-    with pytest.raises(OrbitBudgetError, match="orbit passed 239 states"):
+    with pytest.raises(OrbitBudgetError, match="orbit search passed 239 states"):
         t.orbit(v)
     # Only sigma_4 moves v, so one layer stays under any budget.
     assert t.orbit(v, 1) == ({v, t.sigma_action(4, v)}, False)
