@@ -14,7 +14,7 @@ taken modulo the positive-braid action
     sigma_i (a_1, ..., a_n) = (a_1, ..., a_i . a_{i+1}, a_i, ..., a_n).
 
 Two sequences are equal in the envelope iff some positive braids take them
-to a common sequence.  ``orbit_eq`` decides this in three stages:
+to a common sequence.  ``orbit_eq`` decides this in four stages:
 
 - Invariants.  Length is preserved by every sigma_i, and so is the left
   translation c -> a_1.(a_2.( ... (a_n.c))): left distributivity gives
@@ -29,6 +29,13 @@ to a common sequence.  ``orbit_eq`` decides this in three stages:
   every pair to a first entry t; the Laver tables are such) the two
   invariants are complete, so equal lengths and maps answer Yes without
   any search.  ``orbit_eq`` gives the proof.
+- The cyclic rule.  On ``cyclic_table(p)`` for p in ``CYCLIC_RULE_PRIMES``
+  (the table is compared entry for entry when it is built), a sequence of
+  at least 3 entries is constant, and fixed by every sigma_i, or shares its
+  orbit with every non-constant sequence of its length and map.  So once
+  the lengths and maps agree, u != v answers Yes when neither sequence is
+  constant and No otherwise, without any search.  ``orbit_eq`` gives the
+  proof.
 - Search.  Otherwise both orbits grow breadth first, one layer at a time,
   always on the side with the smaller frontier, and the search answers Yes
   at the first state the two sides share.  No needs both orbits closed,
@@ -44,14 +51,15 @@ to a common sequence.  ``orbit_eq`` decides this in three stages:
 
 The invariants do not separate every pair on other tables (on a cyclic
 table a constant sequence is fixed by every sigma_i and shares its
-translation map with other sequences), so a search may have to close a
-whole orbit, which has up to about n^(L-1) states for L entries from n.
+translation map with other sequences, some of them constant too), so a
+search may have to close a whole orbit, which has up to about n^(L-1)
+states for L entries from n.
 Once the two searches hold more than ``MAX_ORBIT_STATES`` states together,
 ``orbit_eq`` raises ``OrbitBudgetError``, as ``orbit`` does past that many
 states of one orbit; both say "orbit search passed N states", N the
 budget.  With a finite ``depth`` it
 answers Unknown when a search reached that many layers before the sides met
-or the closed orbits decided.
+or the closed orbits decided.  A negative ``depth`` raises ValueError.
 """
 
 from __future__ import annotations
@@ -73,6 +81,11 @@ MAX_ORBIT_STATES = 1 << 18
 # ``parse_table`` on its 234 KB text about 0.85 s, on a shared 2-core x86-64
 # VM.  A 1,000-element table would take about 40 s (extrapolated).
 MAX_TABLE_SIZE = 1 << 8
+
+# The primes p for which ``orbit_eq`` decides ``cyclic_table(p)`` by the
+# cyclic rule; tests/test_envelope.py checks the rule's base cases, lengths 3
+# and 4, over every sequence for each of them.
+CYCLIC_RULE_PRIMES = (3, 5, 7, 11, 13)
 
 
 class OrbitResult(Enum):
@@ -112,10 +125,15 @@ def _check_size(size: int) -> None:
         raise TableBudgetError(f"table of {size} elements exceeds the budget of {MAX_TABLE_SIZE}")
 
 
+def _check_depth(depth: Union[int, None]) -> None:
+    if depth is not None and depth < 0:
+        raise ValueError("depth must be >= 0")
+
+
 class LDTable:
     """A finite left-distributive magma on elements 1..size."""
 
-    __slots__ = ("size", "table", "_after", "_bits", "_steps", "_rack", "_absorbing")
+    __slots__ = ("size", "table", "_after", "_bits", "_steps", "_rack", "_cyclic", "_absorbing")
 
     def __init__(self, table: Sequence[Sequence[int]]):
         self.size = len(table)
@@ -155,6 +173,7 @@ class LDTable:
         self._steps = steps
         self._after = after
         self._rack = all(len(set(row)) == self.size for row in rows)
+        self._cyclic = self.size in CYCLIC_RULE_PRIMES and self.table == _cyclic_rows(self.size)
         self._absorbing = self._absorbs()
 
     def dot(self, a: int, b: int) -> int:
@@ -195,10 +214,11 @@ class LDTable:
         """Reachable set under sigma actions; (set, whether it is complete).
 
         Raises ``OrbitBudgetError`` once the set holds more than
-        ``MAX_ORBIT_STATES`` states, and ValueError on a sequence that is
-        empty or has an entry outside 1..size.
+        ``MAX_ORBIT_STATES`` states, and ValueError on a negative ``depth``
+        or a sequence that is empty or has an entry outside 1..size.
         """
         self._check_seq(s)
+        _check_depth(depth)
         bits, code = self._bits, self._code(s)
         seen, frontier, layers = {code}, [code], 0
         shifts = range(0, bits * (len(s) - 1), bits)
@@ -214,16 +234,18 @@ class LDTable:
     ) -> OrbitResult:
         """Whether u and v have a common image under positive braids.
 
-        Three stages.  No when the lengths or the left-translation maps
-        differ.  Otherwise Yes at once on an absorbing table.  Otherwise a
-        breadth-first search from both sides, which answers Yes at the first
-        shared state and No once both orbits are closed, or once one is on a
-        rack.  ``depth`` caps the layers searched from each side; None
-        searches until closure.  Unknown occurs only under a finite
-        ``depth``: the maps agree, the table is not absorbing, and a side
-        reached ``depth`` layers before the search decided.  Raises
-        ``OrbitBudgetError`` once the two sides hold more than
-        ``MAX_ORBIT_STATES`` states.
+        Four stages.  No when the lengths or the left-translation maps
+        differ.  Otherwise Yes at once on an absorbing table.  Otherwise, on
+        a table of the cyclic rule and at least 3 entries, Yes when neither
+        sequence is constant and No when one is.  Otherwise a breadth-first
+        search from both sides, which answers Yes at the first shared state
+        and No once both orbits are closed, or once one is on a rack.
+        ``depth`` caps the layers searched from each side; None searches
+        until closure, and a negative ``depth`` raises ValueError.  Unknown
+        occurs only under a finite ``depth``: the maps agree, no rule
+        applies, and a side reached ``depth`` layers before the search
+        decided.  Raises ``OrbitBudgetError`` once the two sides hold more
+        than ``MAX_ORBIT_STATES`` states.
 
         The absorbing rule.  Let t be the left identity of an absorbing
         table (``_absorbs``).  For i = 1..L-1 in turn, apply sigma_i until
@@ -245,11 +267,48 @@ class LDTable:
         two sides never hold a common state while the search runs, so a
         side whose frontier is empty holds the whole class of its sequence,
         and the other sequence is not in it: No.
+
+        The cyclic rule.  On ``cyclic_table(p)``, p an odd prime, write each
+        entry e as the residue e - 1 mod p; then a.b = 2b - a and the row of
+        a is x -> 2x - a, a permutation, so the table is a rack and orbits
+        are classes (the rack rule).  Write u ~ v for one class.
+        1. The map of (a_1, ..., a_L) is x -> 2^L x - S, with
+           S = sum of 2^(i-1) a_i, so sequences of one length have one map
+           exactly when they have one S.
+        2. a.a = a, so every sigma_i fixes a constant sequence, whose class
+           is itself.  So u != v answers No when one of them is constant.
+           Two constant sequences can share a map: (a, ..., a) has
+           S = (2^L - 1) a, so all p of them do when p divides 2^L - 1, as
+           for p = 3 at even L and p = 7 at L = 3 and 6.
+        3. P(L), for L >= 3: non-constant sequences of length L with one S
+           are in one class.  P(3) and P(4) hold for every p in
+           ``CYCLIC_RULE_PRIMES``, checked over all sequences by union-find
+           on the sigma_i edges.  Let L >= 4, assume P(L), and let u, v be
+           non-constant of length L + 1 with one S.
+           a. If u_1..u_L is (a, ..., a), then u_(L+1) = b != a, and
+              sigma_L makes it (a, ..., a, 2b - a), with 2b - a != a as p is
+              odd.  So take u_1..u_L, and likewise v_1..v_L, non-constant.
+           b. Let y = v_(L+1).  The tuples w_1..w_(L-1) whose S is that of
+              u_1..u_L less 2^(L-1) y number p^(L-2), as w_1 follows from
+              the rest, and at most p of them are constant.  p^(L-2) > p
+              for L >= 4, so one of them is non-constant, and with w_L = y
+              it has the S of u_1..u_L.  By P(L), sigma_1..sigma_(L-1)
+              carry u to (w_1, ..., w_(L-1), y, u_(L+1)), and sigma_L then
+              to (w_1, ..., w_(L-1), y.u_(L+1), y), whose first L entries
+              are non-constant.
+           c. That sequence and v share S and the last entry y, so their
+              first L entries share S, which is S less 2^L y; P(L) carries
+              one to the other, so u ~ v.
+           At L = 3 step b can fail: p^(L-2) = p, and for p = 3 all three
+           pairs w_1, w_2 can be constant.  That is why P(4) is checked as
+           well as P(3).
+        So with L >= 3, one length, one map and u != v, the answer is Yes
+        when neither sequence is constant and No otherwise.  The primes are
+        those whose base cases the tests check; other tables search.
         """
         self._check_seq(u)
         self._check_seq(v)
-        if depth is not None and depth < 0:
-            raise ValueError("depth must be >= 0")
+        _check_depth(depth)
         if len(u) != len(v):
             return OrbitResult.NO
         if u == v:
@@ -258,6 +317,8 @@ class LDTable:
             return OrbitResult.NO
         if self._absorbing:
             return OrbitResult.YES
+        if self._cyclic and len(u) >= 3:
+            return OrbitResult.YES if len(set(u)) > 1 and len(set(v)) > 1 else OrbitResult.NO
         bits = self._bits
         shifts = range(0, bits * (len(u) - 1), bits)
         cu, cv = self._code(u), self._code(v)
@@ -370,14 +431,13 @@ def one_element_table() -> LDTable:
     return LDTable(((1,),))
 
 
+def _cyclic_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple((2 * b - a) % n + 1 for b in range(n)) for a in range(n))
+
+
 def cyclic_table(n: int) -> LDTable:
     """The cyclic system a.b = 2b - a (mod n) on 1..n."""
-    return LDTable(
-        tuple(
-            tuple((2 * b - a) % n + 1 for b in range(n))
-            for a in range(n)
-        )
-    )
+    return LDTable(_cyclic_rows(n))
 
 
 def _ascii_int(text: str) -> int:

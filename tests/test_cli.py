@@ -13,7 +13,7 @@ from shrinkbraid import coloring, envelope, ldops, representation, words, xmonoi
 from shrinkbraid.cli import _CMP_TEXT, run
 from shrinkbraid.coloring import InvalidStrandIndexError, RankMismatchError, StrandBudgetError
 from shrinkbraid.envelope import (
-    IndexOutOfRangeError, NotLeftDistributiveError, OrbitBudgetError, TableBudgetError
+    IndexOutOfRangeError, NotLeftDistributiveError, OrbitBudgetError, TableBudgetError, cyclic_table
 )
 from shrinkbraid.freegroup import BudgetError, DomainError
 from shrinkbraid.ldops import LEAF, RealizationBudgetError, TermDepthError, eval_term, parse_term
@@ -391,12 +391,17 @@ class TestEnv:
         assert err == message
 
 
+# C9, a rack that no rule of orbit_eq decides: the budget row's two
+# sequences, three sigma steps apart with one map, need a search.
+C9_TEXT = "9\n" + "".join(" ".join(map(str, row)) + "\n" for row in cyclic_table(9).table)
+
+
 @pytest.mark.parametrize("error, module, name, argv", [
     (RealizationBudgetError, ldops, "MAX_REALIZED_LETTERS", ["ld", "((j . j) . j)"]),
     (TermDepthError, ldops, "MAX_TERM_DEPTH", ["ld", "(((j . j) . j) . j)"]),
     (ImageBudgetError, representation, "MAX_IMAGE_LETTERS", ["act", "s1 s1", "e1"]),
     (StrandBudgetError, coloring, "MAX_STRANDS", ["color", "3", "s1"]),
-    (OrbitBudgetError, envelope, "MAX_ORBIT_STATES", ["env", "1,2,3,1", "3,1,2,3", "--op", "eq"]),
+    (OrbitBudgetError, envelope, "MAX_ORBIT_STATES", ["env", "1,2,3,4", "6,1,2,3", "--op", "eq"]),
     (SequenceBudgetError, xmonoid, "MAX_X_INDEX", ["canon", "x3"]),
     (TableBudgetError, envelope, "MAX_TABLE_SIZE", ["env", "1", "1", "--op", "dot"]),
     (RewriteBudgetError, words, "MAX_REWRITE_STEPS", ["sx", "x1 s1 s2 s3"]),
@@ -407,8 +412,8 @@ def test_budget_errors_share_one_base_and_exit_2(
     assert issubclass(error, BudgetError) and issubclass(error, ValueError)
     monkeypatch.setattr(module, name, 2)
     if argv[0] == "env":
-        table = tmp_path / "cyc3.txt"
-        table.write_text("3\n1 3 2\n3 2 1\n2 1 3\n", encoding="utf-8")
+        table = tmp_path / "cyc9.txt"
+        table.write_text(C9_TEXT, encoding="utf-8")
         argv = ["env", str(table), *argv[1:]]
     code, out, err = capout(*argv)
     assert code == 2 and out == ""

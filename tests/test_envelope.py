@@ -156,6 +156,10 @@ class TestOrbitEquality:
         t = cyclic_table(3)
         with pytest.raises(ValueError, match="depth must be >= 0"):
             t.orbit_eq((1, 2), (1, 2), depth=-1)
+        # orbit shares the check.
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            t.orbit((1, 2), -1)
+        assert t.orbit((1, 2), 0) == ({(1, 2)}, False)
 
     def test_yes_stops_at_first_shared_state(self, monkeypatch):
         # The orbit of a 12-entry sequence over C7 has about 7^11 states;
@@ -163,6 +167,15 @@ class TestOrbitEquality:
         monkeypatch.setattr(envelope, "MAX_ORBIT_STATES", 100)
         t = cyclic_table(7)
         u = (2, 5, 7, 7, 7, 1, 3, 1, 4, 7, 4, 4)
+        assert t.orbit_eq(u, t.sigma_action(1, u)) is OrbitResult.YES
+
+    def test_search_yes_stops_at_first_shared_state(self, monkeypatch):
+        # The same over C9, which no rule decides: about 9^11 states, and
+        # sigma_1 of u one layer away, so the two searches meet at once.
+        monkeypatch.setattr(envelope, "MAX_ORBIT_STATES", 100)
+        t = cyclic_table(9)
+        u = (2, 5, 7, 7, 7, 1, 3, 1, 4, 7, 4, 4)
+        assert not t._cyclic
         assert t.orbit_eq(u, t.sigma_action(1, u)) is OrbitResult.YES
 
     @pytest.mark.parametrize("n, u, v, states", [
@@ -173,6 +186,9 @@ class TestOrbitEquality:
         # C6 is no rack: only both orbits closed, of 16 and 182 states,
         # certify No, and the budget counts both sides together.
         (6, (6, 3, 6, 3, 6), (4, 4, 2, 5, 3), 16 + 182),
+        # C9 is a rack that no rule decides: the search closes the constant
+        # side; the orbit of v has 648 states.
+        (9, (1,) * 4, (4, 5, 2, 7), 1 + 648),
     ])
     def test_state_budget(self, monkeypatch, n, u, v, states):
         t = cyclic_table(n)
@@ -197,6 +213,16 @@ class TestOrbitEquality:
         assert t.orbit_eq(u, v) is OrbitResult.NO
         assert t.orbit_eq(v, u) is OrbitResult.NO
 
+    def test_rack_rule_without_the_cyclic_rule(self, monkeypatch):
+        # The same over C9, which the cyclic rule does not cover, so the
+        # search runs and the closed constant side decides.
+        t = cyclic_table(9)
+        u, v = (1,) * 10, (9, 6, 9, 1, 8, 4, 1, 3, 2, 6)
+        assert t._rack and not t._cyclic and t._translation(u) == t._translation(v)
+        monkeypatch.setattr(envelope, "MAX_ORBIT_STATES", 100)
+        assert t.orbit_eq(u, v) is OrbitResult.NO
+        assert t.orbit_eq(v, u) is OrbitResult.NO
+
     def test_absorbing_yes_needs_no_state(self, monkeypatch):
         # Over A3 a 12-entry pair 40 random sigma steps apart: the absorbing
         # rule answers Yes before the search holds a state past the first.
@@ -211,8 +237,36 @@ class TestOrbitEquality:
         assert t.orbit_eq(u, v) is OrbitResult.YES
         assert t.orbit_eq(u, v, depth=0) is OrbitResult.YES
 
+    def test_cyclic_yes_needs_no_state(self, monkeypatch):
+        # Over C7 a 12-entry pair 40 random sigma steps apart: the cyclic
+        # rule answers Yes before the search holds a state past the first.
+        t = cyclic_table(7)
+        rng = random.Random(12)
+        u = tuple(rng.randint(1, 7) for _ in range(12))
+        v = u
+        for _ in range(40):
+            v = t.sigma_action(rng.randint(1, 11), v)
+        assert u != v
+        monkeypatch.setattr(envelope, "MAX_ORBIT_STATES", 1)
+        assert t.orbit_eq(u, v) is OrbitResult.YES
+        assert t.orbit_eq(u, v, depth=0) is OrbitResult.YES
+
+    @pytest.mark.parametrize("n, u, v", [
+        # (a, ..., a) has the map x -> 2^L x - (2^L - 1) a, the same for
+        # every a when n divides 2^L - 1; each is fixed by every sigma_i.
+        (3, (1,) * 4, (2,) * 4),
+        (7, (1,) * 6, (5,) * 6),
+    ])
+    def test_distinct_constants_sharing_a_map_answer_no(self, monkeypatch, n, u, v):
+        t = cyclic_table(n)
+        assert t._cyclic and t._translation(u) == t._translation(v)
+        monkeypatch.setattr(envelope, "MAX_ORBIT_STATES", 1)
+        assert t.orbit_eq(u, v) is OrbitResult.NO
+        assert t.orbit_eq(v, u, depth=0) is OrbitResult.NO
+
     def test_unknown_on_tiny_budget(self):
-        t = cyclic_table(5)
+        # Over C9, which no rule decides, depth 0 leaves the search open.
+        t = cyclic_table(9)
         u = (1, 2, 3, 4)
         v = t.sigma_action(1, t.sigma_action(2, t.sigma_action(3, u)))
         if u != v:
@@ -262,15 +316,27 @@ def laver_table(k: int) -> LDTable:
     return LDTable(rows)
 
 
+def affine_table(n: int, t: int) -> LDTable:
+    """a.b = t*b + (1 - t)*a (mod n) on 1..n; t = 2 is ``cyclic_table(n)``."""
+    return LDTable([[(t * b + (1 - t) * a) % n + 1 for b in range(n)] for a in range(n)])
+
+
 ORACLE_TABLES = {
     "C3": cyclic_table(3),
     "C4": cyclic_table(4),
     "C5": cyclic_table(5),
     "C7": cyclic_table(7),
+    "C9": cyclic_table(9),
+    # A rack of the size of C7 whose maps do not separate the orbits: no
+    # rule decides it.
+    "T7": affine_table(7, 3),
     "A2": laver_table(2),
     "A3": laver_table(3),
     "rack2": LDTable([[2, 1], [2, 1]]),  # a.b swaps b: every row the same
 }
+# The longest sequence the oracle test draws per table, 6 otherwise: a C9
+# orbit of 6 entries has about 59k states.
+ORACLE_MAX_LENGTH = {"C9": 5, "T7": 5}
 
 
 def ld_tables(max_size):
@@ -358,14 +424,67 @@ class TestAbsorbingTables:
                 assert form.get(s) == prefix * (length - 1) + (z,)
 
 
+def sigma_classes(table, length):
+    """The class of each sequence of ``length`` under the sigma_i edges, by
+    union-find; on a rack the classes are the orbits (the rack rule)."""
+    sequences = list(itertools.product(table.elements(), repeat=length))
+    parent = {s: s for s in sequences}
+
+    def root(s):
+        while parent[s] != s:
+            parent[s] = s = parent[parent[s]]
+        return s
+
+    for s in sequences:
+        for i in range(1, length):
+            parent[root(s)] = root(table.sigma_action(i, s))
+    return {s: root(s) for s in sequences}
+
+
+class TestCyclicRule:
+    def test_flags(self):
+        for n in range(1, 18):
+            assert cyclic_table(n)._cyclic == (n in envelope.CYCLIC_RULE_PRIMES)
+        assert envelope.CYCLIC_RULE_PRIMES == (3, 5, 7, 11, 13)
+        assert cyclic_table(7).table == affine_table(7, 2).table
+        assert not affine_table(7, 3)._cyclic and affine_table(7, 3)._rack
+        assert not any(t._cyclic for t in SMALL_ABSORBING_TABLES)
+
+    def test_two_entries_are_searched(self):
+        # The rule starts at 3 entries: over C11 these two pairs share a map
+        # and are not constant, yet their orbits, of 5 states each, differ.
+        t = cyclic_table(11)
+        u, v = (4, 6), (1, 2)
+        assert t._translation(u) == t._translation(v)
+        assert len(t.orbit(u)[0]) == len(t.orbit(v)[0]) == 5
+        assert t.orbit_eq(u, v) is OrbitResult.NO
+        assert t.orbit_eq(u, (5, 11)) is OrbitResult.YES
+
+    @pytest.mark.parametrize("p", envelope.CYCLIC_RULE_PRIMES)
+    def test_base_cases(self, p):
+        # P(3) and P(4) of the proof in ``orbit_eq``: over every sequence of 3
+        # and 4 entries, a constant sequence is alone in its class, and the
+        # others share a class exactly when they share a map.
+        table = cyclic_table(p)
+        for length in (3, 4):
+            classes = sigma_classes(table, length)
+            rule = {
+                s: ("constant", s) if len(set(s)) == 1 else ("map", table._translation(s))
+                for s in classes
+            }
+            pairs = {(classes[s], rule[s]) for s in classes}
+            assert len(pairs) == len(set(classes.values())) == len(set(rule.values()))
+
+
 def decode(table, code, length):
     """The sequence whose ``LDTable._code`` is ``code``."""
     mask = (1 << table._bits) - 1
     return tuple((code >> table._bits * i & mask) + 1 for i in range(length))
 
 
-# C7 and C9 take 3 and 4 bits an entry with sizes that are not powers of two.
-CODED_TABLES = {**ORACLE_TABLES, "one": one_element_table(), "C9": cyclic_table(9)}
+# C7, T7 and C9 take 3, 3 and 4 bits an entry with sizes that are not powers
+# of two.
+CODED_TABLES = {**ORACLE_TABLES, "one": one_element_table()}
 
 
 def sigma_closure(table, s, depth=None):
@@ -443,17 +562,25 @@ def oracle_orbit_eq(table, u, v, depth):
 
 @st.composite
 def orbit_queries(draw):
-    table = ORACLE_TABLES[draw(st.sampled_from(sorted(ORACLE_TABLES)))]
-    length = draw(st.integers(1, 6))
+    name = draw(st.sampled_from(sorted(ORACLE_TABLES)))
+    table = ORACLE_TABLES[name]
+    length = draw(st.integers(1, ORACLE_MAX_LENGTH.get(name, 6)))
     entries = st.lists(st.integers(1, table.size), min_size=length, max_size=length)
     u = tuple(draw(entries))
-    if draw(st.booleans()):
+    how = draw(st.sampled_from(["random", "walk", "same map"]))
+    if how == "random":
         v = tuple(draw(entries))
-    else:  # a sigma walk from u, so that Yes pairs are common
+    elif how == "walk":  # a sigma walk from u, so that Yes pairs are common
         v = u
         if length > 1:
             for i in draw(st.lists(st.integers(1, length - 1), max_size=8)):
                 v = table.sigma_action(i, v)
+    else:  # a first entry that gives u's map, where one does, so that the
+        # pairs that only a rule or a search can tell apart are common
+        rest = tuple(draw(entries))[1:]
+        same = [(a, *rest) for a in table.elements()
+                if table._translation((a, *rest)) == table._translation(u)]
+        v = same[draw(st.integers(0, len(same) - 1))] if same else u
     if draw(st.booleans()):
         u, v = v, u
     depth = draw(st.sampled_from([None, 0, 1, 2, 3]))
@@ -469,9 +596,9 @@ class TestOrbitEqAgainstOracle:
         answer = table.orbit_eq(u, v, depth)
         if answer is not expected:
             # The one allowed difference: the capped orbits cannot decide,
-            # and the answer is that of the whole orbits.  The invariants and
-            # the absorbing rule answer without a search, and on a rack one
-            # closed side answers No.
+            # and the answer is that of the whole orbits.  The invariants, the
+            # absorbing rule and the cyclic rule answer without a search,
+            # and on a rack one closed side answers No.
             assert expected is OrbitResult.UNKNOWN
             assert answer is oracle_orbit_eq(table, u, v, None)
 

@@ -14,8 +14,10 @@ answer or an exception stops the run with exit code 1.
 A tree's throughput in a pass is the number of queries over the summed time
 of the timed calls, as ``bench/run.py`` computes it.  The last line of
 standard output is one JSON object: for each tree its median throughput,
-the quartiles over the passes and its wins (passes in which it was faster),
-and the median over the passes of B's throughput over A's.
+the quartiles over the passes, its wins (passes in which it was faster) and
+``us_per_query``, the median over the passes of its mean microseconds a
+query for each query kind (on envelope_orbit for each kind and table, as
+"orbit_yes C5"); and the median over the passes of B's throughput over A's.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import json
 import statistics
 import sys
 import time
+from collections import Counter
 from itertools import chain, islice
 from pathlib import Path
 
@@ -51,22 +54,31 @@ def import_tree(root: Path, name: str):
     return module
 
 
-def timed_pass(sb, state, queries) -> float:
-    """Run every query once, check its answer, and return queries per second."""
+def kind_of(workload: str, query) -> str:
+    """The key ``us_per_query`` files ``query`` under."""
+    return f"{query.kind} {query.args[0]}" if workload == "envelope_orbit" else query.kind
+
+
+def timed_pass(sb, state, queries, kinds) -> tuple[float, dict[str, float]]:
+    """Run every query once and check its answer; return queries per second
+    and the mean microseconds a query of each kind, ``kinds`` naming the
+    kind of each query."""
     gc.collect()
-    busy = 0.0
-    for query in queries:
+    spent, counts = Counter(), Counter(kinds)
+    for query, kind in zip(queries, kinds):
         start = time.perf_counter()
         result = query.call(sb, state, *query.args)
-        busy += time.perf_counter() - start
+        spent[kind] += time.perf_counter() - start
         if not query.check(result, query.expected):
             sys.exit(f"error: {sb.__name__} answered {query.kind} {query.args!r} with {result!r}")
-    return len(queries) / busy
+    return len(queries) / sum(spent.values()), {kind: 1e6 * spent[kind] / counts[kind] for kind in counts}
 
 
-def summary(root: Path, rates: list[float], wins: int) -> dict:
+def summary(root: Path, rates: list[float], costs: list[dict[str, float]], wins: int) -> dict:
     q1, median, q3 = statistics.quantiles(rates, n=4, method="inclusive")
-    return {"tree": str(root), "qps_median": median, "qps_q1": q1, "qps_q3": q3, "wins": wins}
+    us_per_query = {kind: statistics.median(c[kind] for c in costs) for kind in sorted(costs[0])}
+    return {"tree": str(root), "qps_median": median, "qps_q1": q1, "qps_q3": q3, "wins": wins,
+            "us_per_query": us_per_query}
 
 
 def main(argv: list[str]) -> int:
@@ -86,11 +98,15 @@ def main(argv: list[str]) -> int:
     states = [build_state(sb, args.workload) for sb in packages]
     batches = islice(workloads.rounds(args.workload, args.seed), args.rounds)
     queries = list(chain.from_iterable(batches))
+    kinds = [kind_of(args.workload, query) for query in queries]
 
     rates: tuple[list[float], list[float]] = ([], [])
+    costs: tuple[list[dict], list[dict]] = ([], [])
     for p in range(args.passes):
         for side in (0, 1) if p % 2 == 0 else (1, 0):
-            rates[side].append(timed_pass(packages[side], states[side], queries))
+            rate, cost = timed_pass(packages[side], states[side], queries, kinds)
+            rates[side].append(rate)
+            costs[side].append(cost)
     wins_b = sum(b > a for a, b in zip(*rates))
     wins_a = sum(a > b for a, b in zip(*rates))
     print(json.dumps({
@@ -99,8 +115,8 @@ def main(argv: list[str]) -> int:
         "rounds": args.rounds,
         "passes": args.passes,
         "queries": len(queries),
-        "a": summary(trees[0], rates[0], wins_a),
-        "b": summary(trees[1], rates[1], wins_b),
+        "a": summary(trees[0], rates[0], costs[0], wins_a),
+        "b": summary(trees[1], rates[1], costs[1], wins_b),
         "ratio_b_over_a": statistics.median(b / a for a, b in zip(*rates)),
     }))
     return 0
