@@ -63,10 +63,10 @@ Words b x_1^k (braid letters, then a run of x_1; every braid is the case
 k = 0, and every realized LD term has this form) take the same coordinates.
 ``_split_x1_tail`` finds k by reading the x_1 codes at the end of the word
 and checks that they are all of its x letters against the stored count.
-Their tails are pure shifts by k, so b x_1^k = b' x_1^k' needs k = k'; for
-k = k' >= 1 it holds exactly when b^-1 b' x_1^k = x_1^k, which holds exactly
-when every key of the coordinates of b^-1 b' is at most k + 1
-(``stabilizes_x_power``, with its proof).
+Their tails are pure shifts by k, so b x_1^k = b' x_1^k' needs k = k'; then
+it holds exactly when b^-1 b' x_1^k = x_1^k, which holds exactly when every
+key of the coordinates of b^-1 b' is at most k + 1 (``stabilizes_x_power``,
+with its proof; for k = 0 the rule reads b = b').
 """
 
 from __future__ import annotations
@@ -198,25 +198,25 @@ def _split_x1_tail(w: RWord) -> tuple[RWord, int] | None:
     return (_rword(codes[:end], 0), k) if w.xs == k else None
 
 
+def _keys_at_most(coords: dict[int, tuple[int, int]], m: int) -> bool:
+    """The x_1-power rule: every key of ``coords`` is at most m (``stabilizes_x_power``)."""
+    return all(k <= m for k in coords)
+
+
 def morphism_eq(u: RWord, v: RWord) -> bool:
     """Semantic equality in R via the faithful representation.
 
     Two words b x_1^k and b' x_1^k' (braid letters, then a run of x_1; a
-    braid is the case k = 0) are equal iff k = k' and the coordinates of
-    b^-1 b' are empty for k = 0, or have every key at most k + 1 for k >= 1
-    (the ``stabilizes_x_power`` test); see the module docstring.  Every
-    other pair goes to the image scan ``_images_cmp``.
+    braid is the case k = 0) are equal iff k = k' and every key of the
+    coordinates of b^-1 b' is at most k + 1 (the ``stabilizes_x_power``
+    rule; for k = 0 the coordinates are empty); see the module docstring.
+    Every other pair goes to the image scan ``_images_cmp``.
     """
     split_u, split_v = _split_x1_tail(u), _split_x1_tail(v)
     if split_u is None or split_v is None:
         return _images_cmp(u, v) is Cmp.EQUAL
     (b, k), (b2, k2) = split_u, split_v
-    if k != k2:
-        return False
-    coords = _quotient_coords(b, b2)
-    if k == 0:
-        return not coords
-    return all(j <= k + 1 for j in coords)
+    return k == k2 and _keys_at_most(_quotient_coords(b, b2), k + 1)
 
 
 def cmp_L(u: RWord, v: RWord) -> Cmp:
@@ -242,9 +242,16 @@ def _images_cmp(u: RWord, v: RWord) -> Cmp:
     """The order by images, the oracle for ``cmp_L`` and ``morphism_eq``.
 
     Scans n = 1, 2, ... and compares the images of e_n in the curve order at
-    the first n where they differ.
+    the first n where they differ.  Each index builds at least one image
+    letter per word, so a scan over more than ``MAX_IMAGE_LETTERS`` indices
+    raises ``ImageBudgetError`` before it starts.
     """
-    for n in range(1, _tail_start(u, v) + 1):
+    top = _tail_start(u, v)
+    if top > MAX_IMAGE_LETTERS:
+        raise ImageBudgetError(
+            f"image scan over {top} indices exceeds the budget of {MAX_IMAGE_LETTERS} letters"
+        )
+    for n in range(1, top + 1):
         e_n = FWord.generator(n)
         iu = apply_word(u, e_n)
         iv = apply_word(v, e_n)
@@ -259,7 +266,8 @@ def stabilizes_x_power(g: RWord, m: int) -> bool:
     Precondition: g is a braid word.  This is the membership criterion for
     B_m used to separate equal circle-compositions of braids.  It holds
     exactly when every key of the Dynnikov coordinates of g is at most m
-    ("keys <= m"), so no free-group image is computed.
+    ("keys <= m"), so no free-group image is computed.  For m = 1 it reads
+    g = e, so there keys <= 1 holds exactly when the coordinates are empty.
 
     Proof.  The model (*Ordering Braids*, ch. XII): a disk D with punctures
     P_0, ..., P_N on a line, N >= max(m, largest index of g) + 2, and s_i
@@ -308,4 +316,4 @@ def stabilizes_x_power(g: RWord, m: int) -> bool:
         raise XLetterPresentError("stabilizes_x_power needs a braid word")
     if m < 1:
         raise ValueError("m must be >= 1")
-    return all(k <= m for k in _quotient_coords(RWord(), g))
+    return _keys_at_most(_quotient_coords(RWord(), g), m)

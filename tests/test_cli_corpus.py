@@ -5,7 +5,12 @@
 argvs are drawn from a seeded generator over the word, term and strand
 commands, error inputs included (bad tokens, x letters where only x letters
 or only braids are read, strand indices past the strand count, budgets).
-Inputs stay small, so no exponential path is reached and the replay is fast.
+The ``env`` lines follow from a random stream of their own, so the lines
+before them do not move.  They read the table files next to the corpus
+(cyclic, Laver, not left-distributive, malformed, over the size budget, and
+one that does not exist) through paths relative to ``data/``, the working
+directory of the replay.  Inputs stay small, so no exponential path is
+reached and the replay is fast.
 
 Regenerate the file, after a deliberate change of output, with
 
@@ -14,15 +19,18 @@ Regenerate the file, after a deliberate change of output, with
 
 import io
 import json
+import os
 import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from shrinkbraid.cli import run
+from shrinkbraid.envelope import load_table
 
 CORPUS = Path(__file__).resolve().parent / "data" / "cli_corpus.jsonl"
 SEED = 20181
+ENV_SEED = 97401
 BAD_TOKENS = ["s0", "x0", "s", "x", "x1^-1", "e1", "y2", "s1^-2", "s²", "s٣", "s00", "^-1"]
 BAD_FTOKENS = ["e0", "s1", "e", "e1^-2", "e٣", "E1"]
 
@@ -146,10 +154,50 @@ MAKERS = {
 }
 PER_COMMAND = 125
 
+# table file -> (its size, the longest sequence drawn over it: searches stay small)
+ENV_TABLES = {"c3.txt": (3, 5), "a2.txt": (4, 5), "c4.txt": (4, 4), "c9.txt": (9, 4)}
+BAD_TABLES = ["not_ld.txt", "bad_row.txt", "too_big.txt", "missing.txt"]
+
+
+def _env_text(rng, seq, size):
+    """``seq`` comma-joined, now and then spoiled by a bad or out-of-range entry."""
+    entries = [str(a) for a in seq]
+    roll = rng.random()
+    if roll < 0.05:
+        return rng.choice(["", " , ", ","])
+    if roll < 0.1:
+        entries.insert(rng.randint(0, len(entries)), rng.choice(["a", "1.5", "+1", "٣"]))
+    elif roll < 0.15:  # not first: a leading "-" would read as an option
+        entries.insert(rng.randint(1, len(entries)), str(rng.choice([0, size + 1, -1])))
+    return rng.choice([",", ",", ", ", " ,"]).join(entries)
+
+
+def _env(rng):
+    op = rng.choice(["dot", "circ", "eq", "eq"])
+    table = rng.choice(list(ENV_TABLES)) if rng.random() < 0.9 else rng.choice(BAD_TABLES)
+    size, max_len = ENV_TABLES.get(table, (2, 3))
+    u, v = ([rng.randint(1, size) for _ in range(rng.randint(1, max_len))] for _ in range(2))
+    if op == "eq" and table in ENV_TABLES and len(u) > 1 and rng.random() < 0.5:
+        v = tuple(u)  # a few sigma steps away: same orbit
+        sigma = load_table(CORPUS.parent / table).sigma_action
+        for _ in range(rng.randint(1, 3)):
+            v = sigma(rng.randint(1, len(u) - 1), v)
+    options = ["--op", op]
+    if op == "eq" and rng.random() < 0.5:
+        options += ["--depth", str(rng.randint(0, 4))]
+    operands = [table, _env_text(rng, u, size), _env_text(rng, v, size)]
+    return ["env", *options, *operands] if rng.random() < 0.3 else ["env", *operands, *options]
+
+
+ENV_LINES = 125
+
 
 def argvs():
     rng = random.Random(SEED)
-    return [maker(rng) for maker in MAKERS.values() for _ in range(PER_COMMAND)]
+    env_rng = random.Random(ENV_SEED)
+    return [maker(rng) for maker in MAKERS.values() for _ in range(PER_COMMAND)] + [
+        _env(env_rng) for _ in range(ENV_LINES)
+    ]
 
 
 def answer(argv):
@@ -160,22 +208,23 @@ def answer(argv):
 
 
 def record():
-    CORPUS.parent.mkdir(exist_ok=True)
+    os.chdir(CORPUS.parent)
     with CORPUS.open("w", encoding="utf-8", newline="\n") as f:
         for argv in argvs():
             f.write(json.dumps(answer(argv)) + "\n")
 
 
-def test_corpus_replays_byte_for_byte():
+def test_corpus_replays_byte_for_byte(monkeypatch):
     lines = CORPUS.read_text(encoding="utf-8").splitlines()
-    assert len(lines) >= 1000
+    assert len(lines) >= 1000 + ENV_LINES
+    monkeypatch.chdir(CORPUS.parent)
     for line in lines:
         assert json.dumps(answer(json.loads(line)["argv"])) == line
 
 
 def test_corpus_covers_every_command_and_exit_code():
     entries = [json.loads(line) for line in CORPUS.read_text(encoding="utf-8").splitlines()]
-    assert {e["argv"][0] for e in entries} == set(MAKERS)
+    assert {e["argv"][0] for e in entries} == {*MAKERS, "env"}
     assert {e["code"] for e in entries} == {0, 1, 2}
 
 

@@ -25,6 +25,7 @@ from shrinkbraid.representation import (
     ImageBudgetError,
     _act,
     _images_cmp,
+    _keys_at_most,
     _quotient_coords,
     _tail_start,
 )
@@ -148,6 +149,20 @@ class TestImageBudget:
         w = parse_rword("s1 s2^-1 " * 6 + "x1")
         with pytest.raises(ImageBudgetError):
             cmp_L(w, parse_rword("x1"))
+
+    def test_scan_past_budget_raises_before_it_starts(self, monkeypatch):
+        # x9 scans indices 1..10, one image letter each; x10 scans 11.
+        monkeypatch.setattr(representation, "MAX_IMAGE_LETTERS", 10)
+        assert _images_cmp(parse_rword("x9"), parse_rword("x9")) is Cmp.EQUAL
+        assert morphism_eq(parse_rword("x9 s1"), parse_rword("s1 x9"))
+        monkeypatch.setattr(representation, "apply_word", None)  # no index is scanned
+        for u, v in [("x10", "x10"), ("s10", "x1 x2"), ("x2", "s9 s10")]:
+            with pytest.raises(ImageBudgetError, match="image scan over 11 indices"):
+                _images_cmp(parse_rword(u), parse_rword(v))
+        with pytest.raises(ImageBudgetError):
+            morphism_eq(parse_rword("x10"), parse_rword("x10"))
+        with pytest.raises(ImageBudgetError):
+            cmp_L(parse_rword("x10"), parse_rword("x10"))
 
 
 class TestCompositionConvention:
@@ -451,6 +466,12 @@ class TestDynnikovAgainstOracle:
     @given(braids, braids)
     def test_braid_equality_is_coordinate_equality(self, u, v):
         assert morphism_eq(u, v) == (coords(u) == coords(v))
+
+    @given(braids, braids)
+    def test_x_power_rule_at_m_1_is_empty_coordinates(self, u, v):
+        # morphism_eq reads braids through the x_1-power rule with m = 1.
+        quotient = _quotient_coords(u, v)
+        assert _keys_at_most(quotient, 1) == (not quotient)
 
     def test_trivial_pairs_are_dropped(self):
         assert coords(parse_rword("s3 s3^-1 s7^-1 s7")) == {}
