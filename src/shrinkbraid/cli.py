@@ -5,12 +5,14 @@ which share the base ``freegroup.DomainError`` (x letter where a braid is
 required, invalid strand index, non-LD table, sigma position out of range,
 and the budget errors, which share the base ``freegroup.BudgetError``: term
 nested past its bracket budget, realized term word over its letter budget,
-free-group image or color over its letter budget, an image scan over more
-indices than that letter budget, S sequence over its index budget, coloring
-over its strand budget, envelope orbit search over its state budget, LD
-table over its size budget, ``sx`` over its rewrite-step budget).  A parse
-error (``freegroup.ParseError``) names the offset and text of the offending
-token; ``canon`` reports the first sigma letter of its x word that way.
+free-group image or color over its letter budget, the image scan of ``cmp``
+or ``laver`` on x words over more indices than that letter budget (``eq``
+decides from coordinates and scans nothing), S sequence over its index
+budget, coloring over its strand budget, envelope orbit search over its
+state budget, LD table over its size budget, ``sx`` over its rewrite-step
+budget).  A parse error (``freegroup.ParseError``) names the offset and
+text of the offending token; ``canon`` reports the first sigma letter of
+its x word that way.
 Integer arguments (the strand count and ``--depth``), like sequence
 entries and table files, take ASCII digits only.
 Each subcommand is one row of ``_COMMANDS``: its name, its help, its

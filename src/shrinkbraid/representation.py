@@ -16,31 +16,27 @@ representation theory guarantees is faithful.  Images of e_j for j above the
 largest letter index of a word follow the pure-shift tail
 e_j -> e_{j + xCount}, so sampling one point beyond that index decides
 equality.  ``_images_cmp`` runs that scan, the only one here: it is the
-oracle, and it decides every order query on a word with an x letter and every
-equality query on a word outside the shape b x_1^k below.  The scan runs on
-letter codes (s_i is i, s_i^-1 is -i, x_i is (i,); see ``words``) and on the
-signed ints of free-group words: ``_image`` maps one code and one reduced
-tuple of ints to the image tuple, and ``apply_word`` folds it over a word's
-codes, so no letter is decoded.  The public ``apply_gen`` is ``_image`` on
-one ``Generator``'s code.
+oracle of the tests, and it decides every order query on a word with an x
+letter.  The scan runs on letter codes (s_i is i, s_i^-1 is -i, x_i is (i,);
+see ``words``) and on the signed ints of free-group words: ``_image`` maps
+one code and one reduced tuple of ints to the image tuple, and
+``apply_word`` folds it over a word's codes, so no letter is decoded.  The
+public ``apply_gen`` is ``_image`` on one ``Generator``'s code.
 
-Braid words take a fast path.  Free-group images grow exponentially with word
-length, but the bit length of a braid's Dynnikov coordinates grows linearly,
-and they are a faithful integer action of B_oo whose signs decide the
-Dehornoy order (Dehornoy, "Efficient solutions to the braid isotopy problem",
-Discrete Appl. Math. 156 (2008), section 3; Dehornoy, Dynnikov, Rolfsen and
-Wiest, *Ordering Braids*, AMS 2008, ch. XII).  The coordinates are a sparse
-dict from pair index k to a pair (x_k, y_k); a missing key is the pair (0, 1).
-``_quotient_coords(u, v)``, the only function that computes them, starts from
-the empty dict and feeds ``_act`` the letter codes of u^-1 v (s_i is i,
-s_i^-1 is -i; see ``words``), rightmost first as in ``apply_word``: v's codes
-reversed, then u's codes negated, ``chain(reversed(v.codes), map(neg,
-u.codes))``, so u^-1 is never built and no letter is decoded.  The feed is
-freely cancelled by ``freegroup._reduced`` first, so letters of a shared
-prefix of u and v and inserted s_i s_i^-1 pairs cost no update; this is
-exact because the update below is a group action on all of Z^2n.  With
-a+ = max(a, 0) and a- = min(a, 0), the code i > 0 (s_i) and the code -i
-(s_i^-1) update pairs i and i + 1:
+Equality and the braid order take coordinates instead.  Free-group images
+grow exponentially with word length, but the bit length of a braid's
+Dynnikov coordinates grows linearly, and they are a faithful integer action
+of B_oo whose signs decide the Dehornoy order (Dehornoy, "Efficient
+solutions to the braid isotopy problem", Discrete Appl. Math. 156 (2008),
+section 3; Dehornoy, Dynnikov, Rolfsen and Wiest, *Ordering Braids*, AMS
+2008, ch. XII).  The coordinates are a sparse dict from pair index k to a
+pair (x_k, y_k); a missing key is the pair (0, 1).  ``_coords(codes, xs)``,
+the only function that computes them, starts from the empty dict and acts
+by a word's codes rightmost first, as ``apply_word`` does.  It feeds each
+run of braid codes to ``_act`` freely cancelled by ``freegroup._reduced``,
+which is exact because the update below is a group action on all of Z^2n.
+With a+ = max(a, 0) and a- = min(a, 0), the code i > 0 (s_i) and the code
+-i (s_i^-1) update pairs i and i + 1:
 
     s_i:    z = x_i - y_i- - x_{i+1} + y_{i+1}+
             x_i'     = x_i + y_i+ + (y_{i+1}+ - z)+
@@ -53,32 +49,101 @@ a+ = max(a, 0) and a- = min(a, 0), the code i > 0 (s_i) and the code -i
             x_{i+1}' = x_{i+1} - y_{i+1}- - (y_i- - z)-
             y_{i+1}' = y_i - z-
 
-Two braid words u and v are equal iff the coordinates of u^-1 v are all
-(0, 1), that is, the dropped dict is empty.  For the order, take the smallest
-k with x_k != 0: u < v if x_k > 0, u > v if x_k < 0, and u = v if there is no
-such k.  The dict stays sparse, so ``s100000000`` costs two entries, not a
-list as long as its index.
+An x letter doubles a puncture.  x_i splits pair i, (x, y), into
+(x, y-) at i and (x, y+) at i + 1, and every pair above i moves up one.  On
+the default (0, 1) this leaves a hole (0, 0) at i.  So that a doubling does
+not rebuild the dict, ``_coords`` keys each pair by its index plus the
+number of x letters still to act, and shifts each braid run by that number
+as it feeds it.  A doubling then leaves the pairs above i where they are and
+moves only those below i down one key: it probes indices 1..i-1 when
+i <= len(coords) and takes the sorted keys below otherwise, so each x
+letter costs O(min(i, pairs)).  At the end every key is an index, raised
+by any surplus that ``xs`` started with, and the (0, 1) pairs are dropped.
 
-Words b x_1^k (braid letters, then a run of x_1; every braid is the case
-k = 0, and every realized LD term has this form) take the same coordinates.
-``_split_x1_tail`` finds k by reading the x_1 codes at the end of the word
-and checks that they are all of its x letters against the stored count.
-Their tails are pure shifts by k, so b x_1^k = b' x_1^k' needs k = k'; then
-it holds exactly when b^-1 b' x_1^k = x_1^k, which holds exactly when every
-key of the coordinates of b^-1 b' is at most k + 1 (``stabilizes_x_power``,
-with its proof; for k = 0 the rule reads b = b').
+``morphism_eq`` cuts the longest common prefix of the two code tuples and
+compares the coordinates of what is left: u = v iff u(E) and v(E) have the
+same coordinates, for the lamination E of the proof below.  The cut is
+exact because every letter acts injectively on F_oo: s_i is an
+automorphism, and x_i sends the basis into the basis, so p u = p v exactly
+when u = v.  The x letters of the cut prefix stay in both offsets, which
+raises every key of both dicts alike.  ``_quotient_coords(u, v)`` is ``_coords`` on
+the braid u^-1 v, read off u and v without building u^-1, so a shared
+prefix costs no update there either.  Two braid words are equal iff those
+coordinates are empty.  For the order, take the smallest k with x_k != 0:
+u < v if x_k > 0, u > v if x_k < 0, and u = v if there is no such k.  The
+dict stays sparse, so ``s100000000`` costs two entries, not a list as long
+as its index.
+
+Proof that equal coordinates mean equal elements.  The model (*Ordering
+Braids*, ch. XII): a disk D with punctures P_0, ..., P_N on a line, N above
+every index and x count involved, s_i exchanging P_i and P_{i+1}, l_k the
+vertical arc between P_k and P_{k+1}, and E, the all-(0, 1) start, the
+lamination of the round curves C_1, ..., C_{N-1}, C_k round P_0 ... P_k.
+The pair (x_k, y_k) of a lamination L reads its minimal crossing numbers
+with l_{k-1}, l_k and the vertical arcs above and below P_k; with
+b_k = i(L, l_{k-1}), y_k = (b_k - b_{k+1}) / 2.  x_i replaces P_i by two
+punctures side by side, the twins, so a curve round P_i goes round both.
+
+(a) The doubling rule.  In minimal position, the vertical line through P_i
+    meets L max(b_i, b_{i+1}) times: an arc through the strip between
+    l_{i-1} and l_i meets it once, and an arc that turns back round P_i
+    meets it twice, once above P_i and once below.  Turning arcs come from
+    one side only, because two such arcs from opposite sides would cross.
+    Doubling P_i makes the part of that line between the twins a new
+    vertical arc, which L crosses max(b_i, b_{i+1}) times, with l_{i-1}
+    and l_i on either side.  So the twins read
+    y_i' = (b_i - max(b_i, b_{i+1})) / 2 = y_i- and
+    y_{i+1}' = (max(b_i, b_{i+1}) - b_{i+1}) / 2 = y_i+.  The twins inherit
+    P_i's arcs above and below, so both keep its x.  The pairs above i read
+    the same arcs one index higher.
+(b) Equal elements give equal coordinates.  Let t_j be the loop round P_j
+    and e_j the loop round P_1 ... P_j, based on the boundary.  The curve
+    C_j is the conjugacy class of t_0 e_j, and every letter fixes t_0, so
+    u sends C_j to the class of t_0 u(e_j).  So u(E) depends only on the
+    endomorphism u.
+(c) Equal coordinates give equal elements.  Coordinates determine the
+    lamination (*Ordering Braids*, ch. XII), so say u(E) = v(E).  Write
+    u = b X with b a braid and X an x word (``words.sx_decompose``).  X
+    sends e_j to e_{f(j)} for an increasing f; let H be the finite set of
+    its holes, the indices missing from f's image.  Then X(E) = E_H, E
+    without the curves C_h for h in H, and u(E) = b(E_H).  b(C_j) goes
+    round P_0 and j more punctures, so counting the punctures each curve of
+    u(E) encloses recovers H.  So v = b' X' with the same holes, X' = X as
+    endomorphisms, and g = b^-1 b' fixes C_j for every j outside H.  The
+    based step below shows that g then fixes e_j for every such j.  Since
+    f(j) is never in H, v(e_j) = b g(e_{f(j)}) = b(e_{f(j)}) = u(e_j) for
+    every j, so u = v.
+
+    The based step.  Let g be a braid in s_1, ..., s_{N-2} that fixes C_j
+    for every j in a set M holding every j from some m_0 up to N - 1, and
+    let f_j = t_0 e_j, the loop round P_0 ... P_j.  Work in a disk D'
+    bounded by a fixed curve C_{m'} (at first D itself, m' = N), with the
+    base point on its boundary, which g fixes pointwise.  g fixes t_0,
+    because g is supported in a disk that misses P_0.  Let m be the
+    largest index of M below m'.  g preserves C_m, so g = h k T: h
+    supported inside C_m, k in the annulus A between C_m and the boundary,
+    and T a power of the twist along C_m.  For an arc a in A from the base
+    point to C_m, k T sends a loop of G = pi_1(inside C_m) =
+    <t_0, ..., t_m>, read through a, to its conjugate by W = k T(a) a^-1,
+    and h(t_0) = w t_0 w^-1 with w in G.  So W w commutes with t_0, and W
+    lies in G.  It also lies in pi_1(A) = <f_m> * <t_{m+1}, ..., t_{m'}>,
+    whose meet with G is <f_m>.  So g(f_m) = W f_m W^-1 = f_m.  W = f_m^p
+    is what the p-th power of the twist along C_m does to a; moved from T
+    into h, that power leaves k T fixing a.  Then g acts on the loops
+    inside C_m as h does, and h fixes t_0 and the boundary.  Repeat inside
+    C_m down to the smallest index of M: g fixes f_j for every j in M, and
+    filling P_0 turns f_j into e_j.  ``stabilizes_x_power`` runs this step
+    for M = {m, m + 1, ...}.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, groupby
 from operator import neg
 from typing import Iterable
 
 from .freegroup import BudgetError, Cmp, FWord, _reduced, _word, curve_cmp
-from .words import Code, Generator, RWord, XLetterPresentError, _code, _rword
-
-_X1 = (1,)  # the code of x_1
+from .words import Code, Generator, RWord, XLetterPresentError, _code
 
 
 def _image(c: Code, ints: tuple[int, ...]) -> tuple[int, ...]:
@@ -148,16 +213,34 @@ _TRIVIAL = (0, 1)
 
 
 def _quotient_coords(u: RWord, v: RWord) -> dict[int, tuple[int, int]]:
-    """Sparse Dynnikov coordinates of the braid u^-1 v, (0, 1) pairs dropped.
+    """Sparse Dynnikov coordinates of the braid u^-1 v, its codes read off u and v."""
+    return _coords(tuple(chain(map(neg, reversed(u.codes)), v.codes)), 0)
 
-    u^-1 v acts with v's letters rightmost first, then u's letters left to
-    right with their signs flipped, so u^-1 is never built.  That feed is
-    freely cancelled before ``_act`` reads it.  This is exact because
-    ``_act`` is a group action on all of Z^2n (``TestDynnikovUpdate``), so
-    an adjacent s_i s_i^-1 acts as the identity.
+
+def _coords(codes: tuple[Code, ...], xs: int) -> dict[int, tuple[int, int]]:
+    """Sparse coordinates of w(E) for the word w with these codes, (0, 1) pairs dropped.
+
+    Acts rightmost letter first, with every pair keyed by its index plus
+    ``xs``, the number of x letters still to act: a braid run goes to
+    ``_act`` shifted by ``xs`` and freely cancelled, and x_i doubles pair i
+    by moving only the pairs below it (see the module docstring).  ``xs``
+    starts at the number of x letters in ``codes`` or above it; a surplus
+    raises every key by that much.
     """
     coords: dict[int, tuple[int, int]] = {}
-    _act(coords, _reduced(chain(reversed(v.codes), map(neg, u.codes))))
+    for kind, run in groupby(reversed(codes), type):
+        if kind is int:
+            _act(coords, _reduced([g + xs if g > 0 else g - xs for g in run] if xs else run))
+            continue
+        for (i,) in run:
+            xs -= 1
+            top = i + xs  # the key of the lower twin
+            below = range(xs + 2, top + 1) if i <= len(coords) else sorted(k for k in coords if k <= top)
+            for k in below:
+                if k in coords:
+                    coords[k - 1] = coords.pop(k)
+            a, b = coords.get(top + 1, _TRIVIAL)
+            coords[top], coords[top + 1] = (a, b if b < 0 else 0), (a, b if b > 0 else 0)
     return {k: pair for k, pair in coords.items() if pair != _TRIVIAL}
 
 
@@ -188,35 +271,15 @@ def _act(coords: dict[int, tuple[int, int]], codes: Iterable[int]) -> None:
             coords[i + 1] = (c - d_neg - (t if t < 0 else 0), b - z_neg)
 
 
-def _split_x1_tail(w: RWord) -> tuple[RWord, int] | None:
-    """(b, k) with w = b x_1^k and b a braid word, or None for any other shape."""
-    codes = w.codes
-    end = len(codes)
-    while end and codes[end - 1] == _X1:
-        end -= 1
-    k = len(codes) - end
-    return (_rword(codes[:end], 0), k) if w.xs == k else None
-
-
-def _keys_at_most(coords: dict[int, tuple[int, int]], m: int) -> bool:
-    """The x_1-power rule: every key of ``coords`` is at most m (``stabilizes_x_power``)."""
-    return all(k <= m for k in coords)
-
-
 def morphism_eq(u: RWord, v: RWord) -> bool:
-    """Semantic equality in R via the faithful representation.
+    """Semantic equality in R: u = v iff u(E) and v(E) have the same coordinates.
 
-    Two words b x_1^k and b' x_1^k' (braid letters, then a run of x_1; a
-    braid is the case k = 0) are equal iff k = k' and every key of the
-    coordinates of b^-1 b' is at most k + 1 (the ``stabilizes_x_power``
-    rule; for k = 0 the coordinates are empty); see the module docstring.
-    Every other pair goes to the image scan ``_images_cmp``.
+    The longest common prefix of the two code tuples is cut first; its x
+    letters stay in both offsets.  The module docstring proves the rule.
     """
-    split_u, split_v = _split_x1_tail(u), _split_x1_tail(v)
-    if split_u is None or split_v is None:
-        return _images_cmp(u, v) is Cmp.EQUAL
-    (b, k), (b2, k2) = split_u, split_v
-    return k == k2 and _keys_at_most(_quotient_coords(b, b2), k + 1)
+    a, b = u.codes, v.codes
+    n = next((k for k, (p, q) in enumerate(zip(a, b)) if p != q), min(len(a), len(b)))
+    return _coords(a[n:], u.xs) == _coords(b[n:], v.xs)
 
 
 def cmp_L(u: RWord, v: RWord) -> Cmp:
@@ -239,7 +302,7 @@ def cmp_L(u: RWord, v: RWord) -> Cmp:
 
 
 def _images_cmp(u: RWord, v: RWord) -> Cmp:
-    """The order by images, the oracle for ``cmp_L`` and ``morphism_eq``.
+    """The order by images: ``cmp_L`` on words with an x letter, and the tests' oracle.
 
     Scans n = 1, 2, ... and compares the images of e_n in the curve order at
     the first n where they differ.  Each index builds at least one image
@@ -266,23 +329,20 @@ def stabilizes_x_power(g: RWord, m: int) -> bool:
     Precondition: g is a braid word.  This is the membership criterion for
     B_m used to separate equal circle-compositions of braids.  It holds
     exactly when every key of the Dynnikov coordinates of g is at most m
-    ("keys <= m"), so no free-group image is computed.  For m = 1 it reads
-    g = e, so there keys <= 1 holds exactly when the coordinates are empty.
+    ("keys <= m"), so no free-group image is computed, and m may be too
+    large to build x_1^{m-1}.  For m = 1 it reads g = e, so there keys <= 1
+    holds exactly when the coordinates are empty.  The rule is the case
+    H = {1..m-1} of the general one that ``morphism_eq`` uses; this reads
+    it off g's own coordinates.
 
-    Proof.  The model (*Ordering Braids*, ch. XII): a disk D with punctures
-    P_0, ..., P_N on a line, N >= max(m, largest index of g) + 2, and s_i
-    exchanging P_i and P_{i+1}.  Then g is supported in a disk U round
-    P_1 ... P_{N-1} that misses P_0, P_N and the vertical arcs l_0 and
-    l_{N-1}, where l_k crosses D between P_k and P_{k+1}.  The all-(0, 1)
-    start is the lamination E of the round curves C_1, ..., C_{N-1}, C_k
-    round P_0 ... P_k; with curves round the right-hand punctures instead,
-    a twist round P_1 ... P_N would fix them and the action would not be
-    faithful.  The pair (x_k, y_k) of a lamination L reads its minimal
-    crossing numbers with l_{k-1}, l_k and the vertical arcs at P_k; in
-    particular y_k = (i(L, l_{k-1}) - i(L, l_k)) / 2.  The coordinates of
-    g are those of g(E).  With the base point on the left edge of U, e_j
-    is the loop round P_1 ... P_j, and the arc in which C_j crosses U is
-    that loop pushed off the base point.
+    Proof, in the model of the module docstring, with N >= max(m, largest
+    index of g) + 2.  g is supported in a disk U round P_1 ... P_{N-1}
+    that misses P_0, P_N and the vertical arcs l_0 and l_{N-1}.  With
+    curves round the right-hand punctures instead of E, a twist round
+    P_1 ... P_N would fix them and the action would not be faithful.  The
+    coordinates of g are those of g(E).  With the base point on the left
+    edge of U, e_j is the loop round P_1 ... P_j, and the arc in which C_j
+    crosses U is that loop pushed off the base point.
 
     - If g fixes every e_j, j >= m, then keys <= m; so a No is sound.  g
       fixes the arc of C_j in U rel its ends, hence the curve C_j, j >= m,
@@ -296,19 +356,9 @@ def stabilizes_x_power(g: RWord, m: int) -> bool:
       and j more punctures, and only P_0 ... P_k lie left of l_k, so for
       j > k it crosses l_k at least twice.  Those N - 1 - k curves use up
       every crossing, so g(C_k) misses l_k: it lies left of l_k, round all
-      of P_0 ... P_k, which makes it C_k.  With C_m, ..., C_{N-1} fixed
-      and the pieces between them annuli with one puncture, g = h T: h is
-      supported inside C_m, and T is a product of powers of Dehn twists
-      along C_m, ..., C_{N-1} and the boundary of D.  Let f_j be the loop
-      round P_0 ... P_j (f_N runs along the boundary) and t_0 the loop
-      round P_0, both based on the boundary; g fixes t_0 because U misses
-      P_0.  T conjugates the loops inside C_m, H = <t_0, ..., t_m>, by
-      W = f_N^{a_N} ... f_m^{a_m}, and h(t_0) = u t_0 u^-1 with u in H.
-      So W u commutes with t_0, W lies in H, and killing t_0 ... t_m sends
-      f_N^{a_N} ... f_{m+1}^{a_{m+1}} to 1.  The images of f_{m+1}, ...,
-      f_N form a free basis, so those a_j are 0: g is supported inside
-      C_m and its collar, it fixes f_j for j >= m, and filling P_0 turns
-      f_j into e_j.
+      of P_0 ... P_k, which makes it C_k.  So g fixes C_m, ..., C_{N-1},
+      and the based step of the module docstring, with
+      M = {m, ..., N - 1}, gives g(e_j) = e_j for every j >= m.
     - B_m lies on both sides, as it must: s_1 ... s_{m-1} touch only
       pairs 1..m and change only e_1, ..., e_{m-1}.
     """
@@ -316,4 +366,4 @@ def stabilizes_x_power(g: RWord, m: int) -> bool:
         raise XLetterPresentError("stabilizes_x_power needs a braid word")
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _keys_at_most(_quotient_coords(RWord(), g), m)
+    return all(k <= m for k in _coords(g.codes, 0))

@@ -420,13 +420,17 @@ def test_budget_errors_share_one_base_and_exit_2(
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["eq", "cmp"])
-def test_image_scan_past_budget_exits_2_before_it_starts(capout, monkeypatch, command):
+SCAN_PAST_BUDGET = "error: image scan over 100000000 indices exceeds the budget of 1048576 letters\n"
+
+
+@pytest.mark.parametrize("command, expected", [
+    ("eq", (0, "true\n", "")),  # coordinates: no index is scanned
+    ("cmp", (2, "", SCAN_PAST_BUDGET)),
+], ids=["eq", "cmp"])
+def test_image_scan_past_budget_exits_2_before_it_starts(capout, monkeypatch, command, expected):
     # One image letter per index and word: 10^8 indices cannot fit the budget.
     monkeypatch.setattr(representation, "apply_word", None)
-    code, out, err = capout(command, "x99999999", "x99999999")
-    assert (code, out) == (2, "")
-    assert err == "error: image scan over 100000000 indices exceeds the budget of 1048576 letters\n"
+    assert capout(command, "x99999999", "x99999999") == expected
 
 
 def test_domain_errors_share_one_base():
