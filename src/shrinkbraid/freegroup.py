@@ -164,13 +164,14 @@ def reduce(letters: Iterable[FLetter]) -> "FWord":
 class FWord:
     """A freely reduced word over e_1, e_2, ...; immutable and hashable.
 
-    ``FWord(letters)`` trusts its letters to be reduced; ``reduce`` does not.
+    ``FWord(letters)`` is ``reduce(letters)``: it drops index-0 letters,
+    rejects a negative index or a sign other than +1 or -1, and cancels.
     """
 
     __slots__ = ("ints",)
 
     def __init__(self, letters: Iterable[FLetter] = ()):
-        self.ints = tuple([index * sign for index, sign in letters])
+        self.ints = reduce(letters).ints
 
     @property
     def letters(self) -> tuple[FLetter, ...]:

@@ -29,7 +29,10 @@ through.  The dot builds every letter of a, sh^n(c'), W and sh^m(a^-1)
 into one list and pushes it through one free-cancellation stack, so a
 need not be cancelled itself (circle products are not).  That stack is
 ``freegroup._reduced``: a braid word cancels exactly as a signed-int
-free-group word does.
+free-group word does.  Both kernels hold their result to
+``MAX_REALIZED_LETTERS``: a circle's exact length and a lower bound on a
+dot's are checked before any letter is built, and a dot's exact length
+once it is built.
 
 An ``LDTerm`` is stored as the tuple of its tokens in postfix order ("j",
 then "." or "o" after both operands), the order in which ``parse_term``
@@ -107,13 +110,36 @@ def b_dot(a: BElement, c: BElement) -> BElement:
     (5) give x_{k+1}^{m-1} s_k = s_k s_{k+1} ... s_{k+m-1} x_k^{m-1}, which
     carries the x letters of sh^n(x_1^{m-1}) past s_n, ..., s_1 one factor
     at a time, and x_1^{m-1} sh(a^-1) = sh^m(a^-1) x_1^{m-1} by (5).
+    A product past ``MAX_REALIZED_LETTERS`` raises ``RealizationBudgetError``.
     """
     return _element(*_dot(a.braid.codes, a.n, c.braid.codes, c.n))
 
 
 def b_circ(a: BElement, c: BElement) -> BElement:
-    """(a x_1^{n-1}) o c = a sh^n(c) x_1^n; powers add."""
+    """(a x_1^{n-1}) o c = a sh^n(c) x_1^n; powers add.
+
+    A product past ``MAX_REALIZED_LETTERS`` raises ``RealizationBudgetError``.
+    """
     return _element(*_circ(a.braid.codes, a.n, c.braid.codes, c.n))
+
+
+# Every word the kernels build, so every ``b_dot``, ``b_circ`` and term node,
+# is held to this budget.  A left-nested dot term of depth d realizes
+# 2^d - 1 letters, so the budget stops depth 17; every depth-8 term stays
+# far below it.
+MAX_REALIZED_LETTERS = 1 << 16
+
+
+class RealizationBudgetError(BudgetError):
+    """A realized word grew past ``MAX_REALIZED_LETTERS``."""
+
+
+def _check_realized(letters: int, at_least: str = "") -> None:
+    if letters > MAX_REALIZED_LETTERS:
+        raise RealizationBudgetError(
+            f"realized word of {at_least}{letters} letters exceeds the budget of "
+            f"{MAX_REALIZED_LETTERS}"
+        )
 
 
 # --- the kernel: braid words as code tuples (s_i = i, s_i^-1 = -i) -------
@@ -126,20 +152,27 @@ def _element(word: _Letters, n: int) -> BElement:
 
 
 def _dot(a: _Letters, n: int, c: _Letters, m: int) -> tuple[_Letters, int]:
-    """``b_dot`` on code tuples; a need not be free-cancelled.
+    """``b_dot`` on code tuples, held to the budget; a need not be free-cancelled.
 
-    The letters of a, sh^n(c), W and sh^m(a^-1) go into one list, W one
-    run s_k ... s_{k+m-1} at a time, and are cancelled in one pass.
+    Checked before any letter is built: W has n*m positive letters, each of
+    which can cancel only against one letter of a, c or a^-1, which bounds
+    the length from below.  The letters of a, sh^n(c), W and sh^m(a^-1) then
+    go into one list, W one run s_k ... s_{k+m-1} at a time, are cancelled
+    in one pass, and the length is checked again, exactly.
     """
+    _check_realized(n * m - 2 * len(a) - len(c) + m - 1, "at least ")
     letters = [*a, *_shifted(c, n)]
     for k in range(n, 0, -1):
         letters += range(k, k + m)
     letters += _inverse_shifted(a, m)
-    return _reduced(letters), m
+    word = _reduced(letters)
+    _check_realized(len(word) + m - 1)
+    return word, m
 
 
 def _circ(a: _Letters, n: int, c: _Letters, m: int) -> tuple[_Letters, int]:
-    """``b_circ`` on code tuples."""
+    """``b_circ`` on code tuples, held to the budget: nothing cancels, so the length is exact."""
+    _check_realized(len(a) + len(c) + n + m - 1)
     return (*a, *_shifted(c, n)), n + m
 
 
@@ -218,33 +251,13 @@ def circ(s: LDTerm, t: LDTerm) -> LDTerm:
     return _term(s.postfix + t.postfix + ("o",))
 
 
-# A left-nested dot term of depth d realizes 2^d - 1 letters, so the budget
-# stops depth 17; every depth-8 term stays far below it.
-MAX_REALIZED_LETTERS = 1 << 16
-
-
-class RealizationBudgetError(BudgetError):
-    """A term's realized word grew past ``MAX_REALIZED_LETTERS``."""
-
-
-def _check_realized(letters: int, at_least: str = "") -> None:
-    if letters > MAX_REALIZED_LETTERS:
-        raise RealizationBudgetError(
-            f"realized word of {at_least}{letters} letters exceeds the budget of "
-            f"{MAX_REALIZED_LETTERS}"
-        )
-
-
 def eval_term_b(t: LDTerm) -> BElement:
     """Evaluate a term; every subterm's realized word is held to the budget.
 
     One loop over the postfix tokens with a stack of (word, power) values,
-    so depth is not bounded by Python's recursion limit.  Each node is
-    checked before its word is built: a circle's length is exact, since
-    nothing cancels, and a dot's middle factor W has n*m positive letters,
-    each of which can cancel only against one letter of a, c or a^-1, which
-    bounds the dot's length from below.  A dot that passes that bound is
-    checked again, exactly, once built.
+    so depth is not bounded by Python's recursion limit.  Each node is one
+    call of ``_dot`` or ``_circ``, which check the budget before they build
+    the node's word.
     """
     values: list[tuple[_Letters, int]] = []
     for token in t.postfix:
@@ -253,14 +266,7 @@ def eval_term_b(t: LDTerm) -> BElement:
             continue
         c, m = values.pop()
         a, n = values[-1]
-        if token == ".":
-            _check_realized(n * m - 2 * len(a) - len(c) + m - 1, "at least ")
-            word, power = _dot(a, n, c, m)
-            _check_realized(len(word) + m - 1)
-        else:
-            _check_realized(len(a) + len(c) + n + m - 1)
-            word, power = _circ(a, n, c, m)
-        values[-1] = (word, power)
+        values[-1] = (_dot if token == "." else _circ)(a, n, c, m)
     return _element(*values[0])
 
 

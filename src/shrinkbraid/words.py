@@ -17,9 +17,22 @@ syntactic here: two RWords may denote the same monoid element.  Semantic
 equality is decided by the faithful free-group representation
 (``representation.morphism_eq``); no confluent rewriting system is attempted.
 
-``sx_decompose`` also reads the x_a s_b rows of (3)/(4)/(5) with s^-1 for s
-on both sides; these follow by multiplying with inverse letters ((3) gives
-the s^-1 form of (4) and vice versa) and are checked against the representation.
+The closed rule.  x_a merges strands a and a + 1, and (3), (4) and (5)
+say what happens when that merge moves right past a crossing s_b^e
+(e = +1 or -1): it leaves sigma letters behind and one x letter after them.
+
+    b = a - 1:   x_a s_b^e = s_b^e s_{b+1}^e x_b          (3)
+    b = a:       x_a s_b^e = s_{b+1}^e s_b^e x_{a+1}      (4)
+    b > a:       x_a s_b^e = s_{b+1}^e x_a                (5)
+    b < a - 1:   x_a s_b^e = s_b^e x_a                    (5)
+
+A crossing beside the merge becomes two, one for each merged strand;
+any other stays one crossing, its index raised by one when it lies above
+the merge.  For e = +1 these are rows of ``_RELATIONS``; the e = -1 forms
+follow by multiplying with inverse letters ((4) gives the s^-1 form of
+(3) and vice versa).  ``sx_decompose`` applies the rule inline, reading
+no table, and the tests check it against ``_RELATIONS`` and the
+representation.
 
 Storage.  An ``RWord`` holds one tuple of letter codes, ``codes``, and its
 number of x letters, ``xs``, both fixed at construction, so ``is_braid``
@@ -89,7 +102,8 @@ Code = Union[int, tuple[int]]
 
 
 def _code(g: Generator) -> Code:
-    kind, i = g
+    """The code of a letter; an index below 1 raises ValueError, as in ``sigma``."""
+    kind, i = g.kind, _checked(g.index)
     return i if kind is Kind.SIGMA else -i if kind is Kind.SIGMA_INV else (i,)
 
 
@@ -227,39 +241,33 @@ _RELATIONS: tuple[tuple[int, _Side, _Side, _When], ...] = (
 
 
 def _rewrite(
-    codes: tuple[Code, ...], pos: int, side: _Side, other: _Side, when: _When
+    codes: tuple[Code, ...], pos: int, rule: int, direction: Direction
 ) -> Optional[tuple[Code, ...]]:
-    """``other`` under the values of i and j that read ``side`` at ``pos``.
+    """``codes`` with a side of ``rule`` read at ``pos`` and replaced by the other side.
 
-    None when ``side`` does not occur there: a letter differs in kind, a
-    variable would take two values or one below 1, or ``when`` fails.
+    L2R reads a row's left side, R2L its right side, and the first row of
+    the rule that reads binds i and j.  None when no row reads there: a
+    letter differs in kind, a variable would take two values or one below
+    1, or the row's condition fails.  This is the one reader of
+    ``_RELATIONS``.
     """
-    if pos + len(side) > len(codes):
-        return None
-    bound: dict[str, int] = {}
-    for (is_x, var, offset), c in zip(side, codes[pos:]):
-        if (type(c) is tuple) is not is_x:
-            return None
-        value = (c[0] if is_x else c) - offset
-        if value < 1 or bound.setdefault(var, value) != value:
-            return None
-    if when is not None and not when(bound["i"], bound["j"]):
-        return None
-    return tuple([(bound[v] + k,) if is_x else bound[v] + k for is_x, v, k in other])
-
-
-@lru_cache(maxsize=4096)  # one entry per (x, sigma) pair met; the bound caps its memory
-def _x_past_sigma(xc: tuple[int], s: int) -> tuple[Code, ...]:
-    """Rewrite x_a s_b, with s_b of either sign, as sigma letters then one x letter.
-
-    Only the x_a s_b rows of (3), (4) and (5) can match the pair, and exactly
-    one does.  s_b^-1 is read as s_b and gives its sign to the sigma letters.
-    """
-    for _, lhs, rhs, when in _RELATIONS:
-        replacement = _rewrite((xc, abs(s)), 0, lhs, rhs, when)
-        if replacement is not None:
-            break
-    return tuple([c if type(c) is tuple or s > 0 else -c for c in replacement])
+    for number, lhs, rhs, when in _RELATIONS:
+        side, other = (lhs, rhs) if direction == "L2R" else (rhs, lhs)
+        end = pos + len(side)
+        if number != rule or end > len(codes):
+            continue
+        bound: dict[str, int] = {}
+        for (is_x, var, offset), c in zip(side, codes[pos:end]):
+            if (type(c) is tuple) is not is_x:
+                break
+            value = (c[0] if is_x else c) - offset
+            if value < 1 or bound.setdefault(var, value) != value:
+                break
+        else:
+            if when is None or when(bound["i"], bound["j"]):
+                replacement = [(bound[v] + k,) if is_x else bound[v] + k for is_x, v, k in other]
+                return codes[:pos] + tuple(replacement) + codes[end:]
+    return None
 
 
 # ``sx_decompose`` takes one step for each braid letter an x letter moves
@@ -277,12 +285,15 @@ def sx_decompose(w: RWord) -> tuple[RWord, RWord]:
 
     Reads the codes right to left, keeping what it has read as a braid part
     followed by an x part.  A braid letter joins the front of the braid
-    part.  An x letter moves left to right through the braid part, one
-    ``_x_past_sigma`` step per braid letter, into a new braid part, and
-    joins the front of the x part.  So every x letter is moved past each
-    sigma letter to its right, and the procedure is deterministic and
-    terminates.  ``RewriteBudgetError`` is raised before a move that would
-    take the step count past ``MAX_REWRITE_STEPS``.
+    part.  An x letter x_a moves left to right through the braid part into
+    a new braid part, one step per braid letter, and joins the front of the
+    x part.  A step past s_b^e (e = +1 or -1) is the closed rule of the
+    module docstring: relation (3) when b = a - 1, (4) when b = a, and (5)
+    otherwise, the crossing raised by one when it lies above the merge.  So
+    every x letter is moved past each sigma letter to its right, and the
+    procedure is deterministic and terminates.  ``RewriteBudgetError`` is
+    raised before a move that would take the step count past
+    ``MAX_REWRITE_STEPS``.
     """
     braid: list[int] = []  # the braid part, reversed
     xs: list[tuple[int]] = []  # the x part, reversed
@@ -297,13 +308,20 @@ def sx_decompose(w: RWord) -> tuple[RWord, RWord]:
                 f"decomposition of at least {steps} rewrite steps exceeds the budget of "
                 f"{MAX_REWRITE_STEPS}"
             )
+        a = c[0]
         moved: list[int] = []
         for s in reversed(braid):
-            replacement = _x_past_sigma(c, s)
-            moved += replacement[:-1]
-            c = replacement[-1]
+            b, e = (s, 1) if s > 0 else (-s, -1)
+            if b == a - 1:  # (3): x_{b+1} s_b = s_b s_{b+1} x_b
+                moved += (s, s + e)
+                a = b
+            elif b == a:  # (4): x_b s_b = s_{b+1} s_b x_{b+1}
+                moved += (s + e, s)
+                a = b + 1
+            else:  # (5): the crossing is above the merge, or below it with a gap
+                moved.append(s + e if b > a else s)
         braid = moved[::-1]
-        xs.append(c)
+        xs.append((a,))
     return _rword(tuple(reversed(braid)), 0), _rword(tuple(reversed(xs)), w.xs)
 
 
@@ -318,16 +336,10 @@ def apply_relation(
     """
     if position < 0 or position > len(w.codes):
         raise IndexError(f"position {position} outside word of length {len(w)}")
-    rows = [row[1:] for row in _RELATIONS if row[0] == rule]
-    if not rows:
+    if not 1 <= rule <= 7:
         raise ValueError(f"rule must be 1..7, got {rule}")
-    for lhs, rhs, when in rows:
-        side, other = (lhs, rhs) if direction == "L2R" else (rhs, lhs)
-        replacement = _rewrite(w.codes, position, side, other, when)
-        if replacement is not None:
-            codes = w.codes[:position] + replacement + w.codes[position + len(side) :]
-            return _rword(codes, w.xs)
-    return None
+    codes = _rewrite(w.codes, position, rule, direction)
+    return None if codes is None else _rword(codes, w.xs)
 
 
 # --- word grammar ---------------------------------------------------------

@@ -55,20 +55,20 @@ class XWord(_Frozen):
 def x_canonicalize(w: XWord) -> XWord:
     """The unique weakly increasing form of the same X_oo element.
 
-    An adjacent descent (a, b) with a > b is the right side of the defining
-    relation and rewrites to (b, a - 1).  The index sum drops each step, so
-    the loop terminates; uniqueness holds regardless of application order.
+    One insertion pass from the right, keeping the letters read so far in
+    canonical form.  A new letter a, in front of that form, walks right
+    while a - k > seq[k]: read right to left, the defining relation gives
+    x_{a-k} x_{seq[k]} = x_{seq[k]} x_{a-k-1}, so each letter it passes
+    lowers it by one.  It stops at the first k with a - k <= seq[k], and
+    seq[k - 1] <= a - k there (it passed seq[k - 1]), so inserting a - k at
+    k keeps the form weakly increasing.
     """
-    seq = list(w.indices)
-    i = 0
-    while i < len(seq) - 1:
-        a, b = seq[i], seq[i + 1]
-        if a > b:
-            seq[i], seq[i + 1] = b, a - 1
-            if i > 0:
-                i -= 1
-        else:
-            i += 1
+    seq: list[int] = []
+    for a in reversed(w.indices):
+        k = 0
+        while k < len(seq) and a - k > seq[k]:
+            k += 1
+        seq.insert(k, a - k)
     return XWord(tuple(seq))
 
 

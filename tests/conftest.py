@@ -1,15 +1,18 @@
+import ast
 import random
 import re
 import time
 from itertools import chain
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
+import shrinkbraid
 from shrinkbraid import Cmp, Generator, Kind, RWord, XLetterPresentError, sigma, sigma_inv, x
 from shrinkbraid.freegroup import FLetter, FWord, _reduced, reduce
 from shrinkbraid.ldops import LEAF, LDTerm, TermParseError, _term, circ, dot
-from shrinkbraid.words import _rword, _x_past_sigma
+from shrinkbraid.words import _rewrite, _rword
 from shrinkbraid.xmonoid import s_of
 
 settings.register_profile("suite", deadline=None)
@@ -328,7 +331,21 @@ def children(t: LDTerm) -> tuple:
 #
 # ``words.sx_decompose`` as it was written before it rebuilt its braid part:
 # one list of codes, in which each x letter is spliced past the sigma letter
-# to its right, scanning right to left.  It has no step budget.
+# to its right, scanning right to left.  It has no step budget, and it takes
+# each step from the rows of ``words._RELATIONS``, not from the closed rule.
+
+
+def table_x_past_sigma(xc: tuple[int], s: int) -> tuple:
+    """x_a s_b, s_b of either sign, rewritten by the one row of (3), (4) or (5) that reads it.
+
+    ``_rewrite`` reads the rows; s_b^-1 is read as s_b and gives its sign
+    to the sigma letters.
+    """
+    for rule in (3, 4, 5):
+        codes = _rewrite((xc, abs(s)), 0, rule, "L2R")
+        if codes is not None:
+            return tuple([c if type(c) is tuple or s > 0 else -c for c in codes])
+    raise AssertionError(f"no row reads x{xc[0]} s{s}")
 
 
 def splice_sx_decompose(w: RWord) -> tuple[RWord, RWord]:
@@ -336,7 +353,7 @@ def splice_sx_decompose(w: RWord) -> tuple[RWord, RWord]:
     i = len(codes) - 2
     while i >= 0:
         if i + 1 < len(codes) and type(codes[i]) is tuple and type(codes[i + 1]) is int:
-            replacement = _x_past_sigma(codes[i], codes[i + 1])
+            replacement = table_x_past_sigma(codes[i], codes[i + 1])
             codes[i : i + 2] = replacement
             i += len(replacement) - 1  # keep following the moved x letter
         else:
@@ -360,3 +377,27 @@ def padded_lex_cmp(c, d) -> Cmp:
         if a != b:
             return Cmp.GREATER if a < b else Cmp.LESS
     return Cmp.EQUAL
+
+
+# --- source guards -----------------------------------------------------------
+#
+# Tests that read the package's source to check where a fact is used.
+
+SOURCES = sorted(Path(shrinkbraid.__file__).parent.glob("*.py"))
+
+
+def functions_using(tree: ast.AST, is_use) -> set[str]:
+    """The names of the functions whose bodies hold a node ``is_use`` accepts."""
+    return {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(is_use(inner) for inner in ast.walk(node))
+    }
+
+
+def package_functions_using(is_use) -> set[str]:
+    found = set()
+    for path in SOURCES:
+        found |= functions_using(ast.parse(path.read_text(encoding="utf-8")), is_use)
+    return found

@@ -50,6 +50,12 @@ class TestReduce:
     def test_drops_index_zero(self):
         assert reduce([FLetter(0, 1), FLetter(1, 1), FLetter(0, -1)]) == fw("e1")
 
+    @pytest.mark.parametrize("build", [reduce, FWord])
+    @pytest.mark.parametrize("bad", [FLetter(2, 5), FLetter(2, 0), FLetter(-1, 1)])
+    def test_refuses_a_bad_letter(self, build, bad):
+        with pytest.raises(ValueError):
+            build([FLetter(0, 1), bad])
+
     @given(letters)
     def test_reduced_invariant(self, lets):
         word = reduce(lets)
@@ -145,6 +151,14 @@ class TestStorage:
     @given(letters)
     def test_reduce_matches_reference(self, lets):
         assert reduce(lets).letters == letter_reduce(lets)
+
+    @given(letters)
+    def test_constructor_is_reduce(self, lets):
+        assert FWord(lets) == reduce(lets)
+
+    def test_constructor_cancels_and_drops_e0(self):
+        assert FWord([FLetter(1, 1), FLetter(1, -1)]) == FWord.identity()
+        assert FWord([FLetter(0, 1), FLetter(2, 1)]) == FWord.generator(2)
 
     def test_letters_are_fletters(self):
         assert fw("e2 e1^-1").letters == (FLetter(2, 1), FLetter(1, -1))

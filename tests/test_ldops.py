@@ -354,6 +354,22 @@ class TestIntKernel:
         assert ldops._circ(a, n, c, m) == chain_circ(a, n, c, m)
 
 
+def refuse_letters(monkeypatch):
+    """Make the dot kernel's letter builders raise, so a passing check is seen.
+
+    W's runs come from ``range``, then ``_inverse_shifted`` and ``_reduced``
+    build the rest; the dots below have empty a and c, so no other letter
+    exists.  The circle kernel calls none of them.
+    """
+
+    def no_letters(*args):
+        raise AssertionError("a letter was built")
+
+    monkeypatch.setattr(ldops, "range", no_letters, raising=False)
+    for name in ("_inverse_shifted", "_reduced"):
+        monkeypatch.setattr(ldops, name, no_letters)
+
+
 class TestRealizationBudget:
     @staticmethod
     def left_nested(depth: int) -> LDTerm:
@@ -383,10 +399,7 @@ class TestRealizationBudget:
             t = circ(t, t)
         assert eval_term_b(t).n == 1 << 12
 
-        def no_dot(*args):
-            raise AssertionError("the dot ran")
-
-        monkeypatch.setattr(ldops, "_dot", no_dot)
+        refuse_letters(monkeypatch)
         with pytest.raises(RealizationBudgetError) as info:
             eval_term_b(dot(t, t))
         least = (1 << 24) + (1 << 12) - 1
@@ -395,15 +408,27 @@ class TestRealizationBudget:
         )
 
     def test_small_budget_refuses_the_dot_before_its_word_is_built(self, monkeypatch):
-        def no_dot(*args):
-            raise AssertionError("the dot ran")
-
         monkeypatch.setattr(ldops, "MAX_REALIZED_LETTERS", 2)
-        monkeypatch.setattr(ldops, "_dot", no_dot)
+        refuse_letters(monkeypatch)
         two = circ(LEAF, LEAF)  # x_1: power 2, no braid letters
         with pytest.raises(RealizationBudgetError) as info:
             eval_term_b(dot(two, two))  # n*m + m - 1 = 5 letters at least
         assert str(info.value) == "realized word of at least 5 letters exceeds the budget of 2"
+
+    def test_public_products_are_held_to_the_budget(self, monkeypatch):
+        # n = m = 300: W alone has 90,000 letters.
+        big = BElement(RWord(), 300)
+        refuse_letters(monkeypatch)
+        with pytest.raises(RealizationBudgetError) as info:
+            b_dot(big, big)
+        assert str(info.value) == (
+            f"realized word of at least {90000 + 299} letters exceeds the budget of {1 << 16}"
+        )
+        with pytest.raises(RealizationBudgetError) as info:
+            b_circ(BElement(RWord(), 1 << 16), BElement(RWord(), 2))  # x_1^(2^16 + 1)
+        assert str(info.value) == (
+            f"realized word of {(1 << 16) + 1} letters exceeds the budget of {1 << 16}"
+        )
 
     def test_exact_message_where_the_bound_passes(self, monkeypatch):
         monkeypatch.setattr(ldops, "MAX_REALIZED_LETTERS", 2)

@@ -21,7 +21,7 @@ from shrinkbraid import (
     x,
 )
 from shrinkbraid.freegroup import FLetter, FWord, parse_fword, reduce
-from shrinkbraid.words import _RELATIONS, apply_relation, sx_decompose
+from shrinkbraid.words import _RELATIONS, Generator, apply_relation, sx_decompose
 from shrinkbraid import representation
 from shrinkbraid.representation import (
     ImageBudgetError,
@@ -74,6 +74,11 @@ class TestGeneratorImages:
         # Derived image: the unique word v with s_1(v) = e_1.
         assert apply_gen(sigma_inv(1), fw("e1")) == fw("e2 e1^-1")
         assert apply_gen(sigma(1), apply_gen(sigma_inv(1), fw("e1"))) == fw("e1")
+
+    @pytest.mark.parametrize("kind", list(Kind))
+    def test_refuses_an_index_below_1(self, kind):
+        with pytest.raises(ValueError, match="generator index must be >= 1"):
+            apply_gen(Generator(kind, 0), fw("e1"))
 
     @pytest.mark.parametrize("i", range(1, 6))
     def test_two_sided_inverse_on_generators(self, i):

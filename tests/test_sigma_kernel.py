@@ -9,22 +9,10 @@ guard reads the source and fails on any other function that touches
 """
 
 import ast
-from pathlib import Path
 
-import shrinkbraid
+from conftest import SOURCES, functions_using, package_functions_using
 
-SOURCES = sorted(Path(shrinkbraid.__file__).parent.glob("*.py"))
 STEP_READERS = {"__init__", "_grow", "_absorbs"}
-
-
-def functions_using(tree: ast.AST, is_use) -> set[str]:
-    """The names of the functions whose bodies hold a node ``is_use`` accepts."""
-    return {
-        node.name
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and any(is_use(inner) for inner in ast.walk(node))
-    }
 
 
 def reads_steps(node: ast.AST) -> bool:
@@ -38,13 +26,6 @@ def calls_sigma_action(node: ast.AST) -> bool:
     return (isinstance(func, ast.Attribute) and func.attr == "sigma_action") or (
         isinstance(func, ast.Name) and func.id == "sigma_action"
     )
-
-
-def package_functions_using(is_use) -> set[str]:
-    found = set()
-    for path in SOURCES:
-        found |= functions_using(ast.parse(path.read_text(encoding="utf-8")), is_use)
-    return found
 
 
 def test_only_the_builder_the_layer_and_the_absorbing_walk_read_steps():

@@ -1,4 +1,5 @@
 import sys
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,7 +20,7 @@ from shrinkbraid import (
 )
 from shrinkbraid import words
 from shrinkbraid.freegroup import BudgetError
-from shrinkbraid.words import Generator, Kind, RewriteBudgetError, RWordParseError
+from shrinkbraid.words import Generator, Kind, RewriteBudgetError, RWordParseError, _rword
 
 from conftest import (
     gen_braid_inverse,
@@ -28,6 +29,7 @@ from conftest import (
     random_braid,
     random_rplus,
     splice_sx_decompose,
+    table_x_past_sigma,
 )
 
 
@@ -275,6 +277,14 @@ class TestApplyRelation:
             assert morphism_eq(word, start)
 
 
+class TestGeneratorIndices:
+    @pytest.mark.parametrize("kind", list(Kind))
+    @pytest.mark.parametrize("index", [0, -1])
+    def test_word_refuses_an_index_below_1(self, kind, index):
+        with pytest.raises(ValueError, match="generator index must be >= 1"):
+            RWord([Generator(kind, index)])
+
+
 class TestGrammar:
     def test_round_trip(self):
         text = "s1 x2 s3^-1 x10"
@@ -435,3 +445,32 @@ class TestSxRebuild:
         assert str(info.value) == (
             "decomposition of at least 8 rewrite steps exceeds the budget of 7"
         )
+
+
+class TestClosedRule:
+    """The inline step of ``sx_decompose`` against the rows of ``_RELATIONS``."""
+
+    @pytest.mark.parametrize("a", range(1, 13))
+    def test_every_step_is_the_table_step(self, a):
+        for b in range(1, 13):
+            for s in (b, -b):
+                step = table_x_past_sigma((a,), s)
+                assert sx_decompose(_rword(((a,), s), 1)) == (
+                    _rword(step[:-1], 0),
+                    _rword(step[-1:], 1),
+                )
+
+    def test_x1_s1_power_decomposes_in_time(self):
+        word = w("x1 s1 " * 180)
+        start = time.monotonic()
+        braid_part, x_part = sx_decompose(word)
+        assert time.monotonic() - start < 1
+        assert len(braid_part) == 16470
+        assert x_part == w(" ".join(f"x{k}" for k in range(181, 1, -1)))
+
+    def test_budget_error_comes_in_time(self):
+        word = w("x1 s1 " * 200)
+        start = time.monotonic()
+        with pytest.raises(RewriteBudgetError, match="at least 1055240 rewrite steps"):
+            sx_decompose(word)
+        assert time.monotonic() - start < 1
