@@ -11,9 +11,23 @@ Functions compose in word order: the leftmost letter acts first, which is the
 convention under which S is a homomorphism onto sequence composition
 (``seq_compose``).  The quotient R' of R by s_i^2 = e is represented only
 through ``sf_eval`` (s_i acts as the transposition of i and i+1).
+
+The hole set H of an x word is the set of k with p(k) = p(k + 1).  It is
+the H of proof (c) in the ``representation`` docstring, where a word acts
+rightmost letter first and x_i sends e_j to e_{f(j)}, f(j) = j + [j >= i]:
+there H is the set of indices that f misses.  Both conventions give one
+rule, H(x_a w) = {a} u {h + [h >= a] : h in H(w)}, with H(x_a) = {a}.
+Here x_a acts first, so p(x_a w)(k) = p(w)(p(x_a)(k)) merges a and a + 1
+and moves each hole h >= a of p(w) up to h + 1; there x_a acts last,
+f(x_a w) = f(x_a) o f(w), so f(x_a) adds the miss a and sends each miss h
+of f(w) to h + [h >= a].  For the canonical form a_0 <= a_1 <= ..., read
+0-based, H = {a_j + j}: these are the keys that ``x_canonicalize``
+searches.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 from .freegroup import BudgetError, Cmp, _Frozen
 from .words import RWord, _rword
@@ -55,19 +69,26 @@ class XWord(_Frozen):
 def x_canonicalize(w: XWord) -> XWord:
     """The unique weakly increasing form of the same X_oo element.
 
-    One insertion pass from the right, keeping the letters read so far in
-    canonical form.  A new letter a, in front of that form, walks right
+    One pass from the right, keeping the letters read so far in canonical
+    form seq.  A new letter a, in front of seq, moves right past seq[k]
     while a - k > seq[k]: read right to left, the defining relation gives
     x_{a-k} x_{seq[k]} = x_{seq[k]} x_{a-k-1}, so each letter it passes
-    lowers it by one.  It stops at the first k with a - k <= seq[k], and
-    seq[k - 1] <= a - k there (it passed seq[k - 1]), so inserting a - k at
-    k keeps the form weakly increasing.
+    lowers it by one.  As seq weakly increases, the key seq[k] + k strictly
+    increases, and a passes seq[k] exactly when a > seq[k] + k; so the
+    letters it passes are a prefix, and it stops at the first k with
+    a <= seq[k] + k, which one ``bisect_left`` over the keys finds.  There
+    seq[k - 1] <= a - k <= seq[k] (it passed seq[k - 1]), so inserting a - k
+    at k keeps the form weakly increasing.
+
+    The keys are the hole set H of the word (see the module docstring).
+    Inserting a at k keeps the keys below a, adds a, and raises by one each
+    key from a up, since the keys after k each gain one position: that is
+    the rule for H of x_a w from H of w, and the empty word has no keys and
+    no holes.
     """
     seq: list[int] = []
     for a in reversed(w.indices):
-        k = 0
-        while k < len(seq) and a - k > seq[k]:
-            k += 1
+        k = bisect_left(range(len(seq)), a, key=lambda j: seq[j] + j)
         seq.insert(k, a - k)
     return XWord(tuple(seq))
 
@@ -132,10 +153,11 @@ def seq_compose(m: XSeq, n: XSeq) -> XSeq:
     """
     blocks = max(len(n.prefix), len(m.prefix), 1)
     out = []
-    pos = 1
+    pos = 0
     for k in range(1, blocks + 1):
         width = n.entry(k)
-        out.append(sum(m.entry(pos + t) for t in range(width)))
+        block = m.prefix[pos : pos + width]  # the entries past the prefix are 1s
+        out.append(sum(block) + width - len(block))
         pos += width
     return XSeq(tuple(out))
 

@@ -13,7 +13,7 @@ from shrinkbraid import Cmp, Generator, Kind, RWord, XLetterPresentError, sigma,
 from shrinkbraid.freegroup import FLetter, FWord, _reduced, reduce
 from shrinkbraid.ldops import LEAF, LDTerm, TermParseError, _term, circ, dot
 from shrinkbraid.words import _rewrite, _rword
-from shrinkbraid.xmonoid import s_of
+from shrinkbraid.xmonoid import XWord, s_of
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -377,6 +377,23 @@ def padded_lex_cmp(c, d) -> Cmp:
         if a != b:
             return Cmp.GREATER if a < b else Cmp.LESS
     return Cmp.EQUAL
+
+
+# --- reference code: the insertion walk of x_canonicalize -----------------------
+#
+# ``xmonoid.x_canonicalize`` as it was written before it searched for each
+# stop point: a new letter a walks right past seq[k], one position at a time,
+# while a - k > seq[k], and is inserted as a - k where it stops.
+
+
+def walk_x_canonicalize(w: XWord) -> XWord:
+    seq: list[int] = []
+    for a in reversed(w.indices):
+        k = 0
+        while k < len(seq) and a - k > seq[k]:
+            k += 1
+        seq.insert(k, a - k)
+    return XWord(tuple(seq))
 
 
 # --- source guards -----------------------------------------------------------

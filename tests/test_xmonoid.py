@@ -1,4 +1,7 @@
 import pickle
+import random
+import time
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,7 +21,7 @@ from shrinkbraid.xmonoid import (
     x_canonicalize,
 )
 
-from conftest import padded_lex_cmp
+from conftest import padded_lex_cmp, walk_x_canonicalize
 
 
 indices = st.lists(st.integers(1, 6), max_size=8)
@@ -66,6 +69,55 @@ class TestCanonicalize:
                 elif a <= b:
                     current[pos : pos + 2] = [b + 1, a]  # x_i x_j -> x_{j+1} x_i
             assert x_canonicalize(XWord(tuple(current))) == target
+
+    @given(st.lists(st.integers(1, 50), max_size=40))
+    def test_matches_the_insertion_walk(self, idx):
+        word = XWord(tuple(idx))
+        assert x_canonicalize(word) == walk_x_canonicalize(word)
+
+    @given(indices)
+    def test_keys_are_the_hole_set(self, idx):
+        # The search keys a_j + j, against the k where the independent
+        # p_eval loop merges k and k + 1.
+        word = XWord(tuple(idx))
+        keys = {a + j for j, a in enumerate(x_canonicalize(word).indices)}
+        top = len(idx) + max(idx, default=0) + 2
+        assert keys == {k for k in range(1, top + 1) if p_eval(word, k) == p_eval(word, k + 1)}
+
+
+class TestCanonicalGrowth:
+    """One search per letter: 16,000 letters of each shape within a second."""
+
+    N = 16000
+
+    @pytest.mark.parametrize("shape", ["descending", "x1 power", "ascending"])
+    def test_known_forms_in_time(self, shape):
+        idx = {
+            "descending": tuple(range(self.N, 0, -1)),
+            "x1 power": (1,) * self.N,
+            "ascending": tuple(range(1, self.N + 1)),
+        }[shape]
+        word = XWord(idx)
+        start = time.monotonic()
+        canon = x_canonicalize(word)
+        assert time.monotonic() - start < 1
+        if shape == "descending":
+            assert canon == XWord((1,) * self.N)
+            assert s_of(word) == XSeq((self.N + 1,))
+        else:
+            assert canon == word  # already canonical
+
+    def test_random_word_in_time(self):
+        rng = random.Random(16000)
+        word = XWord(tuple(rng.randint(1, self.N) for _ in range(self.N)))
+        start = time.monotonic()
+        canon = x_canonicalize(word)
+        assert time.monotonic() - start < 1
+        assert canon.is_canonical() and len(canon) == self.N
+        # p(k) = k - #{holes below k}, read from the keys, against p_eval.
+        holes = [a + j for j, a in enumerate(canon.indices)]
+        for k in rng.sample(range(1, 2 * self.N + 2), 40):
+            assert p_eval(word, k) == k - bisect_left(holes, k)
 
 
 class TestSequenceInvariant:
@@ -143,6 +195,12 @@ class TestSeqCompose:
             ]
             a, b, c = seqs
             assert seq_compose(seq_compose(a, b), c) == seq_compose(a, seq_compose(b, c))
+
+    def test_wide_block_sums_in_time(self):
+        # A block of 10^8 entries is one slice of m plus the 1s past its prefix.
+        start = time.monotonic()
+        assert seq_compose(XSeq((2,)), XSeq((10**8,))) == XSeq((100000001,))
+        assert time.monotonic() - start < 1
 
 
 class TestLexCmp:
