@@ -36,7 +36,7 @@ from .freegroup import Cmp, DomainError, _raise_first, parse_fword
 from .ldops import eval_term, laver_cmp, parse_term
 from .representation import apply_word, cmp_L, morphism_eq
 from .words import RWordParseError, parse_rword, sx_decompose
-from .xmonoid import XWord, s_of, x_canonicalize
+from .xmonoid import XWord, _s_of_canonical, x_canonicalize
 
 
 _CMP_TEXT = {Cmp.LESS: "LT", Cmp.EQUAL: "EQ", Cmp.GREATER: "GT"}
@@ -47,8 +47,8 @@ def _canon(text: str) -> str:
     word = parse_rword(text)
     sigmas = ["expected a word in x letters only" if type(c) is int else c for c in word.codes]
     _raise_first(text, text.split(), sigmas, RWordParseError)
-    xword = XWord.from_rword(word)
-    return f"{x_canonicalize(xword)} | S={s_of(xword)}"
+    canon = x_canonicalize(XWord.from_rword(word))
+    return f"{canon} | S={_s_of_canonical(canon.indices)}"
 
 
 def _parse_env_seq(text: str) -> tuple[int, ...]:

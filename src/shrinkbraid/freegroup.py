@@ -182,7 +182,7 @@ class FWord:
     def generator(index: int, sign: int = 1) -> "FWord":
         if index < 1:
             raise ValueError("generator index must be >= 1")
-        return _word((index * sign,))
+        return reduce([FLetter(index, sign)])  # reduce checks the sign
 
     @staticmethod
     def identity() -> "FWord":

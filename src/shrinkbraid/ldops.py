@@ -22,14 +22,15 @@ and both stay in the family: with c = c' x_1^{m-1},
 so ``b_dot`` builds its braid part directly, free-cancelled, and no term
 is ever rewritten.
 
-The kernels ``_dot`` and ``_circ`` read and write a braid word as the tuple
-of letter codes an ``RWord`` stores (s_i is i, s_i^-1 is -i; see ``words``),
-so ``b_dot``, ``b_circ`` and ``eval_term_b`` pass ``RWord.codes`` straight
-through.  The dot builds every letter of a, sh^n(c'), W and sh^m(a^-1)
-into one list and pushes it through one free-cancellation stack, so a
-need not be cancelled itself (circle products are not).  That stack is
-``freegroup._reduced``: a braid word cancels exactly as a signed-int
-free-group word does.  Both kernels hold their result to
+The kernels ``_dot`` and ``_circ`` take and return an element as the pair
+(word, n), with the braid word as the tuple of letter codes an ``RWord``
+stores (s_i is i, s_i^-1 is -i; see ``words``), so ``b_dot`` and ``b_circ``
+pass ``(RWord.codes, n)`` straight through and ``eval_term_b`` folds with
+the kernels themselves.  The dot builds every letter of a, sh^n(c'), W and
+sh^m(a^-1) into one list and pushes it through one free-cancellation
+stack, so a need not be cancelled itself (circle products are not).
+That stack is ``freegroup._reduced``: a braid word cancels exactly as a
+signed-int free-group word does.  Both kernels hold their result to
 ``MAX_REALIZED_LETTERS``: a circle's exact length and a lower bound on a
 dot's are checked before any letter is built, and a dot's exact length
 once it is built.
@@ -41,9 +42,10 @@ recurses: ``parse_term`` is one loop over the tokens ``str.split`` cuts
 once each bracket is padded with spaces, with a stack of open brackets,
 and ``MAX_TERM_DEPTH`` bounds how many may be open (``TermDepthError``).
 Only a failing token is located in the text, by ``freegroup._offset``,
-as in the word grammars.  ``depth``, ``str`` and ``eval_term_b`` are each
-one loop over the postfix tuple with a stack of values, equality and
-hashing are the tuple's, and a term pickles as its text.
+as in the word grammars.  ``depth``, ``str`` and ``eval_term_b`` each read
+the postfix tuple through the one fold ``_fold``, with a table of what a
+leaf and each operator make; equality and hashing are the tuple's, and a
+term pickles as its text.
 
 Equality and order of terms go through the faithful
 representation (``morphism_eq`` / ``cmp_L``).  Note the
@@ -112,7 +114,7 @@ def b_dot(a: BElement, c: BElement) -> BElement:
     at a time, and x_1^{m-1} sh(a^-1) = sh^m(a^-1) x_1^{m-1} by (5).
     A product past ``MAX_REALIZED_LETTERS`` raises ``RealizationBudgetError``.
     """
-    return _element(*_dot(a.braid.codes, a.n, c.braid.codes, c.n))
+    return _element(*_dot((a.braid.codes, a.n), (c.braid.codes, c.n)))
 
 
 def b_circ(a: BElement, c: BElement) -> BElement:
@@ -120,7 +122,7 @@ def b_circ(a: BElement, c: BElement) -> BElement:
 
     A product past ``MAX_REALIZED_LETTERS`` raises ``RealizationBudgetError``.
     """
-    return _element(*_circ(a.braid.codes, a.n, c.braid.codes, c.n))
+    return _element(*_circ((a.braid.codes, a.n), (c.braid.codes, c.n)))
 
 
 # Every word the kernels build, so every ``b_dot``, ``b_circ`` and term node,
@@ -144,22 +146,25 @@ def _check_realized(letters: int, at_least: str = "") -> None:
 
 # --- the kernel: braid words as code tuples (s_i = i, s_i^-1 = -i) -------
 
-_Letters = tuple[int, ...]
+# An element a x_1^{n-1} as the kernels read it: (a's letter codes, n).
+_Value = tuple[tuple[int, ...], int]
 
 
-def _element(word: _Letters, n: int) -> BElement:
+def _element(word: tuple[int, ...], n: int) -> BElement:
     return BElement(_rword(word, 0), n)
 
 
-def _dot(a: _Letters, n: int, c: _Letters, m: int) -> tuple[_Letters, int]:
-    """``b_dot`` on code tuples, held to the budget; a need not be free-cancelled.
+def _dot(left: _Value, right: _Value) -> _Value:
+    """``b_dot`` on (code tuple, power) pairs, held to the budget.
 
-    Checked before any letter is built: W has n*m positive letters, each of
-    which can cancel only against one letter of a, c or a^-1, which bounds
-    the length from below.  The letters of a, sh^n(c), W and sh^m(a^-1) then
-    go into one list, W one run s_k ... s_{k+m-1} at a time, are cancelled
-    in one pass, and the length is checked again, exactly.
+    a need not be free-cancelled.  Checked before any letter is built: W
+    has n*m positive letters, each of which can cancel only against one
+    letter of a, c or a^-1, which bounds the length from below.  The
+    letters of a, sh^n(c), W and sh^m(a^-1) then go into one list, W one
+    run s_k ... s_{k+m-1} at a time, are cancelled in one pass, and the
+    length is checked again, exactly.
     """
+    (a, n), (c, m) = left, right
     _check_realized(n * m - 2 * len(a) - len(c) + m - 1, "at least ")
     letters = [*a, *_shifted(c, n)]
     for k in range(n, 0, -1):
@@ -170,13 +175,39 @@ def _dot(a: _Letters, n: int, c: _Letters, m: int) -> tuple[_Letters, int]:
     return word, m
 
 
-def _circ(a: _Letters, n: int, c: _Letters, m: int) -> tuple[_Letters, int]:
-    """``b_circ`` on code tuples, held to the budget: nothing cancels, so the length is exact."""
+def _circ(left: _Value, right: _Value) -> _Value:
+    """``b_circ`` on (code tuple, power) pairs, held to the budget.
+
+    Nothing cancels, so the length checked before the word is built is exact.
+    """
+    (a, n), (c, m) = left, right
     _check_realized(len(a) + len(c) + n + m - 1)
     return (*a, *_shifted(c, n)), n + m
 
 
 # --- terms over the single generator --------------------------------------
+
+
+def _fold(postfix: tuple[str, ...], leaf, ops: dict):
+    """Read a term's postfix tokens bottom up with one stack of values.
+
+    Each "j" pushes ``leaf``; each "." or "o" replaces the top two values,
+    left then right, with ``ops[token](left, right)``.  The one value left
+    is the term's.  A loop, not a recursion, so any depth is read.
+    """
+    values = []
+    for token in postfix:
+        if token == "j":
+            values.append(leaf)
+        else:
+            right = values.pop()
+            values[-1] = ops[token](values[-1], right)
+    return values[0]
+
+
+_HEIGHTS = dict.fromkeys(".o", lambda left, right: max(left, right) + 1)
+_TEXTS = {".": "({} . {})".format, "o": "({} o {})".format}
+_VALUES = {".": _dot, "o": _circ}
 
 
 class LDTerm:
@@ -187,7 +218,7 @@ class LDTerm:
     dot or a circle, so (s . t) is s.postfix + t.postfix + (".",).  Terms
     are built by ``LEAF``, ``dot``, ``circ`` and ``parse_term``.  Equality
     and hashing are those of the tuple; ``depth``, ``str`` and
-    ``eval_term_b`` are each one loop over it with a stack of values.  A
+    ``eval_term_b`` each read it through the one fold ``_fold``.  A
     term pickles as its text and unpickles through ``parse_term``, so a
     term deeper than ``MAX_TERM_DEPTH`` pickles but raises
     ``TermDepthError`` when loaded.
@@ -200,25 +231,11 @@ class LDTerm:
 
     def depth(self) -> int:
         """Height of the tree."""
-        heights: list[int] = []
-        for token in self.postfix:
-            if token == "j":
-                heights.append(0)
-            else:
-                right = heights.pop()
-                heights[-1] = max(heights[-1], right) + 1
-        return heights[0]
+        return _fold(self.postfix, 0, _HEIGHTS)
 
     def __str__(self) -> str:
         """The term in the grammar of ``parse_term``, fully parenthesized."""
-        texts: list[str] = []
-        for token in self.postfix:
-            if token == "j":
-                texts.append(token)
-            else:
-                right = texts.pop()
-                texts[-1] = f"({texts[-1]} {token} {right})"
-        return texts[0]
+        return _fold(self.postfix, "j", _TEXTS)
 
     def __repr__(self) -> str:
         return f"LDTerm({str(self)!r})"
@@ -254,20 +271,12 @@ def circ(s: LDTerm, t: LDTerm) -> LDTerm:
 def eval_term_b(t: LDTerm) -> BElement:
     """Evaluate a term; every subterm's realized word is held to the budget.
 
-    One loop over the postfix tokens with a stack of (word, power) values,
-    so depth is not bounded by Python's recursion limit.  Each node is one
-    call of ``_dot`` or ``_circ``, which check the budget before they build
-    the node's word.
+    The one fold ``_fold`` over the postfix tokens, with (word, power)
+    values, so depth is not bounded by Python's recursion limit.  Each node
+    is one call of ``_dot`` or ``_circ``, which check the budget before
+    they build the node's word.
     """
-    values: list[tuple[_Letters, int]] = []
-    for token in t.postfix:
-        if token == "j":
-            values.append(((), 1))
-            continue
-        c, m = values.pop()
-        a, n = values[-1]
-        values[-1] = (_dot if token == "." else _circ)(a, n, c, m)
-    return _element(*values[0])
+    return _element(*_fold(t.postfix, ((), 1), _VALUES))
 
 
 def eval_term(t: LDTerm) -> RWord:

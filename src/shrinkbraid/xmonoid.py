@@ -130,16 +130,20 @@ class SequenceBudgetError(BudgetError):
 
 def s_of(w: XWord) -> XSeq:
     """The fiber-size sequence of p(w), read off the canonical form."""
-    canon = x_canonicalize(w)
-    if not canon.indices:
+    return _s_of_canonical(x_canonicalize(w).indices)
+
+
+def _s_of_canonical(indices: tuple[int, ...]) -> XSeq:
+    """``s_of`` of the word whose canonical form has these weakly increasing indices."""
+    if not indices:
         return XSeq(())
-    top = canon.indices[-1]
+    top = indices[-1]
     if top > MAX_X_INDEX:
         raise SequenceBudgetError(
             f"S sequence of {top} entries exceeds the budget of {MAX_X_INDEX}"
         )
     counts = [1] * top
-    for i in canon.indices:
+    for i in indices:
         counts[i - 1] += 1
     return XSeq(tuple(counts))
 

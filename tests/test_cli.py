@@ -133,6 +133,20 @@ class TestSxCanonAct:
         code, out, _ = capout("canon", "x2 x1")
         assert code == 0 and out == "x1 x1 | S=(3)\n"
 
+    def test_canon_canonicalizes_once(self, capout, monkeypatch):
+        calls = []
+        canonicalize = xmonoid.x_canonicalize
+
+        def counted(w):
+            calls.append(w)
+            return canonicalize(w)
+
+        monkeypatch.setattr(xmonoid, "x_canonicalize", counted)
+        monkeypatch.setattr("shrinkbraid.cli.x_canonicalize", counted)
+        code, out, _ = capout("canon", "x5 x1 x3")
+        assert code == 0 and out == "x1 x3 x3 | S=(2,1,3)\n"
+        assert len(calls) == 1
+
     def test_canon_rejects_sigma(self, capout):
         code, _, err = capout("canon", "s1")
         assert code == 1 and "error" in err

@@ -350,8 +350,8 @@ class TestIntKernel:
         st.integers(1, 5),
     )
     def test_kernels_match_the_generator_chain_reference(self, a, n, c, m):
-        assert ldops._dot(a, n, c, m) == chain_dot(a, n, c, m)
-        assert ldops._circ(a, n, c, m) == chain_circ(a, n, c, m)
+        assert ldops._dot((a, n), (c, m)) == chain_dot(a, n, c, m)
+        assert ldops._circ((a, n), (c, m)) == chain_circ(a, n, c, m)
 
 
 def refuse_letters(monkeypatch):

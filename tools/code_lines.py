@@ -1,8 +1,10 @@
 """Count the code lines of a Python package: not blank, comment-only or docstring.
 
-Usage: python tools/code_lines.py [PACKAGE_DIR]   (default: src/shrinkbraid)
+Usage: python tools/code_lines.py [PACKAGE_DIR]   (default: the repository's src/shrinkbraid)
 
-Prints one line per module, "<count> <file name>", then "<count> total".  A
+Prints one line per module, "<count> <file name>", then "<count> total", and
+exits 1 when PACKAGE_DIR holds no .py file.  The default is found from this
+file's place in the repository, so the tool runs from any directory.  A
 line counts when a token other than a comment starts on it or a multi-line
 token (a string) runs over it, and it lies in no docstring: the string that
 opens a module, class or function body.  Stdlib only.
@@ -50,10 +52,17 @@ def code_lines(source: str) -> int:
     return len(lines - _docstring_lines(ast.parse(source)))
 
 
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "shrinkbraid"
+
+
 def main(argv: list[str]) -> int:
-    package = Path(argv[0] if argv else "src/shrinkbraid")
+    package = Path(argv[0]) if argv else PACKAGE
+    paths = sorted(package.glob("*.py"))
+    if not paths:
+        print(f"no .py file in {package}", file=sys.stderr)
+        return 1
     total = 0
-    for path in sorted(package.glob("*.py")):
+    for path in paths:
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
         print(f"{count:6d} {path.name}")
