@@ -246,7 +246,11 @@ def finv(u: FWord) -> FWord:
 
 
 def psi(u: FWord) -> FWord:
-    """The automorphism e_i -> e_i^-1; preserves reducedness."""
+    """The automorphism e_i -> e_i^-1; preserves reducedness.
+
+    It is the reflection of the punctured disk in its line of punctures,
+    and it reverses ``curve_cmp`` on nonempty words.
+    """
     return _word(tuple([-g for g in u.ints]))
 
 
@@ -255,28 +259,26 @@ def psi(u: FWord) -> FWord:
 # The comparison walks the common prefix of the two words; the first place
 # they differ is compared by the boundary-walk position of the corresponding
 # continuation.  Continuations are ranked by a sort key: larger key = visited
-# later along the walk = greater word.  The key ranks below enumerate, for
-# each entry context (no previous letter / positive previous letter e_c /
-# negative previous letter e_c^-1), the cyclic visit order of the possible
-# next items; within a rank, the second component -g orders positives by
-# descending and inverses by ascending index.  0 stands for "no letter": no
-# previous letter, or the word ending (the endpoint marker of the shorter
-# word).
+# later along the walk = greater word.  0 stands for "no letter": no previous
+# letter (the entry) or the word ending (the item, the endpoint marker of the
+# shorter word).  One rank rule serves every entry.  After e_c the visit
+# order is: inverses with index above c, the marker, positives, inverses
+# with index below c; within a rank, -item orders positives by descending
+# and inverses by ascending index.  The start is that rule with no inverse
+# ranked above c.  After e_c^-1 the rule is read through ``psi``
+# (e_j -> e_j^-1), the reflection of the punctured disk in its line of
+# punctures.  It reverses the boundary walk, so it reverses the curve order
+# on nonempty words, and it sends the continuations of e_c^-1 to those of
+# e_c.  So the key after e_c^-1 is the negated key of psi(item) after e_c,
+# (-rank, -item).  The empty word stays least: it is the marker at the
+# start, where the rule is not reflected.
 
 
 def _slot_key(entry: int, item: int) -> tuple[int, int]:
-    if entry == 0:
-        # Start of both words: marker, then e_j descending, then e_j^-1 ascending.
-        rank = 0 if item == 0 else 1 if item > 0 else 2
-    elif entry > 0:
-        # After e_c: inverses with index > c, marker, positives descending,
-        # inverses with index < c ascending.
-        rank = 1 if item == 0 else 2 if item > 0 else 0 if item < -entry else 3
-    else:
-        # After e_c^-1: positives with index < c descending, all inverses
-        # ascending, marker, positives with index > c descending.
-        rank = 2 if item == 0 else 1 if item < 0 else 0 if item < -entry else 3
-    return (rank, -item)
+    sign = -1 if entry < 0 else 1
+    c, g = sign * entry, sign * item
+    rank = 0 if c and g < -c else 1 if g == 0 else 2 if g > 0 else 3
+    return (sign * rank, -item)
 
 
 def curve_cmp(w: FWord, u: FWord) -> Cmp:

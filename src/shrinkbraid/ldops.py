@@ -372,11 +372,13 @@ def parse_term(text: str) -> LDTerm:
 
 
 def enumerate_terms(max_depth: int) -> list[LDTerm]:
-    """All dot/circle terms of depth at most max_depth.
+    """All dot/circle terms of depth at most max_depth, which must be >= 0.
 
     A pair of operands from depths 0 .. d-1 makes a term of depth exactly d
     when one of them is from depth d-1, the last level listed.
     """
+    if max_depth < 0:
+        raise ValueError("max_depth must be >= 0")
     by_depth: list[list[LDTerm]] = [[LEAF]]
     for _ in range(max_depth):
         shallow = [t for level in by_depth for t in level]

@@ -35,19 +35,27 @@ the only function that computes them, starts from the empty dict and acts
 by a word's codes rightmost first, as ``apply_word`` does.  It feeds each
 run of braid codes to ``_act`` freely cancelled by ``freegroup._reduced``,
 which is exact because the update below is a group action on all of Z^2n.
-With a+ = max(a, 0) and a- = min(a, 0), the code i > 0 (s_i) and the code
--i (s_i^-1) update pairs i and i + 1:
+With a+ = max(a, 0) and a- = min(a, 0), the code i > 0 (s_i) updates pairs
+i and i + 1 by
 
-    s_i:    z = x_i - y_i- - x_{i+1} + y_{i+1}+
-            x_i'     = x_i + y_i+ + (y_{i+1}+ - z)+
-            y_i'     = y_{i+1} - z+
-            x_{i+1}' = x_{i+1} + y_{i+1}- + (y_i- + z)-
-            y_{i+1}' = y_i + z+
-    s_i^-1: z = x_i + y_i- - x_{i+1} - y_{i+1}+
-            x_i'     = x_i - y_i+ - (y_{i+1}+ + z)+
-            y_i'     = y_{i+1} + z-
-            x_{i+1}' = x_{i+1} - y_{i+1}- - (y_i- - z)-
-            y_{i+1}' = y_i - z-
+    z = x_i - y_i- - x_{i+1} + y_{i+1}+
+    x_i'     = x_i + y_i+ + (y_{i+1}+ - z)+
+    y_i'     = y_{i+1} - z+
+    x_{i+1}' = x_{i+1} + y_{i+1}- + (y_i- + z)-
+    y_{i+1}' = y_i + z+
+
+and the code -i (s_i^-1) runs the same update between two reflections: it
+negates x_i and x_{i+1}, applies the s_i formula, and negates the two x
+it wrote.  The reflection rho of the disk D of the proof below in its
+line of punctures proves it.  rho fixes E, every puncture and every arc
+l_k, and swaps the vertical arcs above and below each puncture, so it
+acts on every pair as (x, y) -> (-x, y).  It conjugates the half twist
+s_i to s_i^-1; on the free group it is ``freegroup.psi``, and
+psi s_i psi = s_i^-1 on e_i.  So s_i^-1(L) = rho(s_i(rho(L))) for every
+lamination L, and the coordinates follow.  rho also commutes with the
+doubling rule below, which keeps x and reads y off the sign of y alone,
+so a word with every braid letter's sign flipped has the coordinates of
+the word with every x negated.
 
 An x letter doubles a puncture.  x_i splits pair i, (x, y), into
 (x, y-) at i and (x, y+) at i + 1, and every pair above i moves up one.  On
@@ -245,30 +253,30 @@ def _coords(codes: tuple[Code, ...], xs: int) -> dict[int, tuple[int, int]]:
 
 
 def _act(coords: dict[int, tuple[int, int]], codes: Iterable[int]) -> None:
-    """Act on ``coords`` in place by braid letter codes, in the order given."""
+    """Act on ``coords`` in place by braid letter codes, in the order given.
+
+    One update formula serves both signs.  The sign m of a code is the
+    reflection of the module docstring: read x_i and x_{i+1} as m x_i and
+    m x_{i+1}, run the s_i update, and write each new x times m.  Since
+    m m = 1, the x written is the old x plus m times its s_i increment, and
+    z reads m (x_i - x_{i+1}).
+    """
     get = coords.get
     for g in codes:
-        i = g if g > 0 else -g
+        m = 1 if g > 0 else -1
+        i = m * g
         a, b = get(i, _TRIVIAL)
         c, d = get(i + 1, _TRIVIAL)
         b_pos = b if b > 0 else 0
         b_neg = b - b_pos
         d_pos = d if d > 0 else 0
         d_neg = d - d_pos
-        if g > 0:
-            z = a - b_neg - c + d_pos
-            z_pos = z if z > 0 else 0
-            t = d_pos - z
-            coords[i] = (a + b_pos + (t if t > 0 else 0), d - z_pos)
-            t = b_neg + z
-            coords[i + 1] = (c + d_neg + (t if t < 0 else 0), b + z_pos)
-        else:
-            z = a + b_neg - c - d_pos
-            z_neg = z if z < 0 else 0
-            t = d_pos + z
-            coords[i] = (a - b_pos - (t if t > 0 else 0), d + z_neg)
-            t = b_neg - z
-            coords[i + 1] = (c - d_neg - (t if t < 0 else 0), b - z_neg)
+        z = m * (a - c) - b_neg + d_pos
+        z_pos = z if z > 0 else 0
+        t = d_pos - z
+        coords[i] = (a + m * (b_pos + (t if t > 0 else 0)), d - z_pos)
+        t = b_neg + z
+        coords[i + 1] = (c + m * (d_neg + (t if t < 0 else 0)), b + z_pos)
 
 
 def morphism_eq(u: RWord, v: RWord) -> bool:

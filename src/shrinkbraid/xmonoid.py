@@ -107,8 +107,10 @@ class XSeq(_Frozen):
         super().__init__(tuple(trimmed))
 
     def entry(self, k: int) -> int:
-        """1-based access; entries beyond the prefix equal 1."""
-        return self.prefix[k - 1] if 1 <= k <= len(self.prefix) else 1
+        """1-based access, k >= 1; entries beyond the prefix equal 1."""
+        if k < 1:
+            raise ValueError("argument must be >= 1")
+        return self.prefix[k - 1] if k <= len(self.prefix) else 1
 
     def weight(self) -> int:
         """Sum of (entry - 1); equals the canonical word length."""

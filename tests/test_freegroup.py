@@ -2,7 +2,7 @@ import itertools
 import sys
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from shrinkbraid import Cmp, apply_word, cmp_L, curve_cmp, finv, fmul, freegroup, parse_rword, psi
 from shrinkbraid.freegroup import (
@@ -246,6 +246,16 @@ class TestCurveOrderCalibration:
         ]
         for w1, w2 in pairs:
             assert curve_cmp(w1, w2) is curve_cmp(psi(w2), psi(w1))
+
+    @given(letters, letters, letters)
+    def test_psi_reverses_the_order(self, prefix, a, b):
+        # psi, the reflection of the punctured disk, reverses the order on
+        # nonempty words; the shared prefix reaches every entry context.
+        p = reduce(prefix)
+        u, v = fmul(p, reduce(a)), fmul(p, reduce(b))
+        assume(u and v and u != v)
+        assert curve_cmp(psi(u), psi(v)) is curve_cmp(u, v).reverse()
+        assert curve_cmp(FWord.identity(), psi(u)) is Cmp.LESS
 
 
 class TestCurveOrderLaws:

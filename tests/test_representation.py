@@ -500,6 +500,15 @@ class TestCoordinatesAgainstReference:
         gen_act(expected, w.letters, Kind.SIGMA)
         assert out == expected
 
+    @given(st.lists(st.one_of(letters, st.builds(x, st.integers(1, 12))), max_size=30).map(RWord))
+    def test_reflection_negates_every_x(self, w):
+        # The reflection in the line of punctures: flipping the sign of
+        # every braid letter negates every x and keeps every y.
+        flip = {Kind.SIGMA: Kind.SIGMA_INV, Kind.SIGMA_INV: Kind.SIGMA, Kind.X: Kind.X}
+        flipped = RWord([Generator(flip[g.kind], g.index) for g in w.letters])
+        expected = {k: (-a, b) for k, (a, b) in _coords(w.codes, w.xs).items()}
+        assert _coords(flipped.codes, flipped.xs) == expected
+
 
 class TestFreeCancellationBeforeAct:
     """``_act`` receives u^-1 v freely cancelled: a shared prefix costs no update."""

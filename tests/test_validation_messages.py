@@ -4,9 +4,10 @@ import pytest
 
 from shrinkbraid.envelope import LDTable
 from shrinkbraid.freegroup import FWord
+from shrinkbraid.ldops import enumerate_terms
 from shrinkbraid.representation import stabilizes_x_power
 from shrinkbraid.words import RWord, parse_rword
-from shrinkbraid.xmonoid import XWord, sf_eval
+from shrinkbraid.xmonoid import XSeq, XWord, sf_eval
 
 CHECKS = {
     "empty table": (lambda: LDTable([]), "table must be nonempty"),
@@ -20,6 +21,9 @@ CHECKS = {
     "negative shift": (lambda: FWord.generator(1).shift(-1), "shift amount must be nonnegative"),
     "generator sign 5": (lambda: FWord.generator(1, 5), "letter sign must be +1 or -1, got 5"),
     "generator sign 0": (lambda: FWord.generator(1, 0), "letter sign must be +1 or -1, got 0"),
+    "terms of depth -1": (lambda: enumerate_terms(-1), "max_depth must be >= 0"),
+    "sequence entry 0": (lambda: XSeq((3, 2)).entry(0), "argument must be >= 1"),
+    "sequence entry -4": (lambda: XSeq((3, 2)).entry(-4), "argument must be >= 1"),
 }
 
 
