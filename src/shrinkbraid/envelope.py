@@ -133,7 +133,9 @@ def _check_depth(depth: Union[int, None]) -> None:
 class LDTable:
     """A finite left-distributive magma on elements 1..size."""
 
-    __slots__ = ("size", "table", "_after", "_bits", "_steps", "_rack", "_cyclic", "_absorbing")
+    __slots__ = (
+        "size", "table", "_elements", "_after", "_bits", "_steps", "_rack", "_cyclic", "_absorbing"
+    )
 
     def __init__(self, table: Sequence[Sequence[int]]):
         self.size = len(table)
@@ -149,6 +151,7 @@ class LDTable:
                     raise ValueError(f"entry {entry} outside 1..{self.size}")
             rows.append(tuple(row))
         self.table = tuple(rows)
+        self._elements = frozenset(self.elements())
         # a.(b.c) = (a.b).(a.c) for every c says L_a o L_b = L_{a.b} o L_a,
         # with L_a the map c -> a.c.  after[a - 1] composes a map, as a tuple,
         # with L_a: after[b - 1](row a) is L_a o L_b.  A getter of one index
@@ -183,7 +186,13 @@ class LDTable:
         return range(1, self.size + 1)
 
     def check_element(self, a: int) -> int:
-        if not 1 <= a <= self.size:
+        """``a``, if it is one of the elements 1..size; else ValueError naming it.
+
+        Membership is in the set of elements, so a non-integer entry such as
+        1.5 or NaN is refused here and not by a failed index later; ``True``
+        equals 1 and passes.
+        """
+        if a not in self._elements:
             raise ValueError(f"element {a} outside 1..{self.size}")
         return a
 
@@ -408,10 +417,13 @@ class LDTable:
         return translation
 
     def _check_seq(self, s: EnvElement) -> None:
+        """ValueError unless s is nonempty and every entry an element; the
+        entries are read one by one only to name the first that is not."""
         if not s:
             raise ValueError("envelope sequences are nonempty")
-        for a in s:
-            self.check_element(a)
+        if not self._elements.issuperset(s):
+            for a in s:
+                self.check_element(a)
 
 
 def singleton(a: int) -> EnvElement:

@@ -33,7 +33,13 @@ That stack is ``freegroup._reduced``: a braid word cancels exactly as a
 signed-int free-group word does.  Both kernels hold their result to
 ``MAX_REALIZED_LETTERS``: a circle's exact length and a lower bound on a
 dot's are checked before any letter is built, and a dot's exact length
-once it is built.
+once it is built.  Each check is one comparison with the budget, read at
+call time; only a word past it builds its error, by ``_budget_error``.  An
+empty operand is neither shifted nor inverted, and a circle with an empty
+right operand returns its left word as it is, so a leaf ((), 1) costs no
+list.  ``eval_term`` realizes the fold's (word, power) pair through
+``_realized``, which ``BElement.realize`` calls too, so only
+``eval_term_b`` builds a ``BElement`` for a term.
 
 An ``LDTerm`` is stored as the tuple of its tokens in postfix order ("j",
 then "." or "o" after both operands), the order in which ``parse_term``
@@ -97,7 +103,7 @@ class BElement(_Frozen):
         super().__init__(braid, n)
 
     def realize(self) -> RWord:
-        return _rword(self.braid.codes + ((1,),) * (self.n - 1), self.n - 1)
+        return _realized(self.braid.codes, self.n)
 
     @staticmethod
     def from_braid(a: RWord) -> "BElement":
@@ -136,12 +142,11 @@ class RealizationBudgetError(BudgetError):
     """A realized word grew past ``MAX_REALIZED_LETTERS``."""
 
 
-def _check_realized(letters: int, at_least: str = "") -> None:
-    if letters > MAX_REALIZED_LETTERS:
-        raise RealizationBudgetError(
-            f"realized word of {at_least}{letters} letters exceeds the budget of "
-            f"{MAX_REALIZED_LETTERS}"
-        )
+def _budget_error(letters: int, at_least: str = "") -> RealizationBudgetError:
+    """The error for a word of ``letters`` letters, which the kernels found past the budget."""
+    return RealizationBudgetError(
+        f"realized word of {at_least}{letters} letters exceeds the budget of {MAX_REALIZED_LETTERS}"
+    )
 
 
 # --- the kernel: braid words as code tuples (s_i = i, s_i^-1 = -i) -------
@@ -152,6 +157,11 @@ _Value = tuple[tuple[int, ...], int]
 
 def _element(word: tuple[int, ...], n: int) -> BElement:
     return BElement(_rword(word, 0), n)
+
+
+def _realized(word: tuple[int, ...], n: int) -> RWord:
+    """The word in R of the element (word, n): the braid word, then x_1^{n-1}."""
+    return _rword(word + ((1,),) * (n - 1), n - 1)
 
 
 def _dot(left: _Value, right: _Value) -> _Value:
@@ -165,13 +175,17 @@ def _dot(left: _Value, right: _Value) -> _Value:
     length is checked again, exactly.
     """
     (a, n), (c, m) = left, right
-    _check_realized(n * m - 2 * len(a) - len(c) + m - 1, "at least ")
-    letters = [*a, *_shifted(c, n)]
+    least = n * m - 2 * len(a) - len(c) + m - 1
+    if least > MAX_REALIZED_LETTERS:
+        raise _budget_error(least, "at least ")
+    letters = [*a, *_shifted(c, n)] if c else list(a)
     for k in range(n, 0, -1):
         letters += range(k, k + m)
-    letters += _inverse_shifted(a, m)
+    if a:
+        letters += _inverse_shifted(a, m)
     word = _reduced(letters)
-    _check_realized(len(word) + m - 1)
+    if len(word) + m - 1 > MAX_REALIZED_LETTERS:
+        raise _budget_error(len(word) + m - 1)
     return word, m
 
 
@@ -181,8 +195,10 @@ def _circ(left: _Value, right: _Value) -> _Value:
     Nothing cancels, so the length checked before the word is built is exact.
     """
     (a, n), (c, m) = left, right
-    _check_realized(len(a) + len(c) + n + m - 1)
-    return (*a, *_shifted(c, n)), n + m
+    size = len(a) + len(c) + n + m - 1
+    if size > MAX_REALIZED_LETTERS:
+        raise _budget_error(size)
+    return ((*a, *_shifted(c, n)) if c else a), n + m
 
 
 # --- terms over the single generator --------------------------------------
@@ -280,8 +296,11 @@ def eval_term_b(t: LDTerm) -> BElement:
 
 
 def eval_term(t: LDTerm) -> RWord:
-    """Realize a term as a word in R (braid part followed by x_1 power)."""
-    return eval_term_b(t).realize()
+    """Realize a term as a word in R (braid part followed by x_1 power).
+
+    The fold's (word, power) pair is realized directly, with no ``BElement``.
+    """
+    return _realized(*_fold(t.postfix, ((), 1), _VALUES))
 
 
 def laver_cmp(s: LDTerm, t: LDTerm) -> Cmp:

@@ -20,8 +20,10 @@ oracle of the tests, and it decides every order query on a word with an x
 letter.  The scan runs on letter codes (s_i is i, s_i^-1 is -i, x_i is (i,);
 see ``words``) and on the signed ints of free-group words: ``_image`` maps
 one code and one reduced tuple of ints to the image tuple, and
-``apply_word`` folds it over a word's codes, so no letter is decoded.  The
-public ``apply_gen`` is ``_image`` on one ``Generator``'s code.
+``_imaged`` folds it over a word's codes, so no letter is decoded.  That
+fold is the one loop of ``apply_word`` and of the scan, and it counts the
+letters it images against ``MAX_SCAN_LETTERS``.  The public ``apply_gen``
+is ``_image`` on one ``Generator``'s code.
 
 Equality and the braid order take coordinates instead.  Free-group images
 grow exponentially with word length, but the bit length of a braid's
@@ -160,6 +162,8 @@ def _image(c: Code, ints: tuple[int, ...]) -> tuple[int, ...]:
         i = c[0]
         return tuple([e + 1 if e >= i else e - 1 if e <= -i else e for e in ints])
     i = c if c > 0 else -c
+    if i not in ints and -i not in ints:  # s_i^{+-1} fixes every e_j, j != i
+        return ints
     image = (i - 1, -i, i + 1) if c > 0 else (i + 1, -i, i - 1)
     if i == 1:  # e_0 is the identity
         image = tuple([e for e in image if e])
@@ -186,28 +190,51 @@ def apply_gen(g: Generator, w: FWord) -> FWord:
 # colors to the same budget.
 MAX_IMAGE_LETTERS = 1 << 20
 
+# The letters that one ``apply_word`` or one whole ``_images_cmp`` scan may
+# image, every intermediate image counted in full: the budget above bounds
+# memory, this one the work, about a second of it.  The test suite and the
+# CLI corpus image at most 3,686,500 letters in one scan: the circled
+# depth-6 left-nested term, which the per-image budget stops.
+MAX_SCAN_LETTERS = 1 << 25
+
 
 class ImageBudgetError(BudgetError):
-    """A free-group image or color grew past ``MAX_IMAGE_LETTERS``."""
+    """A free-group image or color grew past ``MAX_IMAGE_LETTERS``, or a scan
+    imaged more than ``MAX_SCAN_LETTERS`` letters."""
+
+
+def _imaged(codes: tuple[Code, ...], ints: tuple[int, ...], left: int) -> tuple[tuple[int, ...], int]:
+    """The image of ``ints`` under the word with these codes, rightmost letter
+    first, and ``left`` less the letters of every image built on the way.
+
+    Raises ``ImageBudgetError`` as soon as an image has more than
+    ``MAX_IMAGE_LETTERS`` letters or ``left`` falls below 0.
+    """
+    budget = MAX_IMAGE_LETTERS
+    for c in reversed(codes):
+        ints = _image(c, ints)
+        size = len(ints)
+        if size > budget:
+            raise ImageBudgetError(
+                f"free-group image of {size} letters exceeds the budget of {budget}"
+            )
+        left -= size
+        if left < 0:
+            raise ImageBudgetError(
+                f"free-group images of more than {MAX_SCAN_LETTERS} letters in all exceed the budget"
+            )
+    return ints, left
 
 
 def apply_word(w: RWord, u: FWord) -> FWord:
     """Apply a word letter by letter, rightmost letter first.
 
-    Reads the word's letter codes and the image's ints, and wraps the last
-    image in an ``FWord`` once.  Raises ``ImageBudgetError`` as soon as an
-    intermediate image has more than ``MAX_IMAGE_LETTERS`` letters, so
-    ``_images_cmp`` is bounded too.
+    Reads the word's letter codes and the image's ints through ``_imaged``,
+    the loop ``_images_cmp`` runs too, and wraps the last image in an
+    ``FWord`` once, under the budgets ``MAX_IMAGE_LETTERS`` and
+    ``MAX_SCAN_LETTERS``.
     """
-    budget = MAX_IMAGE_LETTERS
-    ints = u.ints
-    for c in reversed(w.codes):
-        ints = _image(c, ints)
-        if len(ints) > budget:
-            raise ImageBudgetError(
-                f"free-group image of {len(ints)} letters exceeds the budget of {budget}"
-            )
-    return _word(ints)
+    return _word(_imaged(w.codes, u.ints, MAX_SCAN_LETTERS)[0])
 
 
 def _tail_start(u: RWord, v: RWord) -> int:
@@ -315,19 +342,20 @@ def _images_cmp(u: RWord, v: RWord) -> Cmp:
     Scans n = 1, 2, ... and compares the images of e_n in the curve order at
     the first n where they differ.  Each index builds at least one image
     letter per word, so a scan over more than ``MAX_IMAGE_LETTERS`` indices
-    raises ``ImageBudgetError`` before it starts.
+    raises ``ImageBudgetError`` before it starts; a scan that images more
+    than ``MAX_SCAN_LETTERS`` letters in all raises it when it gets there.
     """
     top = _tail_start(u, v)
     if top > MAX_IMAGE_LETTERS:
         raise ImageBudgetError(
             f"image scan over {top} indices exceeds the budget of {MAX_IMAGE_LETTERS} letters"
         )
+    left = MAX_SCAN_LETTERS
     for n in range(1, top + 1):
-        e_n = FWord.generator(n)
-        iu = apply_word(u, e_n)
-        iv = apply_word(v, e_n)
+        iu, left = _imaged(u.codes, (n,), left)
+        iv, left = _imaged(v.codes, (n,), left)
         if iu != iv:
-            return curve_cmp(iu, iv)
+            return curve_cmp(_word(iu), _word(iv))
     return Cmp.EQUAL
 
 

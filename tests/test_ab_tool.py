@@ -51,3 +51,12 @@ def test_wrong_tree_is_refused(tmp_path):
         capture_output=True, text=True, timeout=60,
     )
     assert done.returncode != 0 and "no shrinkbraid package" in done.stderr
+
+
+def test_tail_latency_at_the_workload_percentile():
+    # bench/run.py fixes the percentile per workload: 99 here, 98 on envelope_orbit.
+    for workload, percentile in (("braid_queries", 99.0), ("envelope_orbit", 98.0)):
+        result = run_ab(workload)
+        assert result["tail_percentile"] == percentile
+        for side in ("a", "b"):
+            assert result[side]["tail_us"] > 0

@@ -241,6 +241,14 @@ class TestLdLaver:
         assert err.startswith("error: free-group image of ") and err.count("\n") == 1
 
 
+    def test_scan_budget_is_domain_error(self, capout, monkeypatch):
+        # The scan of this pair images 28 letters in all.
+        monkeypatch.setattr(representation, "MAX_SCAN_LETTERS", 27)
+        code, out, err = capout("cmp", "s1 s2^-1 s1 s2^-1 x1", "x1")
+        assert code == 2 and out == ""
+        assert err == "error: free-group images of more than 27 letters in all exceed the budget\n"
+
+
 class TestColor:
     def test_crossing(self, capout):
         code, out, _ = capout("color", "2", "s1")

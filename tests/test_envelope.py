@@ -128,6 +128,40 @@ class TestEnvelopeOps:
         with pytest.raises(ValueError, match="envelope sequences are nonempty"):
             t.orbit(())
 
+    @pytest.mark.parametrize("entry", [1.5, 2.5, float("nan")])
+    def test_non_integer_entries_are_named(self, entry):
+        # 1 <= 1.5 <= 3 holds, so only membership in 1..3 stops 1.5 before it indexes a row.
+        t = cyclic_table(3)
+        message = f"element {entry} outside 1..3"
+        calls = [
+            lambda: t.orbit_eq((entry, 2), (1, 2)),
+            lambda: t.orbit_eq((1, 2), (1, entry)),
+            lambda: t.env_dot((entry,), (1,)),
+            lambda: t.env_dot((1,), (2, entry)),
+            lambda: t.env_circ((entry,), (1,)),
+            lambda: t.orbit((entry, 1)),
+            lambda: t.sigma_action(1, (1, entry)),
+            lambda: t.check_element(entry),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+
+    def test_first_bad_entry_is_named(self):
+        t = cyclic_table(3)
+        with pytest.raises(ValueError, match=r"^element 1\.5 outside 1\.\.3$"):
+            t.env_dot((1, 1.5, 0, 7), (1,))
+        with pytest.raises(ValueError, match="^element 0 outside 1..3$"):
+            t.orbit((2, 0, 1.5))
+
+    def test_true_is_still_the_element_1(self):
+        t = cyclic_table(3)
+        assert t.check_element(True) is True
+        assert t.env_dot((True,), (2,)) == t.env_dot((1,), (2,))
+        assert t.orbit_eq((True, 2), (1, 2)) == t.orbit_eq((1, 2), (1, 2))
+        assert t.orbit((True, 2)) == t.orbit((1, 2))
+
 
 class TestOrbitEquality:
     def test_one_step(self):

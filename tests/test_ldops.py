@@ -353,6 +353,44 @@ class TestIntKernel:
         assert ldops._dot((a, n), (c, m)) == chain_dot(a, n, c, m)
         assert ldops._circ((a, n), (c, m)) == chain_circ(a, n, c, m)
 
+    # The kernels build nothing for an empty operand, so each side is drawn
+    # empty in turn, and both, as at the leaf ((), 1).
+    @given(
+        st.sampled_from(["left", "right", "both"]),
+        encoded_words,
+        st.integers(1, 5),
+        encoded_words,
+        st.integers(1, 5),
+    )
+    def test_kernels_with_an_empty_operand(self, empty, a, n, c, m):
+        a = () if empty != "right" else a
+        c = () if empty != "left" else c
+        assert ldops._dot((a, n), (c, m)) == chain_dot(a, n, c, m)
+        assert ldops._circ((a, n), (c, m)) == chain_circ(a, n, c, m)
+
+    def test_empty_operands_are_not_shifted_or_inverted(self, monkeypatch):
+        def no_letters(*args):
+            raise AssertionError("an empty word was shifted or inverted")
+
+        for name in ("_shifted", "_inverse_shifted"):
+            monkeypatch.setattr(ldops, name, no_letters)
+        assert ldops._dot(((), 1), ((), 1)) == ((1,), 1)
+        assert ldops._dot(((), 2), ((), 2)) == ((2, 3, 1, 2), 2)
+        assert ldops._circ(((1, -2), 1), ((), 3)) == ((1, -2), 4)
+
+
+def terms_to_depth(depth: int):
+    """Terms of depth at most ``depth``, built bottom up by dot and circ."""
+    if depth == 0:
+        return st.just(LEAF)
+    inner = terms_to_depth(depth - 1)
+    return st.one_of(st.just(LEAF), st.builds(dot, inner, inner), st.builds(circ, inner, inner))
+
+
+@given(terms_to_depth(6))
+def test_eval_term_realizes_what_eval_term_b_gives(t):
+    assert eval_term(t) == eval_term_b(t).realize()
+
 
 def refuse_letters(monkeypatch):
     """Make the dot kernel's letter builders raise, so a passing check is seen.
@@ -438,6 +476,37 @@ class TestRealizationBudget:
         with pytest.raises(RealizationBudgetError) as info:
             eval_term(circ(dot(LEAF, LEAF), circ(LEAF, LEAF)))  # s1 x1 x1
         assert str(info.value) == "realized word of 3 letters exceeds the budget of 2"
+
+
+class TestBudgetEdges:
+    """Exactly the budget passes and one letter less raises, for the kernels
+    with an empty operand: the dot's bound before its word is built is then
+    exact only when c is empty too."""
+
+    @pytest.mark.parametrize("c, n, m", [((1, -2), 2, 3), ((), 2, 3), ((3,), 1, 1)])
+    def test_dot_with_an_empty_left_operand(self, monkeypatch, c, n, m):
+        word, power = chain_dot((), n, c, m)
+        size = len(word) + m - 1
+        assert size == len(c) + n * m + m - 1
+        monkeypatch.setattr(ldops, "MAX_REALIZED_LETTERS", size)
+        assert ldops._dot(((), n), (c, m)) == (word, power)
+        monkeypatch.setattr(ldops, "MAX_REALIZED_LETTERS", size - 1)
+        with pytest.raises(RealizationBudgetError) as info:
+            ldops._dot(((), n), (c, m))
+        at_least = "" if c else "at least "
+        assert str(info.value) == (
+            f"realized word of {at_least}{size} letters exceeds the budget of {size - 1}"
+        )
+
+    @pytest.mark.parametrize("a, n, m", [((1, -2), 1, 3), ((2,), 4, 1), ((), 1, 1)])
+    def test_circ_with_an_empty_right_operand(self, monkeypatch, a, n, m):
+        size = len(a) + n + m - 1
+        monkeypatch.setattr(ldops, "MAX_REALIZED_LETTERS", size)
+        assert ldops._circ((a, n), ((), m)) == (a, n + m)
+        monkeypatch.setattr(ldops, "MAX_REALIZED_LETTERS", size - 1)
+        with pytest.raises(RealizationBudgetError) as info:
+            ldops._circ((a, n), ((), m))
+        assert str(info.value) == f"realized word of {size} letters exceeds the budget of {size - 1}"
 
 
 class TestAlgebraicLaws:

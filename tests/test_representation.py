@@ -21,7 +21,7 @@ from shrinkbraid import (
     x,
 )
 from shrinkbraid.freegroup import FLetter, FWord, parse_fword, reduce
-from shrinkbraid.words import _RELATIONS, Generator, apply_relation, sx_decompose
+from shrinkbraid.words import _RELATIONS, Generator, _code, apply_relation, sx_decompose
 from shrinkbraid import representation
 from shrinkbraid.representation import (
     ImageBudgetError,
@@ -125,6 +125,20 @@ def reference_apply_word(w: RWord, u: FWord) -> tuple[FLetter, ...]:
     return letters
 
 
+class TestImageFastPath:
+    """s_i^{+-1} fixes every e_j with j != i, so ``_image`` returns a word
+    without e_i as it is; against the full substitution of the reference."""
+
+    @given(st.integers(1, 6), st.sampled_from((sigma, sigma_inv)), fletters)
+    def test_matches_the_full_substitution(self, i, make, pairs):
+        g = make(i)
+        u = reduce(FLetter(j, s) for j, s in pairs)
+        assert apply_gen(g, u).letters == letter_apply_gen(g, u.letters)
+        w = reduce(FLetter(j, s) for j, s in pairs if j != i)
+        assert representation._image(_code(g), w.ints) is w.ints
+        assert w.letters == letter_apply_gen(g, w.letters)
+
+
 class TestApplyWordAgainstReference:
     """The scan on letter codes against the Generator-by-Generator fold."""
 
@@ -169,6 +183,61 @@ class TestImageBudget:
         assert morphism_eq(parse_rword("x10"), parse_rword("x10"))  # coordinates, no scan
         with pytest.raises(ImageBudgetError):
             cmp_L(parse_rword("x10"), parse_rword("x10"))
+
+
+class TestScanBudget:
+    """Every letter that ``apply_word`` or a whole ``_images_cmp`` scan images
+    counts against ``MAX_SCAN_LETTERS``: exactly the total a call images
+    answers, one letter less raises."""
+
+    @staticmethod
+    def imaged(monkeypatch, call):
+        """What ``call()`` returns and the letters of every image it built."""
+        image, sizes = representation._image, []
+
+        def counting(c, ints):
+            out = image(c, ints)
+            sizes.append(len(out))
+            return out
+
+        monkeypatch.setattr(representation, "_image", counting)
+        answer = call()
+        monkeypatch.setattr(representation, "_image", image)
+        return answer, sum(sizes)
+
+    def check_edge(self, monkeypatch, call):
+        answer, total = self.imaged(monkeypatch, call)
+        monkeypatch.setattr(representation, "MAX_SCAN_LETTERS", total)
+        assert call() == answer
+        monkeypatch.setattr(representation, "MAX_SCAN_LETTERS", total - 1)
+        with pytest.raises(ImageBudgetError) as info:
+            call()
+        assert str(info.value) == (
+            f"free-group images of more than {total - 1} letters in all exceed the budget"
+        )
+
+    @pytest.mark.parametrize("u, v", [
+        ("s1 s2^-1 s1 s2^-1 x1", "x1"),
+        ("x2 s1 s3", "s1 x2 s3^-1"),
+        ("x1 x3 s2", "x1 x3 s2"),
+    ])
+    def test_scan_edge(self, monkeypatch, u, v):
+        u, v = parse_rword(u), parse_rword(v)
+        self.check_edge(monkeypatch, lambda: _images_cmp(u, v))
+
+    def test_apply_word_edge(self, monkeypatch):
+        w = parse_rword("s1 s2^-1 " * 4 + "x1 s3")
+        self.check_edge(monkeypatch, lambda: apply_word(w, fw("e1 e3^-1")))
+
+    def test_seeded_3000_letter_pair_stops_on_the_budget(self):
+        # No single image of this scan passes MAX_IMAGE_LETTERS for minutes;
+        # the total budget ends it in about a second.
+        rnd = random.Random(1)
+        u, v = _random_r_word(rnd, 3000), _random_r_word(rnd, 3000)
+        start = time.monotonic()
+        with pytest.raises(ImageBudgetError, match="letters in all exceed the budget"):
+            cmp_L(u, v)
+        assert time.monotonic() - start < 20
 
 
 class TestCompositionConvention:

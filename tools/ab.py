@@ -17,7 +17,10 @@ standard output is one JSON object: for each tree its median throughput,
 the quartiles over the passes, its wins (passes in which it was faster) and
 ``us_per_query``, the median over the passes of its mean microseconds a
 query for each query kind (on envelope_orbit for each kind and table, as
-"orbit_yes C5"); and the median over the passes of B's throughput over A's.
+"orbit_yes C5") and ``tail_us``, the median over the passes of its latency
+at the workload's tail percentile, ``TAIL_PERCENTILE`` of ``bench/run.py``,
+in microseconds; the percentile itself; and the median over the passes of
+B's throughput over A's.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ sys.dont_write_bytecode = True  # leave no cache files in the benchmark's direct
 sys.path.insert(0, str(BENCH))
 
 import workloads  # noqa: E402
+from run import TAIL_PERCENTILE, percentile  # noqa: E402
 from state import build_state  # noqa: E402
 
 
@@ -59,26 +63,30 @@ def kind_of(workload: str, query) -> str:
     return f"{query.kind} {query.args[0]}" if workload == "envelope_orbit" else query.kind
 
 
-def timed_pass(sb, state, queries, kinds) -> tuple[float, dict[str, float]]:
-    """Run every query once and check its answer; return queries per second
-    and the mean microseconds a query of each kind, ``kinds`` naming the
-    kind of each query."""
+def timed_pass(sb, state, queries, kinds, tail) -> tuple[float, dict[str, float], float]:
+    """Run every query once and check its answer; return queries per second,
+    the mean microseconds a query of each kind, ``kinds`` naming the kind of
+    each query, and the latency at percentile ``tail`` in microseconds."""
     gc.collect()
-    spent, counts = Counter(), Counter(kinds)
+    spent, counts, latencies = Counter(), Counter(kinds), []
     for query, kind in zip(queries, kinds):
         start = time.perf_counter()
         result = query.call(sb, state, *query.args)
-        spent[kind] += time.perf_counter() - start
+        latency = time.perf_counter() - start
+        spent[kind] += latency
+        latencies.append(latency)
         if not query.check(result, query.expected):
             sys.exit(f"error: {sb.__name__} answered {query.kind} {query.args!r} with {result!r}")
-    return len(queries) / sum(spent.values()), {kind: 1e6 * spent[kind] / counts[kind] for kind in counts}
+    costs = {kind: 1e6 * spent[kind] / counts[kind] for kind in counts}
+    return len(queries) / sum(spent.values()), costs, 1e6 * percentile(sorted(latencies), tail)
 
 
-def summary(root: Path, rates: list[float], costs: list[dict[str, float]], wins: int) -> dict:
+def summary(root: Path, rates: list[float], costs: list[dict[str, float]], tails: list[float],
+            wins: int) -> dict:
     q1, median, q3 = statistics.quantiles(rates, n=4, method="inclusive")
     us_per_query = {kind: statistics.median(c[kind] for c in costs) for kind in sorted(costs[0])}
     return {"tree": str(root), "qps_median": median, "qps_q1": q1, "qps_q3": q3, "wins": wins,
-            "us_per_query": us_per_query}
+            "us_per_query": us_per_query, "tail_us": statistics.median(tails)}
 
 
 def main(argv: list[str]) -> int:
@@ -100,13 +108,16 @@ def main(argv: list[str]) -> int:
     queries = list(chain.from_iterable(batches))
     kinds = [kind_of(args.workload, query) for query in queries]
 
+    tail = TAIL_PERCENTILE[args.workload]
     rates: tuple[list[float], list[float]] = ([], [])
     costs: tuple[list[dict], list[dict]] = ([], [])
+    tails: tuple[list[float], list[float]] = ([], [])
     for p in range(args.passes):
         for side in (0, 1) if p % 2 == 0 else (1, 0):
-            rate, cost = timed_pass(packages[side], states[side], queries, kinds)
+            rate, cost, tail_us = timed_pass(packages[side], states[side], queries, kinds, tail)
             rates[side].append(rate)
             costs[side].append(cost)
+            tails[side].append(tail_us)
     wins_b = sum(b > a for a, b in zip(*rates))
     wins_a = sum(a > b for a, b in zip(*rates))
     print(json.dumps({
@@ -115,8 +126,9 @@ def main(argv: list[str]) -> int:
         "rounds": args.rounds,
         "passes": args.passes,
         "queries": len(queries),
-        "a": summary(trees[0], rates[0], costs[0], wins_a),
-        "b": summary(trees[1], rates[1], costs[1], wins_b),
+        "tail_percentile": tail,
+        "a": summary(trees[0], rates[0], costs[0], tails[0], wins_a),
+        "b": summary(trees[1], rates[1], costs[1], tails[1], wins_b),
         "ratio_b_over_a": statistics.median(b / a for a, b in zip(*rates)),
     }))
     return 0
