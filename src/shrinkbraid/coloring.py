@@ -18,9 +18,11 @@ inverted by the free-group tuple kernels ``_mul`` and ``_inv``; each final
 color is wrapped in an ``FWord`` once, so there is no decode step and no
 word object per letter.  ``ColoredMorphism.apply``, and so
 ``compose_colored``, folds ``_mul`` the same way.  Colors share the
-free-group image budget, ``representation.MAX_IMAGE_LETTERS``: once a letter
-makes a color longer than that, ``color`` raises
-``representation.ImageBudgetError``.
+free-group image budgets of ``representation``: once a letter makes a color
+longer than ``MAX_IMAGE_LETTERS``, or the colors built so far, each counted
+in full, add up to more than ``MAX_SCAN_LETTERS``, ``color`` raises
+``representation.ImageBudgetError``.  Cancelling letters keep every color
+short while the work goes on, so only the total bounds the time.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ def color(w: RWord, n_top: int) -> ColoredMorphism:
         raise ValueError("need at least one strand")
     if n_top > MAX_STRANDS:
         raise StrandBudgetError(f"{n_top} strands exceed the budget of {MAX_STRANDS}")
-    budget = representation.MAX_IMAGE_LETTERS
+    budget, room = representation.MAX_IMAGE_LETTERS, representation.MAX_SCAN_LETTERS
     colors = [(k,) for k in range(1, n_top + 1)]
     for c in w.codes:
         i = c[0] if type(c) is tuple else c if c > 0 else -c
@@ -103,10 +105,12 @@ def color(w: RWord, n_top: int) -> ColoredMorphism:
         else:
             colors[i - 1] = right
             colors[i] = grown = _mul(_mul(_inv(right), left), right)
-        if len(grown) > budget:
-            raise representation.ImageBudgetError(
-                f"color of {len(grown)} letters exceeds the budget of {budget}"
-            )
+        size = len(grown)
+        if size > budget:
+            raise representation.ImageBudgetError(f"color of {size} letters exceeds the budget of {budget}")
+        room -= size
+        if room < 0:
+            raise representation._total_budget_error()
     return ColoredMorphism(len(colors), n_top, tuple([_word(c) for c in colors]))
 
 

@@ -131,7 +131,12 @@ def _check_depth(depth: Union[int, None]) -> None:
 
 
 class LDTable:
-    """A finite left-distributive magma on elements 1..size."""
+    """A finite left-distributive magma on elements 1..size.
+
+    Every table entry must be an ``int`` in 1..size (``True`` counts as 1):
+    the constructor refuses any other, a float such as 2.0 included, with a
+    ``ValueError`` naming it, so no query meets a non-integer entry.
+    """
 
     __slots__ = (
         "size", "table", "_elements", "_after", "_bits", "_steps", "_rack", "_cyclic", "_absorbing"
@@ -147,8 +152,8 @@ class LDTable:
             if len(row) != self.size:
                 raise ValueError("table must be square")
             for entry in row:
-                if not 1 <= entry <= self.size:
-                    raise ValueError(f"entry {entry} outside 1..{self.size}")
+                if not (isinstance(entry, int) and 1 <= entry <= self.size):
+                    raise ValueError(f"entry {entry!r} outside 1..{self.size}")
             rows.append(tuple(row))
         self.table = tuple(rows)
         self._elements = frozenset(self.elements())

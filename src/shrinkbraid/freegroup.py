@@ -32,13 +32,13 @@ Conventions:
   the grammar's error at the first bad token.  All three grammars find the
   offset of a bad token with ``_offset``, from the tokens their parser
   already split, so valid text never computes an offset.
-- ``_Frozen`` is the base of the immutable value classes (``BElement``,
-  ``ColoredMorphism``, ``XWord``, ``XSeq``): it sets their ``__slots__``
-  fields once, refuses later assignment, and gives them equality, hashing,
-  pickling and a repr over those fields.  ``FWord``, ``RWord`` and
-  ``LDTerm`` are not built on it: their kernels construct one on every
-  call, through ``_word``, ``_rword`` and ``_term``, which write their
-  slots directly, and their equality compares one tuple.
+- ``_Frozen`` is the base of every immutable value class (``FWord``,
+  ``RWord``, ``LDTerm``, ``BElement``, ``ColoredMorphism``, ``XWord``,
+  ``XSeq``): it sets their ``__slots__`` fields once, refuses later
+  assignment and deletion, and gives them equality, hashing, pickling and
+  a repr over those fields.  The kernel words ``FWord``, ``RWord`` and
+  ``LDTerm`` keep their own pickling and a text repr; their kernels build
+  one on every call, unchecked, through ``_word``, ``_rword`` and ``_term``.
 - ``curve_cmp`` is the linear order obtained by encoding elements of F_n as
   homotopy classes of arcs across a slit disk and ordering their lifted
   endpoints along the boundary of the universal cover.  Combinatorially it is
@@ -90,6 +90,14 @@ class _Frozen:
     all read the fields.  A subclass checks its arguments and passes them
     to ``super().__init__``, so its constructor takes the fields in slot
     order, as ``__reduce__`` calls it.
+
+    The kernels build the kernel words ``FWord``, ``RWord`` and ``LDTerm``
+    raw, unchecked: ``_word``, ``_rword`` and ``_term`` skip the constructor
+    and set each slot through its descriptor's ``__set__``
+    (``FWord.ints.__set__``), which the guard does not see.  The public
+    constructors take letters, not fields (``LDTerm`` has none), so
+    ``FWord`` and ``RWord`` pickle through ``_word`` and ``_rword``, and
+    ``LDTerm`` as its text.
     """
 
     __slots__ = ()
@@ -143,7 +151,7 @@ def _reduced(ints: Iterable[int]) -> tuple[int, ...]:
 def _word(ints: tuple[int, ...]) -> "FWord":
     """The FWord stored as ``ints``, which must already be reduced."""
     word = object.__new__(FWord)
-    word.ints = ints
+    _set_ints(word, ints)
     return word
 
 
@@ -161,17 +169,22 @@ def reduce(letters: Iterable[FLetter]) -> "FWord":
     return _word(_reduced(ints))
 
 
-class FWord:
-    """A freely reduced word over e_1, e_2, ...; immutable and hashable.
+class FWord(_Frozen):
+    """A freely reduced word over e_1, e_2, ...; a ``_Frozen`` value on ``ints``.
 
     ``FWord(letters)`` is ``reduce(letters)``: it drops index-0 letters,
     rejects a negative index or a sign other than +1 or -1, and cancels.
+    Equality and hashing are those of ``ints``; a word pickles through
+    ``_word`` and reprs as its text.
     """
 
     __slots__ = ("ints",)
 
     def __init__(self, letters: Iterable[FLetter] = ()):
-        self.ints = reduce(letters).ints
+        super().__init__(reduce(letters).ints)
+
+    def __reduce__(self) -> tuple:
+        return _word, (self.ints,)
 
     @property
     def letters(self) -> tuple[FLetter, ...]:
@@ -194,12 +207,6 @@ class FWord:
     def __bool__(self) -> bool:
         return bool(self.ints)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FWord) and self.ints == other.ints
-
-    def __hash__(self) -> int:
-        return hash(self.ints)
-
     def __repr__(self) -> str:
         return f"FWord({str(self)!r})"
 
@@ -220,6 +227,9 @@ class FWord:
         if k < 0:
             raise ValueError("shift amount must be nonnegative")
         return _word(tuple([g + k if g > 0 else g - k for g in self.ints]))
+
+
+_set_ints = FWord.ints.__set__
 
 
 def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

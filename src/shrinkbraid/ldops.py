@@ -50,8 +50,9 @@ and ``MAX_TERM_DEPTH`` bounds how many may be open (``TermDepthError``).
 Only a failing token is located in the text, by ``freegroup._offset``,
 as in the word grammars.  ``depth``, ``str`` and ``eval_term_b`` each read
 the postfix tuple through the one fold ``_fold``, with a table of what a
-leaf and each operator make; equality and hashing are the tuple's, and a
-term pickles as its text.
+leaf and each operator make.  ``LDTerm`` is a ``freegroup._Frozen`` value
+on that tuple, so equality and hashing are the tuple's, and a term pickles
+as its text.
 
 Equality and order of terms go through the faithful
 representation (``morphism_eq`` / ``cmp_L``).  Note the
@@ -226,14 +227,15 @@ _TEXTS = {".": "({} . {})".format, "o": "({} o {})".format}
 _VALUES = {".": _dot, "o": _circ}
 
 
-class LDTerm:
+class LDTerm(_Frozen):
     """A dot/circle term over the generator (the identity braid).
 
-    Stored as its one slot, ``postfix``: the grammar's tokens in postfix
-    order, "j" for the generator and "." or "o" after the two operands of a
-    dot or a circle, so (s . t) is s.postfix + t.postfix + (".",).  Terms
-    are built by ``LEAF``, ``dot``, ``circ`` and ``parse_term``.  Equality
-    and hashing are those of the tuple; ``depth``, ``str`` and
+    A ``_Frozen`` value on its one slot, ``postfix``: the grammar's tokens in
+    postfix order, "j" for the generator and "." or "o" after the two
+    operands of a dot or a circle, so (s . t) is s.postfix + t.postfix +
+    (".",).  Terms are built by ``LEAF``, ``dot``, ``circ`` and
+    ``parse_term``, through ``_term``.  Equality and hashing are those of
+    the tuple, and the repr is the text; ``depth``, ``str`` and
     ``eval_term_b`` each read it through the one fold ``_fold``.  A
     term pickles as its text and unpickles through ``parse_term``, so a
     term deeper than ``MAX_TERM_DEPTH`` pickles but raises
@@ -256,12 +258,6 @@ class LDTerm:
     def __repr__(self) -> str:
         return f"LDTerm({str(self)!r})"
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LDTerm) and self.postfix == other.postfix
-
-    def __hash__(self) -> int:
-        return hash(self.postfix)
-
     def __reduce__(self) -> tuple:
         return parse_term, (str(self),)
 
@@ -269,7 +265,7 @@ class LDTerm:
 def _term(postfix: tuple[str, ...]) -> LDTerm:
     """The LDTerm stored as ``postfix``, which must spell one whole term."""
     term = object.__new__(LDTerm)
-    term.postfix = postfix
+    LDTerm.postfix.__set__(term, postfix)
     return term
 
 

@@ -186,21 +186,33 @@ def apply_gen(g: Generator, w: FWord) -> FWord:
 
 # Images grow exponentially with word length: without a bound, the scan for
 # the circled depth-6 left-nested LD term does not end.  The largest image
-# the test suite builds has 455,687 letters.  ``coloring.color`` holds its
-# colors to the same budget.
+# the test suite builds has 455,687 letters.  ``coloring.color`` holds each
+# of its colors to the same budget.
 MAX_IMAGE_LETTERS = 1 << 20
 
-# The letters that one ``apply_word`` or one whole ``_images_cmp`` scan may
-# image, every intermediate image counted in full: the budget above bounds
-# memory, this one the work, about a second of it.  The test suite and the
-# CLI corpus image at most 3,686,500 letters in one scan: the circled
-# depth-6 left-nested term, which the per-image budget stops.
+# The letters that one ``apply_word``, one whole ``_images_cmp`` scan or one
+# ``coloring.color`` may build, every intermediate image or color counted in
+# full: the budget above bounds memory, this one the work, about a second of
+# it.  The test suite and the CLI corpus image at most 3,686,500 letters in
+# one scan: the circled depth-6 left-nested term, which the per-image budget
+# stops.  A coloring's colors can grow and cancel again letter after letter,
+# so only this budget bounds its time.  No coloring of the test suite, the
+# CLI corpus or the benchmark's color queries that answers builds more than
+# 31,488 letters in all, and the 18-pair word that the per-color budget
+# stops builds 2,692,534.
 MAX_SCAN_LETTERS = 1 << 25
 
 
 class ImageBudgetError(BudgetError):
     """A free-group image or color grew past ``MAX_IMAGE_LETTERS``, or a scan
-    imaged more than ``MAX_SCAN_LETTERS`` letters."""
+    or coloring built more than ``MAX_SCAN_LETTERS`` letters."""
+
+
+def _total_budget_error() -> ImageBudgetError:
+    """The error for work past ``MAX_SCAN_LETTERS``, in ``_imaged`` and ``coloring.color``."""
+    return ImageBudgetError(
+        f"free-group images of more than {MAX_SCAN_LETTERS} letters in all exceed the budget"
+    )
 
 
 def _imaged(codes: tuple[Code, ...], ints: tuple[int, ...], left: int) -> tuple[tuple[int, ...], int]:
@@ -220,9 +232,7 @@ def _imaged(codes: tuple[Code, ...], ints: tuple[int, ...], left: int) -> tuple[
             )
         left -= size
         if left < 0:
-            raise ImageBudgetError(
-                f"free-group images of more than {MAX_SCAN_LETTERS} letters in all exceed the budget"
-            )
+            raise _total_budget_error()
     return ints, left
 
 

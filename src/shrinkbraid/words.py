@@ -56,7 +56,7 @@ from functools import lru_cache
 from itertools import chain, groupby
 from typing import Callable, Iterable, Literal, NamedTuple, Optional, Union
 
-from .freegroup import BudgetError, DomainError, ParseError, _raise_first, _read_token, _reduced
+from .freegroup import BudgetError, DomainError, ParseError, _Frozen, _raise_first, _read_token, _reduced
 
 
 class Kind(Enum):
@@ -117,23 +117,28 @@ def _text(c: Code) -> str:
 def _rword(codes: tuple[Code, ...], xs: int) -> "RWord":
     """The RWord stored as ``codes``, of which exactly ``xs`` are x letters."""
     word = object.__new__(RWord)
-    word.codes = codes
-    word.xs = xs
+    _set_codes(word, codes)
+    _set_xs(word, xs)
     return word
 
 
-class RWord:
+class RWord(_Frozen):
     """A word over the R generators; the empty word is the identity e.
 
-    Stored as one tuple of letter codes, ``codes``, and its number of x
-    letters, ``xs``, both fixed at construction.
+    A ``_Frozen`` value on one tuple of letter codes, ``codes``, and its
+    number of x letters, ``xs``, which the codes determine, so equality and
+    hashing are those of the codes.  A word pickles through ``_rword`` and
+    reprs as its text.
     """
 
     __slots__ = ("codes", "xs")
 
     def __init__(self, letters: Iterable[Generator] = ()):
-        self.codes = tuple([_code(g) for g in letters])
-        self.xs = list(map(type, self.codes)).count(tuple)
+        codes = tuple([_code(g) for g in letters])
+        super().__init__(codes, list(map(type, codes)).count(tuple))
+
+    def __reduce__(self) -> tuple:
+        return _rword, (self.codes, self.xs)
 
     @property
     def letters(self) -> tuple[Generator, ...]:
@@ -154,12 +159,6 @@ class RWord:
     def __bool__(self) -> bool:
         return bool(self.codes)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RWord) and self.codes == other.codes
-
-    def __hash__(self) -> int:
-        return hash(self.codes)
-
     def __mul__(self, other: "RWord") -> "RWord":
         return _rword(self.codes + other.codes, self.xs + other.xs)
 
@@ -177,6 +176,9 @@ class RWord:
 
     def is_braid(self) -> bool:
         return not self.xs
+
+
+_set_codes, _set_xs = RWord.codes.__set__, RWord.xs.__set__
 
 
 def _shifted(codes: Iterable[Code], k: int) -> list[Code]:

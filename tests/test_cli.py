@@ -277,6 +277,17 @@ class TestColor:
         assert time.monotonic() - start < 2
         assert code == 2 and out == "" and err.startswith("error: color of ")
 
+    def test_total_budget_bounds_cancelling_pairs(self, capout):
+        # Each s1 s1^-1 builds about 786k color letters and gives the colors
+        # back; no color passes its own budget, so without the total budget
+        # this ran for about 10 s.
+        word = " ".join(["s1 s2^-1"] * 13 + ["s1 s1^-1"] * 500)
+        start = time.monotonic()
+        code, out, err = capout("color", "3", word)
+        assert time.monotonic() - start < 2
+        assert code == 2 and out == ""
+        assert err == f"error: free-group images of more than {1 << 25} letters in all exceed the budget\n"
+
     def test_strand_budget_is_domain_error(self, capout):
         code, out, err = capout("color", "3000000", "s1")
         assert code == 2 and out == ""

@@ -147,6 +147,31 @@ class TestColorBasics:
         with pytest.raises(representation.ImageBudgetError, match=f"the budget of {longest - 1}$"):
             color(w, 3)
 
+    @staticmethod
+    def built_letters(w: RWord, n_top: int) -> int:
+        """The letters of every color ``color`` builds on ``w``, from its prefixes."""
+        total = 0
+        for k, g in enumerate(w.letters):
+            images = reference_color(RWord(w.letters[: k + 1]), n_top).images
+            total += len(images[g.index if g.kind is Kind.SIGMA_INV else g.index - 1])
+        return total
+
+    @pytest.mark.parametrize("text, n_top", [
+        ("s1 s2^-1 " * 4 + "s1 s1^-1 x1 s1^-1", 3),
+        ("s2 s1^-1 x2 s1 s1^-1 s1", 4),
+    ])
+    def test_total_budget_edge(self, monkeypatch, text, n_top):
+        w = parse_rword(text)
+        total = self.built_letters(w, n_top)
+        monkeypatch.setattr(representation, "MAX_SCAN_LETTERS", total)
+        assert color(w, n_top) == reference_color(w, n_top)
+        monkeypatch.setattr(representation, "MAX_SCAN_LETTERS", total - 1)
+        with pytest.raises(representation.ImageBudgetError) as info:
+            color(w, n_top)
+        assert str(info.value) == (
+            f"free-group images of more than {total - 1} letters in all exceed the budget"
+        )
+
 
 class TestRecoloringRules:
     def test_inverse_crossing_undoes_positive(self):

@@ -53,6 +53,22 @@ class TestTableValidation:
         with pytest.raises(ValueError):
             LDTable([[1], [1]])
 
+    @pytest.mark.parametrize("rows, named", [
+        ([[1, 1.5], [1, 2]], "1.5"),
+        ([[1, 2], [1, 2.0]], "2.0"),
+        ([[1, 2], [float("nan"), 2]], "nan"),
+        ([[1, "2"], [1, 2]], "'2'"),
+    ])
+    def test_non_integer_entries_are_named(self, rows, named):
+        # 1 <= 1.5 <= 2 holds; without a type test 1.5 failed later as it indexed a row.
+        with pytest.raises(ValueError) as info:
+            LDTable(rows)
+        assert str(info.value) == f"entry {named} outside 1..2"
+
+    def test_true_is_still_the_entry_1(self):
+        t = LDTable([[True, 2], [1, 2]])
+        assert t.table == ((1, 2), (1, 2)) and t.dot(1, 1) == 1
+
 
 class TestSigmaAction:
     def test_formula(self):
