@@ -16,7 +16,11 @@ substitution, contravariantly.
 a bare reduced tuple of signed ints (e_k is k, e_k^-1 is -k), multiplied and
 inverted by the free-group tuple kernels ``_mul`` and ``_inv``; each final
 color is wrapped in an ``FWord`` once, so there is no decode step and no
-word object per letter.  ``ColoredMorphism.apply``, and so
+word object per letter.  The morphism is built raw, as ``freegroup._word``
+builds a word: ``object.__new__`` and ``_Frozen.__init__``, without the
+public constructor's scan of every color by ``max_index``.  No check is
+lost: each color is a product of e_1, ..., e_{n_top} and their inverses,
+and there is one color per strand left.  ``ColoredMorphism.apply``, and so
 ``compose_colored``, folds ``_mul`` the same way.  Colors share the
 free-group image budgets of ``representation``: once a letter makes a color
 longer than ``MAX_IMAGE_LETTERS``, or the colors built so far, each counted
@@ -111,7 +115,9 @@ def color(w: RWord, n_top: int) -> ColoredMorphism:
         room -= size
         if room < 0:
             raise representation._total_budget_error()
-    return ColoredMorphism(len(colors), n_top, tuple([_word(c) for c in colors]))
+    morphism = object.__new__(ColoredMorphism)  # raw: every color is a word in e_1..e_{n_top}
+    _Frozen.__init__(morphism, len(colors), n_top, tuple([_word(c) for c in colors]))
+    return morphism
 
 
 def compose_colored(f: ColoredMorphism, g: ColoredMorphism) -> ColoredMorphism:

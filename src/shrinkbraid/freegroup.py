@@ -59,6 +59,8 @@ single global flip; flipping it exchanges these facts wholesale.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import compress, count
+from operator import add, attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -87,9 +89,13 @@ class _Frozen:
     ``__init__(*values)`` sets the fields in slot order, and after that
     assigning or deleting one raises ``AttributeError``.  Equality (same
     type, equal field values), hashing, pickling and the field-naming repr
-    all read the fields.  A subclass checks its arguments and passes them
-    to ``super().__init__``, so its constructor takes the fields in slot
-    order, as ``__reduce__`` calls it.
+    all read the fields; equality and hashing read them through ``_fields``,
+    one ``operator.attrgetter`` over the slots, built once per subclass when
+    it is defined, so a comparison runs no Python loop.  ``_values`` is that
+    getter's result as a tuple, for pickling: on a one-slot class the
+    getter returns the bare field.  A subclass checks its arguments and
+    passes them to ``super().__init__``, so its constructor takes the
+    fields in slot order, as ``__reduce__`` calls it.
 
     The kernels build the kernel words ``FWord``, ``RWord`` and ``LDTerm``
     raw, unchecked: ``_word``, ``_rword`` and ``_term`` skip the constructor
@@ -102,6 +108,9 @@ class _Frozen:
 
     __slots__ = ()
 
+    def __init_subclass__(cls) -> None:
+        cls._fields = staticmethod(attrgetter(*cls.__slots__))  # one value if one slot
+
     def __init__(self, *values: object) -> None:
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
@@ -113,13 +122,14 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        values = self._fields(self)
+        return values if len(self.__slots__) > 1 else (values,)
 
     def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and self._values() == other._values()
+        return type(other) is type(self) and self._fields(self) == self._fields(other)
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._fields(self))
 
     def __repr__(self) -> str:
         fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
@@ -233,12 +243,24 @@ _set_ints = FWord.ints.__set__
 
 
 def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """The product of two reduced int tuples: cancellation can only happen at the seam."""
-    i = 0
-    n = min(len(a), len(b))
+    """The product of two reduced int tuples: cancellation can only happen at the seam.
+
+    When the seam letters do not cancel, which is about half of the products
+    of a coloring, the product is ``a + b`` at once.  Otherwise the seam
+    length is the first i with a[-1 - i] != -b[i].  A short seam is walked
+    letter by letter; from 16 letters on, the first nonzero a[-1 - i] + b[i]
+    is found by a C-level scan of the pairwise sums, which costs more to set
+    up than a short walk and far less than a long one.
+    """
+    if not a or not b or a[-1] != -b[0]:
+        return a + b
+    i, n = 1, min(len(a), len(b))
     while i < n and a[-1 - i] == -b[i]:
         i += 1
-    return a[: len(a) - i] + b[i:] if i else a + b
+        if i == 16:
+            i = next(compress(count(), map(add, reversed(a), b)), n)
+            break
+    return a[: len(a) - i] + b[i:]
 
 
 def _inv(a: tuple[int, ...]) -> tuple[int, ...]:

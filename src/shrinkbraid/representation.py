@@ -70,16 +70,19 @@ i <= len(coords) and takes the sorted keys below otherwise, so each x
 letter costs O(min(i, pairs)).  At the end every key is an index, raised
 by any surplus that ``xs`` started with, and the (0, 1) pairs are dropped.
 
-``morphism_eq`` cuts the longest common prefix of the two code tuples and
-compares the coordinates of what is left: u = v iff u(E) and v(E) have the
-same coordinates, for the lamination E of the proof below.  The cut is
-exact because every letter acts injectively on F_oo: s_i is an
-automorphism, and x_i sends the basis into the basis, so p u = p v exactly
-when u = v.  The x letters of the cut prefix stay in both offsets, which
-raises every key of both dicts alike.  ``_quotient_coords(u, v)`` is ``_coords`` on
-the braid u^-1 v, read off u and v without building u^-1, so a shared
-prefix costs no update there either.  Two braid words are equal iff those
-coordinates are empty.  For the order, take the smallest k with x_k != 0:
+u = v iff u(E) and v(E) have the same coordinates, for the lamination E
+of the proof below.  On two braid words ``morphism_eq`` reads this as
+u^-1 v (E) = E: ``_quotient_coords(u, v)`` is ``_coords`` on the braid
+u^-1 v, read off u and v without building u^-1, and two braid words are
+equal iff those coordinates are empty.  One pass decides, and free
+cancellation removes a shared prefix before any update.  A braid word has
+no x letter, so ``_coords`` feeds it to ``_act`` as one run.  On any other
+pair ``morphism_eq`` cuts the longest common prefix of the two code tuples
+and compares the coordinates of what is left.  The cut is exact because
+every letter acts injectively on F_oo: s_i is an automorphism, and x_i
+sends the basis into the basis, so p u = p v exactly when u = v.  The x
+letters of the cut prefix stay in both offsets, which raises every key of
+both dicts alike.  For the order, take the smallest k with x_k != 0:
 u < v if x_k > 0, u > v if x_k < 0, and u = v if there is no such k.  The
 dict stays sparse, so ``s100000000`` costs two entries, not a list as long
 as its index.
@@ -270,10 +273,13 @@ def _coords(codes: tuple[Code, ...], xs: int) -> dict[int, tuple[int, int]]:
     ``_act`` shifted by ``xs`` and freely cancelled, and x_i doubles pair i
     by moving only the pairs below it (see the module docstring).  ``xs``
     starts at the number of x letters in ``codes`` or above it; a surplus
-    raises every key by that much.
+    raises every key by that much.  So ``xs`` = 0 means a braid word, and
+    that is one run: one ``_act`` over ``_reduced(reversed(codes))``, with
+    no grouping by letter kind.
     """
     coords: dict[int, tuple[int, int]] = {}
-    for kind, run in groupby(reversed(codes), type):
+    runs = groupby(reversed(codes), type) if xs else [(int, reversed(codes))]
+    for kind, run in runs:
         if kind is int:
             _act(coords, _reduced([g + xs if g > 0 else g - xs for g in run] if xs else run))
             continue
@@ -319,9 +325,14 @@ def _act(coords: dict[int, tuple[int, int]], codes: Iterable[int]) -> None:
 def morphism_eq(u: RWord, v: RWord) -> bool:
     """Semantic equality in R: u = v iff u(E) and v(E) have the same coordinates.
 
-    The longest common prefix of the two code tuples is cut first; its x
-    letters stay in both offsets.  The module docstring proves the rule.
+    Two braid words are equal iff the coordinates of u^-1 v are empty, read
+    by ``_quotient_coords`` in one pass, whose free cancellation removes a
+    common prefix.  Otherwise the longest common prefix of the two code
+    tuples is cut first; its x letters stay in both offsets.  The module
+    docstring proves the rule.
     """
+    if u.is_braid() and v.is_braid():
+        return not _quotient_coords(u, v)
     a, b = u.codes, v.codes
     n = next((k for k, (p, q) in enumerate(zip(a, b)) if p != q), min(len(a), len(b)))
     return _coords(a[n:], u.xs) == _coords(b[n:], v.xs)

@@ -6,7 +6,7 @@ from itertools import chain
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 import shrinkbraid
 from shrinkbraid import Cmp, Generator, Kind, RWord, XLetterPresentError, sigma, sigma_inv, x
@@ -394,6 +394,41 @@ def walk_x_canonicalize(w: XWord) -> XWord:
             k += 1
         seq.insert(k, a - k)
     return XWord(tuple(seq))
+
+
+# --- strategies for the fast paths ------------------------------------------
+#
+# ``freegroup._mul`` returns at once when the seam letters do not cancel and
+# scans a long seam at C speed; ``representation.morphism_eq`` reads two braid
+# words through ``_quotient_coords``.  Their property tests compare them with
+# ``_reduced`` and the image scan on the shapes these draw.
+
+# Short reduced words over three generators, so draws also cancel by chance.
+reduced_ints = st.lists(st.sampled_from((1, 2, 3, -1, -2, -3)), max_size=40).map(_reduced)
+
+
+@st.composite
+def seam_pairs(draw) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Reduced int tuples (a, b) where b starts with the inverse of a's last k letters.
+
+    k is drawn from 0 to len(a) and b goes on with a reduced tail, so the
+    seam is empty, short, longer than the 16 letters at which ``_mul`` starts
+    to scan, or the whole of a; an empty tail makes it the whole of b.
+    """
+    a = draw(reduced_ints)
+    k = draw(st.integers(0, len(a)))
+    tail = draw(reduced_ints)
+    return a, _reduced(tuple([-g for g in reversed(a[len(a) - k :])]) + tail)
+
+
+def with_cancelling_pairs(w: RWord, rnd: random.Random, count: int, max_index: int = 6) -> RWord:
+    """w with ``count`` pairs s_i^e s_i^-e inserted at random places, so equal to w in R."""
+    codes = list(w.codes)
+    for _ in range(count):
+        g = rnd.randint(1, max_index) * rnd.choice((1, -1))
+        p = rnd.randrange(len(codes) + 1)
+        codes[p:p] = [g, -g]
+    return _rword(tuple(codes), w.xs)
 
 
 # --- source guards -----------------------------------------------------------

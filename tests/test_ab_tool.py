@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -31,6 +33,15 @@ def test_checkout_against_itself():
     assert result["a"]["us_per_query"].keys() == result["b"]["us_per_query"].keys()
     assert result["a"]["wins"] + result["b"]["wins"] <= 2
     assert result["ratio_b_over_a"] > 0
+
+
+def test_ratio_by_kind_is_b_cost_over_a_cost():
+    result = run_ab("braid_queries")
+    a, b = result["a"]["us_per_query"], result["b"]["us_per_query"]
+    ratios = result["ratio_by_kind"]
+    assert ratios.keys() == a.keys() and {"color_eq", "eq_yes", "cmp_lt"} <= ratios.keys()
+    for kind, ratio in ratios.items():
+        assert ratio == pytest.approx(b[kind] / a[kind])
 
 
 def test_envelope_costs_are_keyed_by_table():

@@ -1,7 +1,7 @@
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from shrinkbraid import coloring, representation
 from shrinkbraid import (
@@ -80,6 +80,31 @@ class TestAgainstReference:
         for _ in range(20):
             b = random_braid(rng, max_len=24, max_index=4)
             assert color(b, 5) == reference_color(b, 5)
+
+
+class TestRawMorphism:
+    """``color`` builds its morphism without the constructor's check; it must pass that check."""
+
+    @given(multi_braids())
+    def test_equals_the_checked_rebuild(self, case):
+        w, n_top = case
+        morphism = color(w, n_top)
+        rebuilt = ColoredMorphism(morphism.source_rank, morphism.target_rank, morphism.images)
+        assert type(morphism) is ColoredMorphism and morphism.target_rank == n_top
+        assert morphism == rebuilt and hash(morphism) == hash(rebuilt) and repr(morphism) == repr(rebuilt)
+
+    @given(multi_braids())
+    def test_refuses_assignment_and_pickles(self, case):
+        w, n_top = case
+        assume(w.xs)
+        morphism = color(w, n_top)
+        for name in ColoredMorphism.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(morphism, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(morphism, name)
+        copy = pickle.loads(pickle.dumps(morphism))
+        assert copy == morphism and copy.images == morphism.images == color(w, n_top).images
 
 
 class TestColorBasics:

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import sys
 
 import pytest
@@ -10,8 +11,10 @@ from shrinkbraid.freegroup import (
     FWord,
     FWordParseError,
     ParseError,
+    _Frozen,
     _inv,
     _mul,
+    _reduced,
     parse_fword,
     reduce,
 )
@@ -27,6 +30,8 @@ from conftest import (
     no_offset,
     random_braid,
     random_fword,
+    reduced_ints,
+    seam_pairs,
 )
 
 
@@ -136,6 +141,65 @@ class TestTupleKernels:
         assert type(inverse) is tuple
         assert decoded(inverse) == letter_finv(u.letters)
         assert _mul(u.ints, inverse) == () and _mul(inverse, u.ints) == ()
+
+
+LONG = tuple(range(1, 21))  # 20 letters, a seam past the walk's 16
+
+
+class TestSeamProduct:
+    """``_mul`` against the reduced concatenation, on every kind of seam."""
+
+    @given(seam_pairs())
+    @example(((), ()))
+    @example(((), (1, 2)))
+    @example(((1, 2), ()))
+    @example(((1, 2), (1, 2)))
+    @example(((1, 2), (-2, 3)))
+    @example((LONG, _inv(LONG)))
+    @example((LONG, _inv(LONG[3:]) + (5,)))
+    @example((LONG[:4], _inv(LONG[:4]) + (7,)))
+    def test_is_reduced_concatenation(self, pair):
+        a, b = pair
+        assert _mul(a, b) == _reduced(a + b)
+
+    @given(reduced_ints, reduced_ints)
+    def test_unrelated_words(self, a, b):
+        assert _mul(a, b) == _reduced(a + b)
+
+    @pytest.mark.parametrize("a, b, expected", [
+        ((), (), ()),
+        ((2,), (), (2,)),
+        ((1, 2), (3,), (1, 2, 3)),  # no cancellation: returned at once
+        ((1, 2), (-2, 3), (1, 3)),  # one letter
+        (LONG, _inv(LONG[2:]) + (9,), (1, 2, 9)),  # 18 letters, found by the scan
+        (LONG, _inv(LONG), ()),  # both sides cancel
+        (LONG[:17], _inv(LONG[:17]) + (9,), (9,)),  # all of a, past the walk
+        (LONG, _inv(LONG[3:]), (1, 2, 3)),  # all of b
+    ])
+    def test_fixed_seams(self, a, b, expected):
+        assert _mul(a, b) == expected
+
+
+class _One(_Frozen):
+    __slots__ = ("a",)
+
+
+class _Two(_Frozen):
+    __slots__ = ("a", "b")
+
+
+class TestFrozenFields:
+    """``_Frozen`` reads the fields through one getter per class; ``_values`` is always a tuple."""
+
+    @pytest.mark.parametrize("value, values", [(_One((1, 2)), ((1, 2),)), (_Two(1, (2,)), (1, (2,)))])
+    def test_values_are_a_tuple_in_slot_order(self, value, values):
+        assert value._values() == values
+        copy = pickle.loads(pickle.dumps(value))
+        assert type(copy) is type(value) and copy == value and hash(copy) == hash(value)
+
+    def test_equality_reads_every_field_and_the_type(self):
+        assert _Two(1, 2) == _Two(1, 2) and _Two(1, 2) != _Two(1, 3) and _Two(1, 2) != _Two(0, 2)
+        assert _One(1) != _Two(1, 2) and _One((1,)) != (1,) and _One(1) == _One(1)
 
 
 class TestStorage:

@@ -39,6 +39,7 @@ from conftest import (
     random_braid,
     random_rplus,
     random_sigma1_positive,
+    with_cancelling_pairs,
 )
 
 
@@ -832,3 +833,73 @@ class TestEqualityStaysFast:
         braid, xs = sx_decompose(w)
         assert len(braid) == 5150
         assert self.timed(w, braid * xs)
+
+
+# --- braid equality in one pass over u^-1 v ---------------------------------
+
+
+def assert_eq_agrees(u: RWord, v: RWord) -> bool:
+    """``morphism_eq`` against the image scan and against ``cmp_L``; returns the answer."""
+    answer = morphism_eq(u, v)
+    assert answer == images_eq(u, v) == (cmp_L(u, v) is Cmp.EQUAL)
+    return answer
+
+
+class TestBraidEqualityByQuotient:
+    """``morphism_eq`` on two braid words is ``not _quotient_coords(u, v)``.
+
+    Random pairs, pairs equal by (6)/(7) and pairs with inserted cancelling
+    letters are checked against the image scan and ``cmp_L``; pairs with an
+    x letter on either side keep the general path and are checked too.
+    """
+
+    @given(cancelling_braids(), cancelling_braids())
+    def test_random_pairs(self, u, v):
+        assert_eq_agrees(u, v)
+
+    @given(braids, st.randoms(use_true_random=False))
+    def test_pairs_equal_by_relations_6_and_7(self, u, rnd):
+        v = _related(u, rnd)  # a braid word matches only rows (6) and (7)
+        assert v.is_braid() and assert_eq_agrees(u, v)
+
+    @given(braids, st.randoms(use_true_random=False), st.integers(1, 4))
+    def test_pairs_with_inserted_cancelling_letters(self, u, rnd, count):
+        v = with_cancelling_pairs(_related(u, rnd), rnd, count)
+        assert assert_eq_agrees(u, v) and assert_eq_agrees(v, u)
+
+    @given(braids, braids, st.randoms(use_true_random=False))
+    def test_shared_prefix_cancels_in_the_quotient(self, p, u, rnd):
+        v = with_cancelling_pairs(u, rnd, 1)
+        assert assert_eq_agrees(p * u, p * v)
+        x1 = RWord([x(1)])
+        assert assert_eq_agrees(p * u * x1, p * v * x1) and assert_eq_agrees(x1 * u, x1 * v)
+
+    @given(braids, r_words, st.randoms(use_true_random=False))
+    def test_mixed_pairs_keep_the_general_path(self, u, w, rnd):
+        assert morphism_eq(u, w) == images_eq(u, w) and morphism_eq(w, u) == images_eq(w, u)
+        v = with_cancelling_pairs(_related(w, rnd), rnd, 2)
+        assert morphism_eq(w, v) and images_eq(w, v)
+
+    def test_one_coordinate_pass_for_braids_only(self, monkeypatch):
+        calls = []
+        quotient, general = representation._quotient_coords, representation._coords
+        monkeypatch.setattr(representation, "_quotient_coords",
+                            lambda u, v: calls.append("quotient") or quotient(u, v))
+        monkeypatch.setattr(representation, "_coords",
+                            lambda codes, xs: calls.append("coords") or general(codes, xs))
+        assert morphism_eq(parse_rword("s1 s2 s1"), parse_rword("s2 s1 s2"))
+        assert calls == ["quotient", "coords"]
+        calls.clear()
+        assert not morphism_eq(parse_rword("s1 x2"), parse_rword("x2 s1"))
+        assert calls == ["coords", "coords"]
+
+    def test_braid_words_act_as_one_run(self, monkeypatch):
+        # With no x letter, ``_coords`` neither groups the codes nor calls
+        # ``_act`` more than once.
+        runs = []
+        act = representation._act
+        monkeypatch.setattr(representation, "groupby", None)
+        monkeypatch.setattr(representation, "_act", lambda coords, codes: runs.append(1) or act(coords, codes))
+        u = parse_rword("s1 s2 s2 s3^-1 s4 s4^-1 s1")
+        assert _coords(u.codes, 0) == reference_coords(u)
+        assert runs == [1]

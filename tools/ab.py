@@ -19,8 +19,9 @@ the quartiles over the passes, its wins (passes in which it was faster) and
 query for each query kind (on envelope_orbit for each kind and table, as
 "orbit_yes C5") and ``tail_us``, the median over the passes of its latency
 at the workload's tail percentile, ``TAIL_PERCENTILE`` of ``bench/run.py``,
-in microseconds; the percentile itself; and the median over the passes of
-B's throughput over A's.
+in microseconds; the percentile itself; the median over the passes of
+B's throughput over A's; and ``ratio_by_kind``, for each query kind B's
+``us_per_query`` over A's, which shows the kinds a change moved.
 """
 
 from __future__ import annotations
@@ -120,6 +121,8 @@ def main(argv: list[str]) -> int:
             tails[side].append(tail_us)
     wins_b = sum(b > a for a, b in zip(*rates))
     wins_a = sum(a > b for a, b in zip(*rates))
+    side_a = summary(trees[0], rates[0], costs[0], tails[0], wins_a)
+    side_b = summary(trees[1], rates[1], costs[1], tails[1], wins_b)
     print(json.dumps({
         "workload": args.workload,
         "seed": args.seed,
@@ -127,9 +130,11 @@ def main(argv: list[str]) -> int:
         "passes": args.passes,
         "queries": len(queries),
         "tail_percentile": tail,
-        "a": summary(trees[0], rates[0], costs[0], tails[0], wins_a),
-        "b": summary(trees[1], rates[1], costs[1], tails[1], wins_b),
+        "a": side_a,
+        "b": side_b,
         "ratio_b_over_a": statistics.median(b / a for a, b in zip(*rates)),
+        "ratio_by_kind": {kind: side_b["us_per_query"][kind] / us
+                          for kind, us in side_a["us_per_query"].items()},
     }))
     return 0
 
