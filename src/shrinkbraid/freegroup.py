@@ -59,8 +59,7 @@ single global flip; flipping it exchanges these facts wholesale.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import compress, count
-from operator import add, attrgetter
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -246,20 +245,17 @@ def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """The product of two reduced int tuples: cancellation can only happen at the seam.
 
     When the seam letters do not cancel, which is about half of the products
-    of a coloring, the product is ``a + b`` at once.  Otherwise the seam
-    length is the first i with a[-1 - i] != -b[i].  A short seam is walked
-    letter by letter; from 16 letters on, the first nonzero a[-1 - i] + b[i]
-    is found by a C-level scan of the pairwise sums, which costs more to set
-    up than a short walk and far less than a long one.
+    of a coloring, the product is ``a + b`` at once.  Otherwise the seam is
+    walked letter by letter, a from its end and b from its start together:
+    its length is the number of pairs before the first with a nonzero sum.
     """
     if not a or not b or a[-1] != -b[0]:
         return a + b
-    i, n = 1, min(len(a), len(b))
-    while i < n and a[-1 - i] == -b[i]:
-        i += 1
-        if i == 16:
-            i = next(compress(count(), map(add, reversed(a), b)), n)
+    i = 0
+    for x, y in zip(reversed(a), b):
+        if x + y:
             break
+        i += 1
     return a[: len(a) - i] + b[i:]
 
 

@@ -412,8 +412,8 @@ def seam_pairs(draw) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Reduced int tuples (a, b) where b starts with the inverse of a's last k letters.
 
     k is drawn from 0 to len(a) and b goes on with a reduced tail, so the
-    seam is empty, short, longer than the 16 letters at which ``_mul`` starts
-    to scan, or the whole of a; an empty tail makes it the whole of b.
+    seam is empty, short, tens of letters long, or the whole of a; an empty
+    tail makes it the whole of b.
     """
     a = draw(reduced_ints)
     k = draw(st.integers(0, len(a)))

@@ -143,7 +143,7 @@ class TestTupleKernels:
         assert _mul(u.ints, inverse) == () and _mul(inverse, u.ints) == ()
 
 
-LONG = tuple(range(1, 21))  # 20 letters, a seam past the walk's 16
+LONG = tuple(range(1, 21))  # 20 letters, for long seams
 
 
 class TestSeamProduct:
@@ -171,9 +171,9 @@ class TestSeamProduct:
         ((2,), (), (2,)),
         ((1, 2), (3,), (1, 2, 3)),  # no cancellation: returned at once
         ((1, 2), (-2, 3), (1, 3)),  # one letter
-        (LONG, _inv(LONG[2:]) + (9,), (1, 2, 9)),  # 18 letters, found by the scan
+        (LONG, _inv(LONG[2:]) + (9,), (1, 2, 9)),  # 18 letters
         (LONG, _inv(LONG), ()),  # both sides cancel
-        (LONG[:17], _inv(LONG[:17]) + (9,), (9,)),  # all of a, past the walk
+        (LONG[:17], _inv(LONG[:17]) + (9,), (9,)),  # all of a
         (LONG, _inv(LONG[3:]), (1, 2, 3)),  # all of b
     ])
     def test_fixed_seams(self, a, b, expected):
