@@ -24,9 +24,42 @@ and there is one color per strand left.  ``ColoredMorphism.apply``, and so
 ``compose_colored``, folds ``_mul`` the same way.  Colors share the
 free-group image budgets of ``representation``: once a letter makes a color
 longer than ``MAX_IMAGE_LETTERS``, or the colors built so far, each counted
-in full, add up to more than ``MAX_SCAN_LETTERS``, ``color`` raises
-``representation.ImageBudgetError``.  Cancelling letters keep every color
-short while the work goes on, so only the total bounds the time.
+in full, add up to more than ``MAX_SCAN_LETTERS``, ``color`` raises the
+``representation.ImageBudgetError`` that ``representation._over_budget``
+builds, after the one test of both budgets that ``_imaged`` makes too.
+Cancelling letters keep every color short while the work goes on, so only
+the total bounds the time.
+
+The representation is the oracle of ``color``.  Let flip(w) be w with
+every braid letter inverted and the x letters kept, write t_j for the
+j-th generator of the colors, and let P_k be apply_word(flip(w), e_k)
+with each e_j rewritten as t_1 ... t_j, and P_0 = 1.  Then the k-th
+color of color(w, n) is P_{k-1}^-1 P_k.  Proof: follow the prefix
+products P_k = c_1 ... c_k of the colors c_1, c_2, ... as the letters are
+read, left to right.  At the start c_j = t_j, so P_j is the rewrite of
+e_j.  With (g, h) the colors at i, i + 1:
+
+- s_i gives (g h g^-1, g), so P_i becomes P_{i-1} g h g^-1, which is
+  P_{i+1} P_i^-1 P_{i-1}, and every other P_j stays: the substitution
+  e_i -> e_{i+1} e_i^-1 e_{i-1}, the image of e_i under s_i^-1;
+- s_i^-1 gives (h, h^-1 g h), so P_i becomes P_{i-1} h, which is
+  P_{i-1} P_i^-1 P_{i+1}, the image of e_i under s_i;
+- x_i merges g and h into g h, so P_j becomes P_{j+1} for j >= i, the
+  image of e_j under x_i.
+
+So the prefix products after a letter a are those before it composed
+with the endomorphism of flip(a): after the letters a_1 ... a_r, P_j is
+the rewrite of flip(a_1)( ... flip(a_r)(e_j) ... ), which is
+apply_word(flip(w), e_j), rightmost letter first.  A letter at strands
+i, i + 1 reads only P_{i-1}, P_i and P_{i+1}, all within the strands at
+its height, so no e_j past the n top strands is ever read.  The flip is
+``freegroup.psi``'s conjugation, psi s_i psi = s_i^-1 and
+psi x_i psi = x_i on F_oo, so words equal in R
+(``representation.morphism_eq``) have equal flips, hence equal colors
+whenever both color on n strands: that is the color clause of criterion 1
+of ``tests/test_acceptance.py``.  The tests check ``color`` against this
+identity through ``apply_word``; ``color`` keeps its own kernel, which is
+faster than rewriting images.
 """
 
 from __future__ import annotations
@@ -110,11 +143,9 @@ def color(w: RWord, n_top: int) -> ColoredMorphism:
             colors[i - 1] = right
             colors[i] = grown = _mul(_mul(_inv(right), left), right)
         size = len(grown)
-        if size > budget:
-            raise representation.ImageBudgetError(f"color of {size} letters exceeds the budget of {budget}")
         room -= size
-        if room < 0:
-            raise representation._total_budget_error()
+        if size > budget or room < 0:
+            raise representation._over_budget(size, "color")
     morphism = object.__new__(ColoredMorphism)  # raw: every color is a word in e_1..e_{n_top}
     _Frozen.__init__(morphism, len(colors), n_top, tuple([_word(c) for c in colors]))
     return morphism

@@ -135,7 +135,9 @@ class LDTable:
 
     Every table entry must be an ``int`` in 1..size (``True`` counts as 1):
     the constructor refuses any other, a float such as 2.0 included, with a
-    ``ValueError`` naming it, so no query meets a non-integer entry.
+    ``ValueError`` naming it.  Every entry of a sequence that a method
+    takes is held to the same rule (``check_element``), so no query meets
+    a non-integer entry.
     """
 
     __slots__ = (
@@ -191,14 +193,14 @@ class LDTable:
         return range(1, self.size + 1)
 
     def check_element(self, a: int) -> int:
-        """``a``, if it is one of the elements 1..size; else ValueError naming it.
+        """``a``, if it is an ``int`` among the elements 1..size; else ValueError naming it.
 
-        Membership is in the set of elements, so a non-integer entry such as
-        1.5 or NaN is refused here and not by a failed index later; ``True``
-        equals 1 and passes.
+        Membership in the set of elements refuses 1.5 or NaN, and the type
+        test refuses 1.0 or ``Fraction(1)``, which equal 1, so no query meets
+        a non-integer entry; ``True`` counts as 1, as in the constructor.
         """
-        if a not in self._elements:
-            raise ValueError(f"element {a} outside 1..{self.size}")
+        if a not in self._elements or not isinstance(a, int):
+            raise ValueError(f"element {a!r} outside 1..{self.size}")
         return a
 
     # -- sequences ----------------------------------------------------------
@@ -422,11 +424,17 @@ class LDTable:
         return translation
 
     def _check_seq(self, s: EnvElement) -> None:
-        """ValueError unless s is nonempty and every entry an element; the
-        entries are read one by one only to name the first that is not."""
+        """ValueError unless s is nonempty and every entry is an element, as
+        ``check_element`` reads it.
+
+        Two C-level tests decide: the set of elements holds every entry, and
+        their sum is an ``int``, which a sum of ints is and a sum with a
+        float or a ``Fraction`` in it is not.  The entries are read one by
+        one only to name the first that fails.
+        """
         if not s:
             raise ValueError("envelope sequences are nonempty")
-        if not self._elements.issuperset(s):
+        if not self._elements.issuperset(s) or type(sum(s)) is not int:
             for a in s:
                 self.check_element(a)
 

@@ -17,7 +17,14 @@ Conventions:
   of ``ldops``.  ``_mul`` (cancellation at the seam only) and ``_inv`` are
   the tuple kernels of ``fmul`` and ``finv``, which wrap their result with
   ``_word``; ``coloring`` calls the kernels directly, so its colors stay
-  bare tuples until the word is read.
+  bare tuples until the word is read, and ``words.braid_inverse`` is
+  ``_inv`` on a braid's codes.  ``_shifted`` raises every index by k and
+  ``_inverse_shifted`` does so to the inverse in the same pass: they are
+  ``FWord.shift``, the shift of each braid run in the Dynnikov feed of
+  ``representation`` and the sh^k of the ``ldops`` kernels.  These five
+  are the kernels on signed-int words, and no other module defines one;
+  they read ints only, so ``words.shift``, the one shift that meets x
+  codes, keeps its own comprehension.
 - ``DomainError`` is the base of the typed errors for input that parses but
   lies outside an operation's domain; the command line maps it, and only
   it, to exit code 2.  ``BudgetError``, one of them, is the base of the
@@ -184,7 +191,8 @@ class FWord(_Frozen):
     ``FWord(letters)`` is ``reduce(letters)``: it drops index-0 letters,
     rejects a negative index or a sign other than +1 or -1, and cancels.
     Equality and hashing are those of ``ints``; a word pickles through
-    ``_word`` and reprs as its text.
+    ``_word`` and reprs as its text; its truth value is its length's, so
+    only the identity is false.
     """
 
     __slots__ = ("ints",)
@@ -213,9 +221,6 @@ class FWord(_Frozen):
     def __len__(self) -> int:
         return len(self.ints)
 
-    def __bool__(self) -> bool:
-        return bool(self.ints)
-
     def __repr__(self) -> str:
         return f"FWord({str(self)!r})"
 
@@ -235,7 +240,7 @@ class FWord(_Frozen):
         """Raise every letter index by k (k >= 0); preserves reducedness."""
         if k < 0:
             raise ValueError("shift amount must be nonnegative")
-        return _word(tuple([g + k if g > 0 else g - k for g in self.ints]))
+        return _word(tuple(_shifted(self.ints, k)))
 
 
 _set_ints = FWord.ints.__set__
@@ -262,6 +267,16 @@ def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 def _inv(a: tuple[int, ...]) -> tuple[int, ...]:
     """The inverse of a reduced int tuple, which is reduced too."""
     return tuple([-g for g in reversed(a)])
+
+
+def _shifted(ints: Iterable[int], k: int) -> list[int]:
+    """Every index of the signed ints raised by k, signs kept, as a new list."""
+    return [g + k if g > 0 else g - k for g in ints]
+
+
+def _inverse_shifted(ints: Sequence[int], k: int) -> list[int]:
+    """``_shifted(_inv(ints), k)`` in one pass: reversed, signs flipped, indices raised by k."""
+    return [-g - k if g > 0 else k - g for g in reversed(ints)]
 
 
 def fmul(u: FWord, v: FWord) -> FWord:

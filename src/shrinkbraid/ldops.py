@@ -65,9 +65,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .freegroup import BudgetError, Cmp, ParseError, _Frozen, _offset, _reduced
+from .freegroup import BudgetError, Cmp, ParseError, _Frozen, _inverse_shifted, _offset, _reduced, _shifted
 from .representation import cmp_L
-from .words import RWord, XLetterPresentError, _inverse_shifted, _rword, _shifted, shift
+from .words import RWord, XLetterPresentError, _rword, shift
 
 
 def _require_braid(w: RWord, what: str) -> None:

@@ -155,7 +155,7 @@ from itertools import chain, groupby
 from operator import neg
 from typing import Iterable
 
-from .freegroup import BudgetError, Cmp, FWord, _reduced, _word, curve_cmp
+from .freegroup import BudgetError, Cmp, FWord, _reduced, _shifted, _word, curve_cmp
 from .words import Code, Generator, RWord, XLetterPresentError, _code
 
 
@@ -196,13 +196,14 @@ MAX_IMAGE_LETTERS = 1 << 20
 # The letters that one ``apply_word``, one whole ``_images_cmp`` scan or one
 # ``coloring.color`` may build, every intermediate image or color counted in
 # full: the budget above bounds memory, this one the work, about a second of
-# it.  The test suite and the CLI corpus image at most 3,686,500 letters in
-# one scan: the circled depth-6 left-nested term, which the per-image budget
-# stops.  A coloring's colors can grow and cancel again letter after letter,
-# so only this budget bounds its time.  No coloring of the test suite, the
-# CLI corpus or the benchmark's color queries that answers builds more than
-# 31,488 letters in all, and the 18-pair word that the per-color budget
-# stops builds 2,692,534.
+# it.  Each loop tests both budgets in one line, and ``_over_budget`` alone
+# words the error.  The test suite and the CLI corpus image at most 3,686,500
+# letters in one scan: the circled depth-6 left-nested term, which the
+# per-image budget stops.  A coloring's colors can grow and cancel again
+# letter after letter, so only this budget bounds its time.  No coloring of
+# the test suite, the CLI corpus or the benchmark's color queries that
+# answers builds more than 31,488 letters in all, and the 18-pair word that
+# the per-color budget stops builds 2,692,534.
 MAX_SCAN_LETTERS = 1 << 25
 
 
@@ -211,8 +212,17 @@ class ImageBudgetError(BudgetError):
     or coloring built more than ``MAX_SCAN_LETTERS`` letters."""
 
 
-def _total_budget_error() -> ImageBudgetError:
-    """The error for work past ``MAX_SCAN_LETTERS``, in ``_imaged`` and ``coloring.color``."""
+def _over_budget(size: int, what: str) -> ImageBudgetError:
+    """The error once a ``what`` of ``size`` letters broke one of the two budgets.
+
+    ``_imaged`` (images) and ``coloring.color`` (colors) take each word's
+    size off what is left of ``MAX_SCAN_LETTERS``, then make one test,
+    ``size > MAX_IMAGE_LETTERS or left < 0``, and raise this.  A word past
+    ``MAX_IMAGE_LETTERS`` is named; otherwise the letters built in all
+    passed ``MAX_SCAN_LETTERS``.
+    """
+    if size > MAX_IMAGE_LETTERS:
+        return ImageBudgetError(f"{what} of {size} letters exceeds the budget of {MAX_IMAGE_LETTERS}")
     return ImageBudgetError(
         f"free-group images of more than {MAX_SCAN_LETTERS} letters in all exceed the budget"
     )
@@ -222,20 +232,17 @@ def _imaged(codes: tuple[Code, ...], ints: tuple[int, ...], left: int) -> tuple[
     """The image of ``ints`` under the word with these codes, rightmost letter
     first, and ``left`` less the letters of every image built on the way.
 
-    Raises ``ImageBudgetError`` as soon as an image has more than
-    ``MAX_IMAGE_LETTERS`` letters or ``left`` falls below 0.
+    Raises ``ImageBudgetError``, through ``_over_budget``, as soon as an
+    image has more than ``MAX_IMAGE_LETTERS`` letters or ``left`` falls
+    below 0; one test after each image checks both.
     """
     budget = MAX_IMAGE_LETTERS
     for c in reversed(codes):
         ints = _image(c, ints)
         size = len(ints)
-        if size > budget:
-            raise ImageBudgetError(
-                f"free-group image of {size} letters exceeds the budget of {budget}"
-            )
         left -= size
-        if left < 0:
-            raise _total_budget_error()
+        if size > budget or left < 0:
+            raise _over_budget(size, "free-group image")
     return ints, left
 
 
@@ -281,7 +288,7 @@ def _coords(codes: tuple[Code, ...], xs: int) -> dict[int, tuple[int, int]]:
     runs = groupby(reversed(codes), type) if xs else [(int, reversed(codes))]
     for kind, run in runs:
         if kind is int:
-            _act(coords, _reduced([g + xs if g > 0 else g - xs for g in run] if xs else run))
+            _act(coords, _reduced(_shifted(run, xs) if xs else run))
             continue
         for (i,) in run:
             xs -= 1

@@ -38,9 +38,12 @@ Storage.  An ``RWord`` holds one tuple of letter codes, ``codes``, and its
 number of x letters, ``xs``, both fixed at construction, so ``is_braid``
 and ``x_count`` read a stored int.  The codes are s_i = i, s_i^-1 = -i and
 x_i = (i,) (see ``Code`` below); a braid word's codes are the signed ints
-that ``freegroup._reduced``, ``representation._act`` and the kernels of
-``ldops`` read directly, and ``representation.apply_word`` maps every code
-to its free-group image.  Every operation here, ``_RELATIONS`` included,
+that the signed-int kernels of ``freegroup`` (``_reduced``, ``_inv``,
+``_shifted``, ``_inverse_shifted``), ``representation._act`` and the
+kernels of ``ldops`` read directly, and ``representation.apply_word`` maps
+every code to its free-group image.  So ``braid_inverse`` is ``_inv`` on
+the codes and ``free_cancel`` is ``_reduced`` on each braid run; ``shift``
+is the one operation that shifts x codes too.  Every operation here, ``_RELATIONS`` included,
 reads and writes codes: ``parse_rword`` reads text straight to codes, and
 ``_text`` spells a code back for ``str`` and error messages.
 ``Generator``, ``Kind``, ``sigma``, ``sigma_inv``, ``x`` and
@@ -56,7 +59,7 @@ from functools import lru_cache
 from itertools import chain, groupby
 from typing import Callable, Iterable, Literal, NamedTuple, Optional, Union
 
-from .freegroup import BudgetError, DomainError, ParseError, _Frozen, _raise_first, _read_token, _reduced
+from .freegroup import BudgetError, DomainError, ParseError, _Frozen, _inv, _raise_first, _read_token, _reduced
 
 
 class Kind(Enum):
@@ -128,7 +131,7 @@ class RWord(_Frozen):
     A ``_Frozen`` value on one tuple of letter codes, ``codes``, and its
     number of x letters, ``xs``, which the codes determine, so equality and
     hashing are those of the codes.  A word pickles through ``_rword`` and
-    reprs as its text.
+    reprs as its text; its truth value is its length's, so only e is false.
     """
 
     __slots__ = ("codes", "xs")
@@ -156,9 +159,6 @@ class RWord(_Frozen):
     def __len__(self) -> int:
         return len(self.codes)
 
-    def __bool__(self) -> bool:
-        return bool(self.codes)
-
     def __mul__(self, other: "RWord") -> "RWord":
         return _rword(self.codes + other.codes, self.xs + other.xs)
 
@@ -181,28 +181,22 @@ class RWord(_Frozen):
 _set_codes, _set_xs = RWord.codes.__set__, RWord.xs.__set__
 
 
-def _shifted(codes: Iterable[Code], k: int) -> list[Code]:
-    """sh^k on codes, as a new list: every index raised by k, signs and kinds kept."""
-    return [(c[0] + k,) if type(c) is tuple else c + k if c > 0 else c - k for c in codes]
-
-
-def _inverse_shifted(codes: tuple[int, ...], k: int) -> list[int]:
-    """sh^k of a braid's inverse, as a new list: reversed, signs flipped, indices raised by k."""
-    return [-c - k if c > 0 else k - c for c in reversed(codes)]
-
-
 def shift(w: RWord, k: int) -> RWord:
-    """The shift map sh^k: every letter index is raised by k, kinds kept."""
+    """The shift map sh^k: every letter index is raised by k, kinds kept.
+
+    The one shift that meets x codes; braid codes alone shift through
+    ``freegroup._shifted``.
+    """
     if k < 0:
         raise ValueError("shift amount must be nonnegative")
-    return _rword(tuple(_shifted(w.codes, k)), w.xs)
+    return _rword(tuple([(c[0] + k,) if type(c) is tuple else c + k if c > 0 else c - k for c in w.codes]), w.xs)
 
 
 def braid_inverse(w: RWord) -> RWord:
     """Group inverse in B_oo: reverse and swap s_i <-> s_i^-1."""
     if w.xs:
         raise XLetterPresentError("x letters are not invertible in R")
-    return _rword(tuple(_inverse_shifted(w.codes, 0)), 0)
+    return _rword(_inv(w.codes), 0)
 
 
 def free_cancel(w: RWord) -> RWord:

@@ -10,8 +10,9 @@ from hypothesis import settings, strategies as st
 
 import shrinkbraid
 from shrinkbraid import Cmp, Generator, Kind, RWord, XLetterPresentError, sigma, sigma_inv, x
-from shrinkbraid.freegroup import FLetter, FWord, _reduced, reduce
+from shrinkbraid.freegroup import FLetter, FWord, _reduced, finv, fmul, reduce
 from shrinkbraid.ldops import LEAF, LDTerm, TermParseError, _term, circ, dot
+from shrinkbraid.representation import apply_word
 from shrinkbraid.words import _rewrite, _rword
 from shrinkbraid.xmonoid import XWord, s_of
 
@@ -429,6 +430,31 @@ def with_cancelling_pairs(w: RWord, rnd: random.Random, count: int, max_index: i
         p = rnd.randrange(len(codes) + 1)
         codes[p:p] = [g, -g]
     return _rword(tuple(codes), w.xs)
+
+
+# --- colors through the representation ------------------------------------
+#
+# The identity of the ``coloring`` docstring, written with ``apply_word`` and
+# the public free-group operations only: the oracle of ``color``.
+
+
+def color_by_representation(w: RWord, n_top: int) -> tuple[FWord, ...]:
+    """The colors of ``color(w, n_top)``, read off the free-group action.
+
+    flip(w) inverts every braid letter and keeps the x letters.  P_k is
+    apply_word(flip(w), e_k) with each e_j rewritten as t_1 ... t_j, where
+    t_j is the colors' generator e_j, and P_0 = 1; the k-th color is
+    P_{k-1}^-1 P_k, for each strand k left at the bottom.
+    """
+    flipped = _rword(tuple([c if type(c) is tuple else -c for c in w.codes]), w.xs)
+    prefixes = [FWord()]
+    for k in range(1, n_top - w.x_count() + 1):
+        t_letters = []
+        for index, sign in apply_word(flipped, FWord.generator(k)).letters:
+            run = [FLetter(t, sign) for t in range(1, index + 1)]
+            t_letters += run if sign > 0 else run[::-1]
+        prefixes.append(reduce(t_letters))
+    return tuple(fmul(finv(p), q) for p, q in zip(prefixes, prefixes[1:]))
 
 
 # --- source guards -----------------------------------------------------------

@@ -20,7 +20,7 @@ from shrinkbraid import (
 from shrinkbraid.freegroup import FWord, finv, fmul, parse_fword
 from shrinkbraid.words import Kind
 
-from conftest import random_braid
+from conftest import color_by_representation, random_braid
 
 
 def fw(text: str) -> FWord:
@@ -80,6 +80,20 @@ class TestAgainstReference:
         for _ in range(20):
             b = random_braid(rng, max_len=24, max_index=4)
             assert color(b, 5) == reference_color(b, 5)
+
+
+class TestAgainstRepresentation:
+    """``color`` against ``apply_word``, through the identity of the ``coloring`` docstring."""
+
+    @given(multi_braids())
+    def test_colors_are_quotients_of_flipped_images(self, case):
+        w, n_top = case
+        assert color(w, n_top).images == color_by_representation(w, n_top)
+
+    def test_the_flip_is_needed(self):
+        w = parse_rword("s1 s2 s1^-1 s2")
+        assert color(w, 3).images == color_by_representation(w, 3)
+        assert color(w, 3).images != color_by_representation(parse_rword("s1^-1 s2^-1 s1 s2^-1"), 3)
 
 
 class TestRawMorphism:

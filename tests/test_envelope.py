@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import defaultdict
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -170,6 +171,33 @@ class TestEnvelopeOps:
             t.env_dot((1, 1.5, 0, 7), (1,))
         with pytest.raises(ValueError, match="^element 0 outside 1..3$"):
             t.orbit((2, 0, 1.5))
+
+    @pytest.mark.parametrize("entry, named", [(1.0, "1.0"), (Fraction(1), "Fraction(1, 1)")])
+    def test_numbers_equal_to_an_element_are_refused(self, entry, named):
+        # 1.0 and Fraction(1) equal 1 and hash as 1, so only the type test stops them.
+        t = cyclic_table(3)
+        calls = [
+            lambda: t.orbit_eq((entry, 2), (1, 2)),
+            lambda: t.orbit_eq((1, 2), (1, entry)),
+            lambda: t.orbit_eq((entry,), (1,)),
+            lambda: t.env_dot((entry,), (1,)),
+            lambda: t.env_dot((1,), (2, entry)),
+            lambda: t.env_circ((entry,), (1,)),
+            lambda: t.env_circ((1,), (entry,)),
+            lambda: t.orbit((entry, 1)),
+            lambda: t.sigma_action(1, (1, entry)),
+            lambda: t.check_element(entry),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == f"element {named} outside 1..3"
+
+    def test_true_passes_every_sequence_method(self):
+        t = cyclic_table(3)
+        assert t.env_circ((True,), (2,)) == (True, 2)
+        assert t.sigma_action(1, (True, 2)) == t.sigma_action(1, (1, 2))
+        assert t.orbit_eq((True, True), (1, 1)) is OrbitResult.YES
 
     def test_true_is_still_the_element_1(self):
         t = cyclic_table(3)

@@ -104,6 +104,13 @@ class TestGroupOps:
         u, v = reduce(a), reduce(b)
         assert psi(fmul(u, v)) == fmul(psi(u), psi(v))
 
+    @given(letters, letters)
+    def test_operator_and_method_are_fmul_and_finv(self, a, b):
+        u, v = reduce(a), reduce(b)
+        assert u * v == fmul(u, v)
+        assert u.inverse() == finv(u)
+        assert type(u * v) is FWord and type(u.inverse()) is FWord
+
 
 class TestIntKernel:
     """``fmul`` and ``finv`` on signed ints against the FLetter reference code."""
@@ -227,6 +234,17 @@ class TestStorage:
     def test_letters_are_fletters(self):
         assert fw("e2 e1^-1").letters == (FLetter(2, 1), FLetter(1, -1))
         assert fw("e2 e1^-1").ints == (2, -1)
+
+    def test_fletter_spells_its_letter(self):
+        assert str(FLetter(3, 1)) == "e3"
+        assert str(FLetter(12, -1)) == "e12^-1"
+        assert " ".join(map(str, fw("e2 e1^-1 e7").letters)) == str(fw("e2 e1^-1 e7"))
+
+    @given(letters)
+    def test_truth_is_nonemptiness(self, lets):
+        u = reduce(lets)
+        assert bool(u) is (len(u) > 0) is (u != FWord.identity())
+        assert "__bool__" not in vars(FWord)
 
     @pytest.mark.parametrize("sign", [0, 2, -2])
     def test_reduce_rejects_bad_sign(self, sign):

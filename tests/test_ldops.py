@@ -682,6 +682,15 @@ class TestTermGrammar:
         with pytest.raises(TermParseError):
             parse_term(bad)
 
+    @pytest.mark.parametrize("text, token", [("(j . j j)", "j"), ("(j o j . j)", ".")])
+    def test_expected_close_before_the_end(self, text, token):
+        with pytest.raises(TermParseError) as info:
+            parse_term(text)
+        assert (str(info.value), info.value.offset, info.value.token) == (
+            f"expected ')' (offset 7, token {token!r})", 7, token
+        )
+        assert parse_outcome(parse_term, text) == parse_outcome(recursive_parse_term, text)
+
     def test_error_offset_counts_tabs_and_newlines(self):
         with pytest.raises(TermParseError) as info:
             parse_term("(j\t.\n\t(j o\r\n k))")

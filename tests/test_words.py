@@ -358,6 +358,13 @@ class TestDerivedQuantities:
         assert word.x_count() == sum(1 for kind, _ in spec if kind == "x")
         assert word.is_braid() == all(kind != "x" for kind, _ in spec)
 
+    @given(st.lists(st.tuples(st.sampled_from("sSx"), st.integers(1, 9)), max_size=4))
+    def test_truth_is_nonemptiness(self, spec):
+        word = RWord({"s": sigma, "S": sigma_inv, "x": x}[kind](i) for kind, i in spec)
+        assert bool(word) is bool(spec) is (word != RWord.identity())
+        assert not RWord.identity() and not parse_rword("") and parse_rword("x1")
+        assert "__bool__" not in vars(RWord)
+
 
 # Words of s, s^-1 and x letters over indices 1-6, and braid words with
 # adjacent cancelling pairs, so that cancellation has work to do.
