@@ -28,10 +28,7 @@ in full, add up to more than ``MAX_SCAN_LETTERS``, ``color`` raises the
 ``representation.ImageBudgetError`` that ``representation._over_budget``
 builds, after the one test of both budgets that ``_imaged`` makes too.
 Cancelling letters keep every color short while the work goes on, so only
-the total bounds the time.  A braid letter right after its inverse at the
-same strands gives back the two colors that the inverse replaced, so
-``color`` puts those back without a product; the color it gives back
-still counts towards the total, as if it were built again.
+the total bounds the time.
 
 The representation is the oracle of ``color``.  Let flip(w) be w with
 every braid letter inverted and the x letters kept, write t_j for the
@@ -129,7 +126,6 @@ def color(w: RWord, n_top: int) -> ColoredMorphism:
         raise StrandBudgetError(f"{n_top} strands exceed the budget of {MAX_STRANDS}")
     budget, room = representation.MAX_IMAGE_LETTERS, representation.MAX_SCAN_LETTERS
     colors = [(k,) for k in range(1, n_top + 1)]
-    back, before = 0, ()  # the code that undoes the last letter, and the colors that letter replaced
     for c in w.codes:
         i = c[0] if type(c) is tuple else c if c > 0 else -c
         if i >= len(colors):
@@ -137,22 +133,15 @@ def color(w: RWord, n_top: int) -> ColoredMorphism:
                 f"letter {_text(c)} needs strands {i},{i + 1} but only {len(colors)} remain"
             )
         left, right = colors[i - 1], colors[i]
-        if c == back:
-            colors[i - 1 : i + 1] = before
-            grown = before[0] if c > 0 else before[1]
-            back = 0
-        elif type(c) is tuple:
+        if type(c) is tuple:
             grown = _mul(left, right)
             colors[i - 1 : i + 1] = [grown]
-            back = 0
         elif c > 0:
             colors[i - 1] = grown = _mul(_mul(left, right), _inv(left))
             colors[i] = left
-            back, before = -c, (left, right)
         else:
             colors[i - 1] = right
             colors[i] = grown = _mul(_mul(_inv(right), left), right)
-            back, before = -c, (left, right)
         size = len(grown)
         room -= size
         if size > budget or room < 0:

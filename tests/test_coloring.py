@@ -20,7 +20,7 @@ from shrinkbraid import (
 from shrinkbraid.freegroup import FWord, finv, fmul, parse_fword
 from shrinkbraid.words import Kind
 
-from conftest import color_by_representation, random_braid, with_cancelling_pairs
+from conftest import color_by_representation, random_braid
 
 
 def fw(text: str) -> FWord:
@@ -210,27 +210,6 @@ class TestColorBasics:
         assert str(info.value) == (
             f"free-group images of more than {total - 1} letters in all exceed the budget"
         )
-
-
-class TestUndoneLetters:
-    """A braid letter right after its inverse puts back the colors that the inverse replaced."""
-
-    @pytest.mark.parametrize("text, n_top", [
-        ("s1 s1^-1 s1", 2),
-        ("s1^-1 s1 s1 s1^-1", 2),
-        ("s1 s2 s2^-1 s1^-1", 3),
-        ("s1 s1^-1 s1^-1 s1", 3),
-        ("s1 x1 s1^-1", 3),
-        ("s2 s1 s1^-1 x1 s1", 3),
-    ])
-    def test_matches_the_products(self, text, n_top):
-        w = parse_rword(text)
-        assert color(w, n_top) == reference_color(w, n_top)
-
-    def test_inserted_pairs_change_no_color(self, rng):
-        for _ in range(20):
-            b = random_braid(rng, max_len=16, max_index=4)
-            assert color(with_cancelling_pairs(b, rng, 6, max_index=4), 5) == color(b, 5)
 
 
 class TestRecoloringRules:
