@@ -175,10 +175,10 @@ def reduce(letters: Iterable[FLetter]) -> "FWord":
     """Freely reduce a letter sequence; index-0 letters are dropped first."""
     ints = []
     for index, sign in letters:
+        if not isinstance(index, int) or index < 0:
+            raise ValueError(f"letter index must be >= 0, got {index}")
         if index == 0:
             continue
-        if index < 0:
-            raise ValueError(f"letter index must be >= 0, got {index}")
         if sign not in (1, -1):
             raise ValueError(f"letter sign must be +1 or -1, got {sign}")
         ints.append(index * sign)
@@ -189,7 +189,8 @@ class FWord(_Frozen):
     """A freely reduced word over e_1, e_2, ...; a ``_Frozen`` value on ``ints``.
 
     ``FWord(letters)`` is ``reduce(letters)``: it drops index-0 letters,
-    rejects a negative index or a sign other than +1 or -1, and cancels.
+    rejects an index that is negative or not an int, or a sign other than
+    +1 or -1, and cancels.
     Equality and hashing are those of ``ints``; a word pickles through
     ``_word`` and reprs as its text; its truth value is its length's, so
     only the identity is false.

@@ -87,7 +87,7 @@ def x(i: int) -> Generator:
 
 
 def _checked(i: int) -> int:
-    if i < 1:
+    if not isinstance(i, int) or i < 1:
         raise ValueError(f"generator index must be >= 1, got {i}")
     return i
 
@@ -105,7 +105,7 @@ Code = Union[int, tuple[int]]
 
 
 def _code(g: Generator) -> Code:
-    """The code of a letter; an index below 1 raises ValueError, as in ``sigma``."""
+    """The code of a letter; an index that is not an int >= 1 raises ValueError, as in ``sigma``."""
     kind, i = g.kind, _checked(g.index)
     return i if kind is Kind.SIGMA else -i if kind is Kind.SIGMA_INV else (i,)
 
@@ -334,6 +334,8 @@ def apply_relation(
         raise IndexError(f"position {position} outside word of length {len(w)}")
     if not 1 <= rule <= 7:
         raise ValueError(f"rule must be 1..7, got {rule}")
+    if direction not in ("L2R", "R2L"):
+        raise ValueError(f"direction must be 'L2R' or 'R2L', got {direction!r}")
     codes = _rewrite(w.codes, position, rule, direction)
     return None if codes is None else _rword(codes, w.xs)
 

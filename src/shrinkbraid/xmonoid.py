@@ -40,7 +40,7 @@ class XWord(_Frozen):
 
     def __init__(self, indices: tuple[int, ...] = ()):
         indices = tuple(indices)  # an iterator would be used up by the check
-        if any(i < 1 for i in indices):
+        if any(not isinstance(i, int) or i < 1 for i in indices):
             raise ValueError("x indices must be >= 1")
         super().__init__(indices)
 
@@ -183,7 +183,7 @@ def lex_cmp(c: XWord, d: XWord) -> Cmp:
 
 def p_eval(w: XWord, k: int) -> int:
     """Value at k of the composed monotone function p(w), leftmost first."""
-    if k < 1:
+    if not isinstance(k, int) or k < 1:
         raise ValueError("argument must be >= 1")
     for i in w.indices:
         if k > i:
@@ -193,7 +193,7 @@ def p_eval(w: XWord, k: int) -> int:
 
 def sf_eval(w: RWord, k: int) -> int:
     """Value at k of the R' representation: s_i^{+-1} swaps i and i+1."""
-    if k < 1:
+    if not isinstance(k, int) or k < 1:
         raise ValueError("argument must be >= 1")
     for c in w.codes:
         if type(c) is tuple:

@@ -1,14 +1,11 @@
-import ast
 import random
 import re
 import time
 from itertools import chain
-from pathlib import Path
 
 import pytest
 from hypothesis import settings, strategies as st
 
-import shrinkbraid
 from shrinkbraid import Cmp, Generator, Kind, RWord, XLetterPresentError, sigma, sigma_inv, x
 from shrinkbraid.freegroup import FLetter, FWord, _reduced, finv, fmul, reduce
 from shrinkbraid.ldops import LEAF, LDTerm, TermParseError, _term, circ, dot
@@ -455,27 +452,3 @@ def color_by_representation(w: RWord, n_top: int) -> tuple[FWord, ...]:
             t_letters += run if sign > 0 else run[::-1]
         prefixes.append(reduce(t_letters))
     return tuple(fmul(finv(p), q) for p, q in zip(prefixes, prefixes[1:]))
-
-
-# --- source guards -----------------------------------------------------------
-#
-# Tests that read the package's source to check where a fact is used.
-
-SOURCES = sorted(Path(shrinkbraid.__file__).parent.glob("*.py"))
-
-
-def functions_using(tree: ast.AST, is_use) -> set[str]:
-    """The names of the functions whose bodies hold a node ``is_use`` accepts."""
-    return {
-        node.name
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and any(is_use(inner) for inner in ast.walk(node))
-    }
-
-
-def package_functions_using(is_use) -> set[str]:
-    found = set()
-    for path in SOURCES:
-        found |= functions_using(ast.parse(path.read_text(encoding="utf-8")), is_use)
-    return found

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+@cache  # one run per workload, shared by the tests that read it
 def run_ab(workload):
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab.py"), str(ROOT), str(ROOT),

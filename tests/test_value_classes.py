@@ -5,19 +5,17 @@ assignment and deletion, its equality, hashing and pickling, and its repr.
 The kernel words ``FWord``, ``RWord`` and ``LDTerm`` are values on it too;
 they define only ``__reduce__``, because their constructors do not take
 their fields (the kernels build them raw, through ``_word``, ``_rword`` and
-``_term``), and a text repr.  This guard reads the source and fails on any
-other class that defines one of those methods.  The words every public
-entry point returns are checked as values below.
+``_term``), and a text repr.  The ``value-methods`` row of
+``test_homes.HOMES`` keeps every other class from defining one of those
+methods in the source; here the classes are checked as they run, and the
+words every public entry point returns are checked as values.
 """
 
-import ast
 import copy
 import pickle
-from pathlib import Path
 
 import pytest
 
-import shrinkbraid
 from shrinkbraid import (
     BElement, ColoredMorphism, FWord, LDTerm, RWord, XSeq, XWord, apply_word, color, sigma, x,
 )
@@ -25,32 +23,8 @@ from shrinkbraid.freegroup import _Frozen, parse_fword
 from shrinkbraid.ldops import LEAF, dot, eval_term, parse_term
 from shrinkbraid.words import parse_rword, sx_decompose
 
-SOURCES = sorted(Path(shrinkbraid.__file__).parent.glob("*.py"))
 GUARDED = {"__setattr__", "__delattr__", "__eq__", "__hash__", "__reduce__"}
 KERNEL_WORDS = [FWord, RWord, LDTerm]
-
-
-def value_method_classes(tree: ast.AST) -> dict[str, list[str]]:
-    found = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            names = [
-                item.name
-                for item in node.body
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name in GUARDED
-            ]
-            if names:
-                found[node.name] = names
-    return found
-
-
-def test_only_the_base_and_the_kernel_words_define_value_methods():
-    assert SOURCES
-    found = {}
-    for path in SOURCES:
-        found.update(value_method_classes(ast.parse(path.read_text(encoding="utf-8"))))
-    assert set(found.pop("_Frozen")) == GUARDED
-    assert found == {cls.__name__: ["__reduce__"] for cls in KERNEL_WORDS}
 
 
 @pytest.mark.parametrize("cls", [BElement, ColoredMorphism, XWord, XSeq])
@@ -63,30 +37,6 @@ def test_value_classes_take_every_value_method_from_the_base(cls):
 def test_kernel_words_take_all_but_pickling_from_the_base(cls):
     assert issubclass(cls, _Frozen)
     assert GUARDED & set(vars(cls)) == {"__reduce__"}
-
-
-def test_guard_sees_methods_in_any_class():
-    source = """
-class Plain:
-    def __len__(self):
-        return 0
-
-
-class Value(Base):
-    def __eq__(self, other):
-        return True
-
-    def __hash__(self):
-        return 0
-
-    class Inner:
-        def __reduce__(self):
-            return Inner, ()
-"""
-    assert value_method_classes(ast.parse(source)) == {
-        "Value": ["__eq__", "__hash__"],
-        "Inner": ["__reduce__"],
-    }
 
 
 # Each word as the library hands it out, with the parser that builds an
