@@ -65,7 +65,7 @@ faster than rewriting images.
 from __future__ import annotations
 
 from . import representation
-from .freegroup import BudgetError, DomainError, FWord, _Frozen, _inv, _mul, _word
+from .freegroup import BudgetError, DomainError, FWord, _Frozen, _int_at_least, _inv, _mul, _word
 from .words import RWord, _text
 
 
@@ -120,8 +120,7 @@ class ColoredMorphism(_Frozen):
 
 def color(w: RWord, n_top: int) -> ColoredMorphism:
     """Color a multi-braid word starting from n_top strands."""
-    if n_top < 1:
-        raise ValueError("need at least one strand")
+    n_top = _int_at_least(n_top, 1, "need at least one strand")
     if n_top > MAX_STRANDS:
         raise StrandBudgetError(f"{n_top} strands exceed the budget of {MAX_STRANDS}")
     budget, room = representation.MAX_IMAGE_LETTERS, representation.MAX_SCAN_LETTERS

@@ -69,7 +69,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Container, Sequence, Union
 
-from .freegroup import BudgetError, DomainError
+from .freegroup import BudgetError, DomainError, _int_at_least
 EnvElement = tuple[int, ...]
 
 # States ``orbit`` may hold, and ``orbit_eq`` in its two searches together.
@@ -126,18 +126,18 @@ def _check_size(size: int) -> None:
 
 
 def _check_depth(depth: Union[int, None]) -> None:
-    if depth is not None and depth < 0:
-        raise ValueError("depth must be >= 0")
+    if depth is not None:
+        _int_at_least(depth, 0, "depth must be >= 0")
 
 
 class LDTable:
     """A finite left-distributive magma on elements 1..size.
 
-    Every table entry must be an ``int`` in 1..size (``True`` counts as 1):
-    the constructor refuses any other, a float such as 2.0 included, with a
-    ``ValueError`` naming it.  Every entry of a sequence that a method
-    takes is held to the same rule (``check_element``), so no query meets
-    a non-integer entry.
+    Every table entry must be an ``int`` in 1..size (``True`` counts as 1
+    and is stored as 1): the constructor refuses any other, a float such as
+    2.0 included, with a ``ValueError`` naming it.  Every entry of a
+    sequence that a method takes is held to the same rule
+    (``check_element``), so no query meets a non-integer entry.
     """
 
     __slots__ = (
@@ -156,7 +156,7 @@ class LDTable:
             for entry in row:
                 if not (isinstance(entry, int) and 1 <= entry <= self.size):
                     raise ValueError(f"entry {entry!r} outside 1..{self.size}")
-            rows.append(tuple(row))
+            rows.append(tuple(map(int, row)))
         self.table = tuple(rows)
         self._elements = frozenset(self.elements())
         # a.(b.c) = (a.b).(a.c) for every c says L_a o L_b = L_{a.b} o L_a,
@@ -487,8 +487,7 @@ def parse_table(text: str) -> LDTable:
         size = _ascii_int(lines[0])
     except ValueError:
         raise ValueError(f"first line must be the size, got {lines[0]!r}")
-    if size < 1:
-        raise ValueError(f"table size must be at least 1, got {size}")
+    _int_at_least(size, 1, f"table size must be at least 1, got {size}")
     _check_size(size)
     if len(lines) != size + 1:
         raise ValueError(f"expected {size} rows after the size line, got {len(lines) - 1}")

@@ -171,17 +171,31 @@ def _word(ints: tuple[int, ...]) -> "FWord":
     return word
 
 
+def _int_at_least(value: object, least: int, message: str) -> int:
+    """``value`` as a plain int if it is an ``int`` of at least ``least``; else ``ValueError(message)``.
+
+    The library's one test of an integer argument: every letter index,
+    power, strand count, shift, rule number and depth goes through it, and
+    what it returns is what gets stored.  A bool is an int and reads as 0
+    or 1, but comes back as a plain int; a float or ``Fraction`` is refused
+    even when whole.  ``LDTable`` keeps its own entry and element tests,
+    and positions in a word or sequence keep a tuple's ``TypeError``.
+    """
+    if not isinstance(value, int) or value < least:
+        raise ValueError(message)
+    return int(value)
+
+
 def reduce(letters: Iterable[FLetter]) -> "FWord":
     """Freely reduce a letter sequence; index-0 letters are dropped first."""
     ints = []
     for index, sign in letters:
-        if not isinstance(index, int) or index < 0:
-            raise ValueError(f"letter index must be >= 0, got {index}")
+        index = _int_at_least(index, 0, f"letter index must be >= 0, got {index}")
         if index == 0:
             continue
         if sign not in (1, -1):
             raise ValueError(f"letter sign must be +1 or -1, got {sign}")
-        ints.append(index * sign)
+        ints.append(index if sign == 1 else -index)
     return _word(_reduced(ints))
 
 
@@ -239,8 +253,7 @@ class FWord(_Frozen):
 
     def shift(self, k: int = 1) -> "FWord":
         """Raise every letter index by k (k >= 0); preserves reducedness."""
-        if k < 0:
-            raise ValueError("shift amount must be nonnegative")
+        k = _int_at_least(k, 0, "shift amount must be nonnegative")
         return _word(tuple(_shifted(self.ints, k)))
 
 

@@ -65,7 +65,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .freegroup import BudgetError, Cmp, ParseError, _Frozen, _inverse_shifted, _offset, _reduced, _shifted
+from .freegroup import (
+    BudgetError, Cmp, ParseError, _Frozen, _int_at_least, _inverse_shifted, _offset, _reduced, _shifted
+)
 from .representation import cmp_L
 from .words import RWord, XLetterPresentError, _rword, shift
 
@@ -99,9 +101,7 @@ class BElement(_Frozen):
 
     def __init__(self, braid: RWord, n: int):
         _require_braid(braid, "BElement")
-        if n < 1:
-            raise ValueError("power must be >= 1")
-        super().__init__(braid, n)
+        super().__init__(braid, _int_at_least(n, 1, "power must be >= 1"))
 
     def realize(self) -> RWord:
         return _realized(self.braid.codes, self.n)
@@ -392,8 +392,7 @@ def enumerate_terms(max_depth: int) -> list[LDTerm]:
     A pair of operands from depths 0 .. d-1 makes a term of depth exactly d
     when one of them is from depth d-1, the last level listed.
     """
-    if max_depth < 0:
-        raise ValueError("max_depth must be >= 0")
+    _int_at_least(max_depth, 0, "max_depth must be >= 0")
     by_depth: list[list[LDTerm]] = [[LEAF]]
     for _ in range(max_depth):
         shallow = [t for level in by_depth for t in level]

@@ -155,7 +155,7 @@ from itertools import chain, groupby
 from operator import neg
 from typing import Iterable
 
-from .freegroup import BudgetError, Cmp, FWord, _reduced, _shifted, _word, curve_cmp
+from .freegroup import BudgetError, Cmp, FWord, _int_at_least, _reduced, _shifted, _word, curve_cmp
 from .words import Code, Generator, RWord, XLetterPresentError, _code
 
 
@@ -428,6 +428,5 @@ def stabilizes_x_power(g: RWord, m: int) -> bool:
     """
     if not g.is_braid():
         raise XLetterPresentError("stabilizes_x_power needs a braid word")
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _int_at_least(m, 1, "m must be >= 1")
     return all(k <= m for k in _coords(g.codes, 0))

@@ -59,7 +59,9 @@ from functools import lru_cache
 from itertools import chain, groupby
 from typing import Callable, Iterable, Literal, NamedTuple, Optional, Union
 
-from .freegroup import BudgetError, DomainError, ParseError, _Frozen, _inv, _raise_first, _read_token, _reduced
+from .freegroup import (
+    BudgetError, DomainError, ParseError, _Frozen, _int_at_least, _inv, _raise_first, _read_token, _reduced
+)
 
 
 class Kind(Enum):
@@ -87,9 +89,7 @@ def x(i: int) -> Generator:
 
 
 def _checked(i: int) -> int:
-    if not isinstance(i, int) or i < 1:
-        raise ValueError(f"generator index must be >= 1, got {i}")
-    return i
+    return _int_at_least(i, 1, f"generator index must be >= 1, got {i}")
 
 
 class XLetterPresentError(DomainError):
@@ -187,8 +187,7 @@ def shift(w: RWord, k: int) -> RWord:
     The one shift that meets x codes; braid codes alone shift through
     ``freegroup._shifted``.
     """
-    if k < 0:
-        raise ValueError("shift amount must be nonnegative")
+    k = _int_at_least(k, 0, "shift amount must be nonnegative")
     return _rword(tuple([(c[0] + k,) if type(c) is tuple else c + k if c > 0 else c - k for c in w.codes]), w.xs)
 
 
@@ -332,8 +331,9 @@ def apply_relation(
     """
     if position < 0 or position > len(w.codes):
         raise IndexError(f"position {position} outside word of length {len(w)}")
-    if not 1 <= rule <= 7:
-        raise ValueError(f"rule must be 1..7, got {rule}")
+    message = f"rule must be 1..7, got {rule}"
+    if _int_at_least(rule, 1, message) > 7:  # True reads as rule 1
+        raise ValueError(message)
     if direction not in ("L2R", "R2L"):
         raise ValueError(f"direction must be 'L2R' or 'R2L', got {direction!r}")
     codes = _rewrite(w.codes, position, rule, direction)

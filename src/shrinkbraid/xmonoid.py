@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .freegroup import BudgetError, Cmp, _Frozen
+from .freegroup import BudgetError, Cmp, _Frozen, _int_at_least
 from .words import RWord, _rword
 
 
@@ -39,10 +39,7 @@ class XWord(_Frozen):
     __slots__ = ("indices",)
 
     def __init__(self, indices: tuple[int, ...] = ()):
-        indices = tuple(indices)  # an iterator would be used up by the check
-        if any(not isinstance(i, int) or i < 1 for i in indices):
-            raise ValueError("x indices must be >= 1")
-        super().__init__(indices)
+        super().__init__(tuple([_int_at_least(i, 1, "x indices must be >= 1") for i in indices]))
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -99,17 +96,14 @@ class XSeq(_Frozen):
     __slots__ = ("prefix",)
 
     def __init__(self, prefix: tuple[int, ...] = ()):
-        trimmed = list(prefix)  # an iterator would be used up by the check
-        if any(n < 1 for n in trimmed):
-            raise ValueError("sequence entries must be >= 1")
+        trimmed = [_int_at_least(n, 1, "sequence entries must be >= 1") for n in prefix]
         while trimmed and trimmed[-1] == 1:
             trimmed.pop()
         super().__init__(tuple(trimmed))
 
     def entry(self, k: int) -> int:
         """1-based access, k >= 1; entries beyond the prefix equal 1."""
-        if k < 1:
-            raise ValueError("argument must be >= 1")
+        k = _int_at_least(k, 1, "argument must be >= 1")
         return self.prefix[k - 1] if k <= len(self.prefix) else 1
 
     def weight(self) -> int:
@@ -183,8 +177,7 @@ def lex_cmp(c: XWord, d: XWord) -> Cmp:
 
 def p_eval(w: XWord, k: int) -> int:
     """Value at k of the composed monotone function p(w), leftmost first."""
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("argument must be >= 1")
+    k = _int_at_least(k, 1, "argument must be >= 1")
     for i in w.indices:
         if k > i:
             k -= 1
@@ -193,8 +186,7 @@ def p_eval(w: XWord, k: int) -> int:
 
 def sf_eval(w: RWord, k: int) -> int:
     """Value at k of the R' representation: s_i^{+-1} swaps i and i+1."""
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("argument must be >= 1")
+    k = _int_at_least(k, 1, "argument must be >= 1")
     for c in w.codes:
         if type(c) is tuple:
             if k > c[0]:

@@ -72,6 +72,8 @@ HOMES = {
     ),
     # The package's ``__init__`` only re-exports.
     "init": (("top",), None, tuple(module for module in MODULES if module != "__init__"), False),
+    # An integer argument is tested by ``_int_at_least``; table entries and elements by ``LDTable``.
+    "int-args": (("call",), {"isinstance"}, ("freegroup._int_at_least", "envelope.LDTable"), True),
 }
 
 
@@ -148,7 +150,7 @@ from .words import Kind, RWord
 
 
 def _shifted(codes, k):
-    return [c + k for c in codes]
+    return [c + k for c in codes if isinstance(k, int)]
 
 
 _inv = reversed
@@ -203,6 +205,7 @@ SAMPLE_STRAYS = {
     ],
     "value-methods": ["def __eq__ in stray.Table.__eq__"],
     "init": [f"top {kind} in stray" for kind in ("Assign", "ClassDef", "FunctionDef", "Import")],
+    "int-args": ["call isinstance in stray._shifted"],
 }
 
 

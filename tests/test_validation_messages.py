@@ -1,12 +1,20 @@
-"""Argument checks that no other test reaches, each with its exact message."""
+"""Argument checks that no other test reaches, each with its exact message.
+
+Every integer argument goes through ``freegroup._int_at_least``, so a float
+or ``Fraction`` is refused with its site's message, and a bool is stored as
+a plain int.
+"""
+
+from fractions import Fraction
 
 import pytest
 
-from shrinkbraid.envelope import LDTable
-from shrinkbraid.freegroup import FLetter, FWord, reduce
-from shrinkbraid.ldops import enumerate_terms
+from shrinkbraid.coloring import color
+from shrinkbraid.envelope import LDTable, cyclic_table
+from shrinkbraid.freegroup import FLetter, FWord, parse_fword, reduce
+from shrinkbraid.ldops import BElement, enumerate_terms
 from shrinkbraid.representation import stabilizes_x_power
-from shrinkbraid.words import Generator, Kind, RWord, apply_relation, parse_rword, sigma, x
+from shrinkbraid.words import Generator, Kind, RWord, apply_relation, parse_rword, shift, sigma, x
 from shrinkbraid.xmonoid import XSeq, XWord, p_eval, sf_eval
 
 CHECKS = {
@@ -41,6 +49,20 @@ CHECKS = {
         lambda: apply_relation(parse_rword("x1"), 1, 0, "l2r"),
         "direction must be 'L2R' or 'R2L', got 'l2r'",
     ),
+    # Every other integer argument is an int too: a float once built a word or answered.
+    "word shift 0.5": (lambda: shift(parse_rword("s1 x2"), 0.5), "shift amount must be nonnegative"),
+    "free shift 1.5": (lambda: parse_fword("e1").shift(1.5), "shift amount must be nonnegative"),
+    "stabilized power 2.5": (lambda: stabilizes_x_power(parse_rword("s1"), 2.5), "m must be >= 1"),
+    "stabilized power 1.5": (lambda: stabilizes_x_power(parse_rword("s1"), 1.5), "m must be >= 1"),
+    "element power 1.5": (lambda: BElement(RWord(), 1.5), "power must be >= 1"),
+    "element power Fraction(1)": (lambda: BElement(RWord(), Fraction(1)), "power must be >= 1"),
+    "sequence of 1.5": (lambda: XSeq((1.5,)), "sequence entries must be >= 1"),
+    "sequence of 2.0": (lambda: XSeq((2.0,)), "sequence entries must be >= 1"),
+    "sequence entry 1.5": (lambda: XSeq((3, 2)).entry(1.5), "argument must be >= 1"),
+    "color from 2.5 strands": (lambda: color(parse_rword("s1"), 2.5), "need at least one strand"),
+    "terms of depth 1.5": (lambda: enumerate_terms(1.5), "max_depth must be >= 0"),
+    "orbit depth 0.5": (lambda: cyclic_table(9).orbit((1, 2, 3), depth=0.5), "depth must be >= 0"),
+    "rule 1.5": (lambda: apply_relation(parse_rword("s1 x1"), 1.5, 0, "L2R"), "rule must be 1..7, got 1.5"),
 }
 
 
@@ -49,3 +71,26 @@ def test_rejects_with_its_message(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+STORED = {
+    "FWord ints": lambda: reduce([FLetter(True, 1), FLetter(2, -1.0)]).ints,
+    "RWord codes": lambda: RWord([sigma(True), Generator(Kind.SIGMA_INV, True), x(True)]).codes,
+    "XWord indices": lambda: XWord((True, 2)).indices,
+    "XSeq prefix": lambda: XSeq((3, True, 2)).prefix,
+    "BElement power": lambda: (BElement(RWord(), True).n,),
+    "color target rank": lambda: (color(RWord(), True).target_rank,),
+    "LDTable entries": lambda: LDTable([[True]]).table[0],
+}
+
+
+@pytest.mark.parametrize("stored", STORED.values(), ids=STORED.keys())
+def test_a_bool_is_stored_as_an_int(stored):
+    values = [c[0] if type(c) is tuple else c for c in stored()]
+    assert values and all(type(v) is int for v in values)
+
+
+def test_table_entries_and_products_are_ints():
+    table = LDTable([[True, 2], [True, 2]])
+    assert all(type(entry) is int for row in table.table for entry in row)
+    assert all(type(entry) is int for entry in table.env_dot((1,), (1, 2)))
